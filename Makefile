@@ -2,9 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-small bench-json bench-json-pr2 \
-	bench-json-pr4 bench-json-pr5 bench-json-pr7 bench-json-pr10 \
-	bench-regression examples table1 casestudies clean
+.PHONY: install test bench bench-small bench-json bench-json-pr7 \
+	bench-json-pr10 bench-regression examples table1 casestudies clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -20,12 +19,6 @@ bench:
 bench-small:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Machine-readable benchmark record (BENCH_PR2.json at the repo root):
-# VM/tracker throughput, batched-vs-per-node analysis wall time, and
-# parallel profiling scaling at 1/2/4/8 workers.
-bench-json-pr2:
-	$(PYTHON) benchmarks/bench_to_json.py
-
 # Exec-tier / sampling matrix (BENCH_PR7.json at the repo root):
 # interp-vs-compiled ops/sec, tracked-vs-untraced throughput with the
 # adaptive burst schedule, estimated-vs-exact frequency error, and
@@ -40,27 +33,14 @@ bench-json-pr7:
 bench-json-pr10:
 	$(PYTHON) benchmarks/bench_matrix.py --metrics
 
-# The canonical machine-readable record is the PR7 matrix now; the
-# earlier per-PR records stay available under their own targets.
+# The canonical machine-readable record is the PR7 matrix; the
+# earlier BENCH_PR*.json files stay committed as history.
 bench-json: bench-json-pr7
 
 # Re-measure the matrix (quick sizes) and fail if a tracked-s16 ratio
 # regressed >10% against the committed BENCH_PR7.json baseline.
 bench-regression:
 	$(PYTHON) tools/check_bench_regression.py
-
-# Resilience record (BENCH_PR4.json at the repo root): supervisor
-# clean-path overhead vs the plain pool, degraded-run recovery walls,
-# and checkpoint-resume wall (docs/RESILIENCE.md).
-bench-json-pr4:
-	$(PYTHON) benchmarks/bench_resilience_to_json.py
-
-# Tracing record (BENCH_PR5.json at the repo root): profiling wall
-# with the cross-process trace pipeline on vs off (the off runs guard
-# the zero-cost-when-disabled contract) plus the offline cost of
-# `repro trace` (docs/OBSERVABILITY.md).
-bench-json-pr5:
-	$(PYTHON) benchmarks/bench_trace_to_json.py
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

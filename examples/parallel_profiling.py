@@ -5,16 +5,16 @@
 nodes live in the bounded abstract domain ``(iid, h(context))`` the
 per-shard graphs also merge *exactly*.  This example profiles four
 seeded shards of the analysis-stress pipeline two ways — through the
-`ParallelProfiler` map-reduce path and through one tracker running the
-shards back to back — verifies the two profiles are canonically
+`SupervisedProfiler` map-reduce path and through one tracker running
+the shards back to back — verifies the two profiles are canonically
 identical, and feeds the merged graph to the batched slicing engine.
 
 Every shard is a distinct ``seed`` of the same generator, so all four
 jobs share one abstract node set while computing different data — the
 property that makes the merge exact.  With a telemetry hub installed
-(``repro.observability``) the map/merge phases and the per-shard
-worker walls are traced; run with REPRO_TELEMETRY=events.jsonl to see
-the stream (``docs/OBSERVABILITY.md`` documents the events).
+(``repro.observability``) the map/merge phases and each worker's
+``shard.run`` span are traced; run with REPRO_TELEMETRY=events.jsonl
+to see the stream (``docs/OBSERVABILITY.md`` documents the events).
 """
 
 import os
@@ -24,7 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analyses.batch import engine_for
 from repro.observability import JsonlSink, Telemetry, set_current
-from repro.profiler import (ParallelProfiler, ProfileJob,
+from repro.profiler import (ProfileJob, SupervisedProfiler,
                             canonical_form, profile_jobs_sequential)
 
 SHARDS = 4
@@ -37,7 +37,7 @@ if telemetry_path:
 jobs = [ProfileJob.stress(seed=seed, **STRESS) for seed in range(SHARDS)]
 
 print(f"profiling {SHARDS} seeded stress shards over 2 workers...")
-merged = ParallelProfiler(workers=2, slots=16).profile(jobs)
+merged = SupervisedProfiler(workers=2, slots=16).profile(jobs).profile
 graph = merged.graph
 print(f"merged graph: {graph.num_nodes} nodes / {graph.num_edges} edges"
       f" from {merged.instructions} instructions")

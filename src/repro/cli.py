@@ -73,8 +73,8 @@ def _flight_path(args):
     configured = getattr(args, "flight_record", None)
     if configured:
         return configured
-    from .observability.flightrecorder import DEFAULT_DUMP_PATH
-    return DEFAULT_DUMP_PATH
+    from .observability.flightrecorder import default_dump_path
+    return default_dump_path()
 
 
 @contextmanager
@@ -872,10 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_flight_record(p):
         p.add_argument("--flight-record", metavar="PATH",
                        help="flight-recorder dump file (default "
-                            "repro-flight.jsonl); the in-memory ring "
-                            "of recent telemetry events is written "
-                            "there only on a fault, SIGUSR1, or "
-                            "daemon shutdown")
+                            "repro-flight-PID.jsonl in the system temp "
+                            "directory); the in-memory ring of recent "
+                            "telemetry events is written there only on "
+                            "a fault, SIGUSR1, or daemon shutdown, and "
+                            "the path is printed to stderr")
         p.add_argument("--no-flight-record", action="store_true",
                        help="disable the always-on flight recorder")
 

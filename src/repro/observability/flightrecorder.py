@@ -31,14 +31,20 @@ from __future__ import annotations
 import json
 import os
 import signal
+import tempfile
 import threading
 from collections import deque
 
 #: Events retained in the ring (per recorder).
 DEFAULT_CAPACITY = 4096
 
-#: Default dump file, relative to the working directory.
-DEFAULT_DUMP_PATH = "repro-flight.jsonl"
+
+def default_dump_path() -> str:
+    """The default dump file: ``repro-flight-<pid>.jsonl`` in the
+    system temp directory, so a dump never lands in the working
+    directory and concurrent processes never overwrite each other."""
+    return os.path.join(tempfile.gettempdir(),
+                        f"repro-flight-{os.getpid()}.jsonl")
 
 
 class FlightRecorder:
@@ -49,11 +55,11 @@ class FlightRecorder:
     events.  Nothing touches the filesystem until :meth:`dump`.
     """
 
-    def __init__(self, path: str = DEFAULT_DUMP_PATH,
+    def __init__(self, path: str = None,
                  capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
-        self.path = path
+        self.path = path or default_dump_path()
         self.capacity = capacity
         self._ring = deque(maxlen=capacity)
         #: hub id -> that hub's ``meta`` event, pinned so a dump always

@@ -5,7 +5,7 @@ context-register health, and shadow-memory footprint were operational
 concerns (Table 1 reports instrumentation overheads next to the
 analysis results).  This module is the reproduction's analogue: a
 :class:`Telemetry` hub that the VM, the cost tracker, the batched
-slicing engine, and the parallel runtime report into, with a JSONL
+slicing engine, and the shard supervisor report into, with a JSONL
 event sink for offline inspection (``docs/OBSERVABILITY.md`` documents
 the schema).
 
@@ -34,10 +34,10 @@ Schema v2 adds *distributed tracing*: every hub belongs to a trace
 ``span.start`` event on entry (so attempts that crash mid-span still
 appear in the stream), and a worker process can run a *child hub*
 (:func:`child_hub`) whose events are relayed back into the parent's
-sink — through the supervisor's result pipe (:class:`PipeSink`) or a
-per-shard JSONL spool — so one stream holds the whole run as a single
-stitched trace.  ``repro.observability.trace`` rebuilds the span tree
-and ``python -m repro trace run.jsonl`` renders the report.  Child
+sink through the supervisor's result pipe (:class:`PipeSink`), so
+one stream holds the whole run as a single stitched trace.
+``repro.observability.trace`` rebuilds the span tree and ``python -m
+repro trace run.jsonl`` renders the report.  Child
 hubs only ever exist when the parent's hub is enabled, preserving the
 zero-cost contract end to end.
 """
@@ -283,7 +283,7 @@ class TraceContext:
     """What a parent hub ships into a worker process.
 
     ``trace_id`` names the whole run; ``parent_span`` is the span the
-    child's root span hangs under (the supervisor/pool map span);
+    child's root span hangs under (the supervisor's map span);
     ``sample_interval`` keeps child VM sampling at the parent's
     cadence.  ``shard``/``attempt``/``label`` are stamped per attempt
     by the launcher (:func:`for_shard`).  Plain frozen dataclass —

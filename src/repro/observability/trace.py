@@ -1,15 +1,15 @@
 """Trace model: rebuild a run's span tree from a telemetry stream.
 
-The supervisor and the parallel pool execute shards in child
-processes, and schema v2 relays their telemetry back into the parent's
-JSONL stream (see :mod:`repro.observability.telemetry`): one file ends
-up holding events from every process of the run, each stamped with
-``pid``/``seq``/``hub`` and — for spans — ``span_id``/``parent_id``
-pairs that cross process boundaries (a worker's root ``shard.run``
-span hangs under the parent's ``supervisor.map``/``parallel.map``
-span).  This module turns that flat stream back into a tree and
-answers the question PR 3's single-process hub could not: *where did
-the wall time of an 8-shard supervised run actually go?*
+The shard supervisor executes shards in child processes, and schema
+v2 relays their telemetry back into the parent's JSONL stream (see
+:mod:`repro.observability.telemetry`): one file ends up holding events
+from every process of the run, each stamped with ``pid``/``seq``/``hub``
+and — for spans — ``span_id``/``parent_id`` pairs that cross process
+boundaries (a worker's root ``shard.run`` span hangs under the
+parent's ``supervisor.map`` span).  This module turns that flat stream
+back into a tree and answers the question a single-process hub could
+not: *where did the wall time of an 8-shard supervised run actually
+go?*
 
 * :func:`load_trace` / :func:`trace_from_events` — parse a stream,
   align per-process clocks (every hub's ``meta`` event carries

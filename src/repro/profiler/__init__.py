@@ -15,9 +15,9 @@ from .graph import (CONTEXTLESS, ELM, EFFECT_ALLOC, EFFECT_LOAD,
                     EFFECT_STORE, F_ALLOC, F_CONSUMER, F_HEAP_READ,
                     F_HEAP_WRITE, F_NATIVE, F_PREDICATE, CSRGraph,
                     DependenceGraph)
-from .parallel import (AggregateProfile, ParallelProfiler, ProfileJob,
-                       canonical_form, fold_graph, merge_graphs,
-                       normalize_sampling, profile_jobs_sequential)
+from .parallel import (AggregateProfile, ProfileJob, canonical_form,
+                       fold_graph, merge_graphs, normalize_sampling,
+                       profile_jobs_sequential)
 from .sampling import (DEFAULT_SPEC, SampleCursor, SampleSchedule,
                        aggregate_factor, apply_sampling_scale,
                        parse_sample_spec)
@@ -43,7 +43,7 @@ __all__ = [
     "graph_to_dict", "graph_from_dict", "save_graph", "load_graph",
     "load_graph_with_meta", "load_profile", "tracker_state_from_dict",
     "salvage_profile", "SalvageReport", "content_checksum",
-    "ParallelProfiler", "ProfileJob", "AggregateProfile", "merge_graphs",
+    "ProfileJob", "AggregateProfile", "merge_graphs",
     "fold_graph", "profile_jobs_sequential", "canonical_form",
     "normalize_sampling",
     "DEFAULT_SPEC", "SampleSchedule", "SampleCursor", "parse_sample_spec",

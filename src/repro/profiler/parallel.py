@@ -11,13 +11,16 @@ numbering, when shards are merged in order) to the graph one tracker
 would build running the shards back to back.  That licenses a
 map-reduce profiling architecture:
 
-* **map** — :class:`ParallelProfiler` fans :class:`ProfileJob`\\ s out
-  over a ``multiprocessing`` pool; each worker compiles its program,
-  runs VM + :class:`CostTracker`, and returns a compact serialized
-  profile (format v2, graph + tracker state);
+* **map** — :class:`~repro.profiler.supervisor.SupervisedProfiler`
+  runs each :class:`ProfileJob` in its own worker process; the worker
+  compiles its program, runs VM + :class:`CostTracker`, and returns a
+  compact serialized profile (format v2, graph + tracker state);
 * **reduce** — the parent deserializes and folds the shards through
   :func:`merge_graphs`, yielding one graph/state pair it can hand
   straight to the batched slicing engine and the report clients.
+
+This module holds the runner-independent pieces: the job recipe, the
+reduce operator, the merged-profile container, and the oracle.
 
 :func:`profile_jobs_sequential` is the executable oracle (one tracker
 accumulating across runs, per-execution shadows reset by
@@ -29,20 +32,10 @@ normal form.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import shutil
-import tempfile
-import time
 from dataclasses import dataclass, field
 
-from ..observability.telemetry import (NULL, JsonlSink, child_hub,
-                                       read_jsonl, set_current)
-from ..observability.telemetry import current as _current_telemetry
 from .errors import ProfileInputError
 from .graph import DependenceGraph
-from .serialize import (graph_from_dict, graph_to_dict,
-                        tracker_state_from_dict)
 from .state import TrackerState
 from .tracker import CostTracker
 
@@ -361,77 +354,6 @@ def canonical_form(graph, state=None):
     return form
 
 
-# -- the map phase ----------------------------------------------------------
-
-
-def _run_job(payload):
-    """Worker body: build, execute, return a serialized profile.
-
-    The shard meta records two walls so the merging parent can report
-    per-worker telemetry: ``wall_s`` is the whole job (compile + run +
-    serialize) and ``run_wall_s`` is the tracked execution alone (the
-    number comparable against an untracked baseline for the
-    ``--self-profile`` overhead ratio).
-
-    ``payload`` may carry a sixth element, the relay spec
-    ``(TraceContext, spool_path)``: a child-side hub writing to the
-    per-shard JSONL spool is then installed as the process-wide hub
-    for the duration of the shard, the whole attempt runs inside a
-    ``shard.run`` span parented under the parent's ``parallel.map``
-    span, and the shard meta gains a ``trace`` record.  With no relay
-    spec (parent telemetry disabled) the hub is forced to NULL so a
-    forked worker cannot leak events into the parent's inherited sink
-    — the zero-cost contract holds end to end.
-    """
-    relay = None
-    if len(payload) == 6:
-        job, slots, phases, track_cr, track_control, relay = payload
-    else:
-        job, slots, phases, track_cr, track_control = payload
-    if relay is not None:
-        ctx, spool = relay
-        hub = child_hub(ctx, JsonlSink(spool))
-    else:
-        ctx, hub = None, NULL
-    previous = _current_telemetry()
-    set_current(hub)
-    try:
-        with hub.span("shard.run",
-                      shard=ctx.shard if ctx else None,
-                      attempt=ctx.attempt if ctx else 0,
-                      label=job.label) as span:
-            trace = None
-            if span.span_id is not None:
-                trace = {"trace_id": ctx.trace_id,
-                         "span_id": span.span_id, "pid": os.getpid(),
-                         "shard": ctx.shard, "attempt": ctx.attempt}
-            start = time.perf_counter()
-            program = job.build()
-            tracker = CostTracker(slots=slots, phases=phases,
-                                  track_cr=track_cr,
-                                  track_control=track_control)
-            vm = job.make_vm(program, tracker)
-            run_start = time.perf_counter()
-            vm.run()
-            run_wall = time.perf_counter() - run_start
-            meta = {"label": job.label,
-                    "instructions": vm.instr_count,
-                    "output": vm.stdout(),
-                    "exec_mode": vm.exec_tier or vm.exec_mode,
-                    "run_wall_s": round(run_wall, 6),
-                    "wall_s": round(time.perf_counter() - start, 6)}
-            stats = vm.sampling_stats()
-            if stats is not None:
-                meta["sampling"] = stats
-            result = graph_to_dict(tracker.graph, meta=meta,
-                                   tracker=tracker, trace=trace)
-        return result
-    finally:
-        if relay is not None:
-            hub.close()
-        set_current(previous)
-
-
 @dataclass
 class AggregateProfile:
     """The reduce result: one merged graph/state over all shards."""
@@ -463,130 +385,6 @@ class AggregateProfile:
 
     def conflict_ratio(self) -> float:
         return self.state.conflict_ratio(self.graph)
-
-
-class ParallelProfiler:
-    """Fan profile jobs out over worker processes; merge the graphs.
-
-    ``workers=1`` runs the jobs in-process (no pool), which is also
-    the deterministic baseline the scaling benchmark measures against.
-    The default start method is ``fork`` where available (cheap on
-    Linux; workers inherit ``sys.path``), falling back to ``spawn``.
-
-    ``on_shard`` is an optional ``callback(index, shard_dict)`` fired
-    once per completed shard, in job order, with the serialized v2
-    profile dict — the hook the service push client
-    (:class:`repro.service.ShardPusher`) attaches to stream shards to
-    a resident daemon.  Exceptions from the callback abort the run;
-    callbacks that talk to unreliable peers must swallow their own
-    errors.
-    """
-
-    def __init__(self, workers: int = None, slots: int = 16,
-                 phases=None, track_cr: bool = True,
-                 track_control: bool = False, start_method: str = None,
-                 on_shard=None):
-        self.workers = workers
-        self.slots = slots
-        self.phases = frozenset(phases) if phases is not None else None
-        self.track_cr = track_cr
-        self.track_control = track_control
-        self.start_method = start_method
-        self.on_shard = on_shard
-
-    def _context(self):
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        return multiprocessing.get_context(method)
-
-    def profile(self, jobs) -> AggregateProfile:
-        """Run every job, merge the shard profiles in job order.
-
-        When the process-wide telemetry hub is enabled the map and
-        reduce phases are traced as spans (``parallel.map`` /
-        ``parallel.merge``), each worker streams its own events into a
-        per-shard JSONL spool that is relayed into the parent's stream
-        after the map phase (one stitched trace per run), and each
-        shard's ``worker`` summary event is derived from its relayed
-        ``shard.run`` span — not re-synthesized — so the trace holds
-        exactly one timing record per attempt.
-        """
-        jobs = list(jobs)
-        if not jobs:
-            raise ProfileInputError(
-                "no profile jobs given: profile() requires at least "
-                "one ProfileJob")
-        telemetry = _current_telemetry()
-        workers = self.workers
-        if workers is None:
-            workers = min(len(jobs), os.cpu_count() or 1)
-        run_spans = {}
-        with telemetry.span("parallel.map", jobs=len(jobs),
-                            workers=workers):
-            ctx = telemetry.trace_context()
-            spool_dir = None
-            relays = [None] * len(jobs)
-            if ctx is not None:
-                spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-                relays = [(ctx.for_shard(index, label=job.label),
-                           os.path.join(spool_dir,
-                                        f"shard-{index}.jsonl"))
-                          for index, job in enumerate(jobs)]
-            payloads = [(job, self.slots, self.phases, self.track_cr,
-                         self.track_control, relay)
-                        for job, relay in zip(jobs, relays)]
-            try:
-                if workers <= 1 or len(jobs) == 1:
-                    shards = [_run_job(payload) for payload in payloads]
-                else:
-                    with self._context().Pool(
-                            min(workers, len(jobs))) as pool:
-                        shards = pool.map(_run_job, payloads,
-                                          chunksize=1)
-            finally:
-                # Relay even when the map blows up: spools written by
-                # workers that finished (or died mid-shard — the spool
-                # readback skips a truncated trailing line) still join
-                # the trace.
-                if spool_dir is not None:
-                    relay_start = time.perf_counter()
-                    for index, (_, spool) in enumerate(relays):
-                        if not os.path.exists(spool):
-                            continue
-                        for event in read_jsonl(spool):
-                            telemetry.relay(event)
-                            if (event.get("ev") == "span"
-                                    and event.get("name") == "shard.run"):
-                                run_spans[index] = event
-                    telemetry.timer_add(
-                        "telemetry.relay",
-                        time.perf_counter() - relay_start)
-                    shutil.rmtree(spool_dir, ignore_errors=True)
-        if telemetry.enabled:
-            for index, shard in enumerate(shards):
-                meta = shard["meta"]
-                fields = {"label": meta.get("label", ""),
-                          "wall_s": meta.get("wall_s", 0.0),
-                          "instructions": meta.get("instructions", 0)}
-                span_event = run_spans.get(index)
-                if span_event is not None:
-                    # Derive the summary from the relayed span instead
-                    # of duplicating it as an independent measurement.
-                    fields["wall_s"] = span_event.get(
-                        "dur", fields["wall_s"])
-                    fields["span"] = span_event.get("span_id")
-                telemetry.event("worker", shard=index, **fields)
-        if self.on_shard is not None:
-            for index, shard in enumerate(shards):
-                self.on_shard(index, shard)
-        with telemetry.span("parallel.merge", shards=len(shards)):
-            graphs = [graph_from_dict(shard) for shard in shards]
-            states = [tracker_state_from_dict(shard) for shard in shards]
-            graph, state = merge_graphs(graphs, states)
-        return AggregateProfile(graph=graph, state=state,
-                                metas=[shard["meta"] for shard in shards])
 
 
 def profile_jobs_sequential(jobs, slots: int = 16, phases=None,

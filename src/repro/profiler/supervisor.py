@@ -1,13 +1,13 @@
-"""Fault-tolerant shard supervision for the parallel profiling runtime.
+"""Fault-tolerant shard supervision: the map phase of the profiling
+runtime.
 
-The plain :class:`~repro.profiler.parallel.ParallelProfiler` is a
-fair-weather fan-out: one crashed, hung, or budget-blown worker takes
-the whole ``pool.map`` down and every finished shard with it.  The
-paper's tool could not afford that inside a production JVM, and the
-bounded abstract domain makes the fix cheap here: shard profiles are
-*idempotent* (a :class:`ProfileJob` re-runs deterministically) and the
-merge is *exact*, so any shard can simply be run again — supervision
-reduces to bookkeeping.
+A fair-weather fan-out (one ``pool.map`` over the jobs) lets one
+crashed, hung, or budget-blown worker take the whole map down and
+every finished shard with it.  The paper's tool could not afford that
+inside a production JVM, and the bounded abstract domain makes the
+fix cheap here: shard profiles are *idempotent* (a :class:`ProfileJob`
+re-runs deterministically) and the merge is *exact*, so any shard can
+simply be run again — supervision reduces to bookkeeping.
 
 :class:`SupervisedProfiler` runs each shard attempt in its own child
 process with a result pipe, which buys:
@@ -57,6 +57,14 @@ from .errors import ProfileInputError, ShardFailedError
 from .parallel import AggregateProfile, merge_graphs
 from .serialize import graph_from_dict, graph_to_dict, tracker_state_from_dict
 from .tracker import CostTracker
+
+#: Process context of every shard attempt: ``fork`` where available
+#: (cheap on Linux; workers inherit ``sys.path``), else the platform's
+#: default start method.
+try:
+    _CONTEXT = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - platforms without fork
+    _CONTEXT = multiprocessing.get_context()
 
 #: Longest single sleep of the supervision loop (keeps deadline checks
 #: and backoff wake-ups responsive even when no pipe becomes ready).
@@ -196,7 +204,10 @@ def _run_job_salvaging(job, slots, phases, track_cr, track_control,
     graph-so-far is a valid — merely incomplete — profile; it ships
     back flagged ``partial`` with the error recorded, so one
     budget-blown shard degrades the run instead of failing it.
-    ``trace`` (the worker's span context) travels in the shard meta so
+    The meta records two walls: ``wall_s`` (compile + run) and
+    ``run_wall_s`` (tracked execution alone, the number the
+    ``--self-profile`` overhead ratio compares against an untracked
+    run).  ``trace`` (the worker's span context) travels in the shard meta so
     saved profiles can be joined back to their telemetry stream.
     """
     start = time.perf_counter()
@@ -279,10 +290,6 @@ def _shard_entry(payload, fault, ctx, conn):
         conn.close()
 
 
-#: Backwards-compatible alias (pre-trace name of the worker entry).
-_shard_worker = _shard_entry
-
-
 def validate_shard(shard) -> str:
     """Structural sanity check on a worker-shipped profile dict.
 
@@ -327,21 +334,21 @@ class _Attempt:
 
 
 class SupervisedProfiler:
-    """Shard supervisor: the fault-tolerant face of the parallel runtime.
+    """Shard supervisor: the one runner of the profiling map phase.
 
-    Same profiling parameters as
-    :class:`~repro.profiler.parallel.ParallelProfiler`, plus a
+    Each shard attempt runs in a fresh child process, at most
+    ``workers`` at a time.  Takes the profiling parameters
+    (``slots``, ``phases``, ``track_cr``, ``track_control``), a
     :class:`ShardPolicy`, an optional checkpoint path, and an optional
     :class:`~repro.testing.faults.FaultPlan` (tests/CI only).  On the
     clean path the merged profile is identical — including node
-    numbering — to ``ParallelProfiler``'s and to the sequential
-    oracle's; supervision only adds per-shard processes and
-    bookkeeping (``make bench-json-pr4`` tracks that overhead).
+    numbering — to the sequential oracle's
+    (:func:`~repro.profiler.parallel.profile_jobs_sequential`).
     """
 
     def __init__(self, workers: int = None, slots: int = 16,
                  phases=None, track_cr: bool = True,
-                 track_control: bool = False, start_method: str = None,
+                 track_control: bool = False,
                  policy: ShardPolicy = None, checkpoint=None,
                  fault_plan=None, on_shard=None):
         self.workers = workers
@@ -349,7 +356,6 @@ class SupervisedProfiler:
         self.phases = frozenset(phases) if phases is not None else None
         self.track_cr = track_cr
         self.track_control = track_control
-        self.start_method = start_method
         self.policy = policy if policy is not None else ShardPolicy()
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
@@ -360,13 +366,6 @@ class SupervisedProfiler:
         #: Failed shards never fire; a degraded run pushes survivors
         #: only.  Exceptions from the callback abort the run.
         self.on_shard = on_shard
-
-    def _context(self):
-        method = self.start_method
-        if method is None:
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else available[0]
-        return multiprocessing.get_context(method)
 
     # -- lifecycle of one run ------------------------------------------------
 
@@ -416,7 +415,6 @@ class SupervisedProfiler:
         pending = [_Attempt(index, job)
                    for index, job in enumerate(jobs) if index not in done]
         running = []
-        ctx = self._context()
         abort_after = (self.fault_plan.abort_after
                        if self.fault_plan is not None else None)
         completed_this_run = 0
@@ -430,7 +428,7 @@ class SupervisedProfiler:
                 trace_ctx = telemetry.trace_context()
                 while pending or running:
                     now = time.monotonic()
-                    self._launch_ready(ctx, trace_ctx, pending, running,
+                    self._launch_ready(trace_ctx, pending, running,
                                        workers, now)
                     if not running:
                         # Everything schedulable is backing off.
@@ -481,8 +479,7 @@ class SupervisedProfiler:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _launch_ready(self, ctx, trace_ctx, pending, running, workers,
-                      now):
+    def _launch_ready(self, trace_ctx, pending, running, workers, now):
         for task in [t for t in pending if t.ready_at <= now]:
             if len(running) >= workers:
                 break
@@ -494,11 +491,11 @@ class SupervisedProfiler:
             attempt_ctx = (trace_ctx.for_shard(task.index, task.attempt,
                                                task.job.label)
                            if trace_ctx is not None else None)
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
-                               args=(payload, fault, attempt_ctx,
-                                     send_conn),
-                               daemon=True)
+            recv_conn, send_conn = _CONTEXT.Pipe(duplex=False)
+            proc = _CONTEXT.Process(target=_shard_entry,
+                                    args=(payload, fault, attempt_ctx,
+                                          send_conn),
+                                    daemon=True)
             proc.start()
             send_conn.close()  # parent's copy; EOF now tracks the child
             task.proc = proc

@@ -19,8 +19,8 @@ Two contracts pin the PR-7 performance work:
 
 import pytest
 
-from repro.profiler import (CostTracker, ParallelProfiler, ProfileJob,
-                            SampleSchedule, aggregate_factor,
+from repro.profiler import (CostTracker, ProfileJob, SampleSchedule,
+                            SupervisedProfiler, aggregate_factor,
                             apply_sampling_scale, canonical_form,
                             jobs_fingerprint, parse_sample_spec,
                             profile_jobs_sequential)
@@ -223,7 +223,7 @@ class TestProfilerIntegration:
     def test_sampled_parallel_merge_matches_sequential(self):
         jobs = self._jobs(sampling=SMALL_SPEC)
         seq = profile_jobs_sequential(jobs, slots=16)
-        par = ParallelProfiler(workers=2, slots=16).profile(jobs)
+        par = SupervisedProfiler(workers=2, slots=16).profile(jobs).profile
         assert canonical_form(par.graph, par.state) == \
             canonical_form(seq.graph, seq.state)
         assert par.sampled

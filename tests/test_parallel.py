@@ -8,14 +8,14 @@ shards back to back (`profile_jobs_sequential`, the oracle).  The
 suite checks that claim canonically (node-numbering independent) and
 structurally (the in-order merge even reproduces the oracle's node
 numbering bit for bit) across workloads, context-domain sizes, seeded
-stress shards, and the real multiprocessing pool.
+stress shards, and one or two concurrent supervised workers.
 """
 
 import pytest
 
 from repro.profiler import (CONTEXTLESS, AggregateProfile, CostTracker,
-                            DependenceGraph, ParallelProfiler,
-                            ProfileInputError, ProfileJob, TrackerState,
+                            DependenceGraph, ProfileInputError,
+                            ProfileJob, SupervisedProfiler, TrackerState,
                             canonical_form, graph_from_dict,
                             graph_to_dict, merge_graphs,
                             profile_jobs_sequential,
@@ -27,6 +27,14 @@ from repro.workloads import get_workload
 EQUIVALENCE_WORKLOADS = ("chart_like", "trade_like", "xalan_like",
                          "eclipse_like")
 SLOTS = (8, 16)
+
+
+def supervised(jobs, workers=1, **params) -> AggregateProfile:
+    """Profile ``jobs`` through the shard supervisor; the merged
+    profile of a clean run."""
+    run = SupervisedProfiler(workers=workers, **params).profile(jobs)
+    assert run.report.ok
+    return run.profile
 
 
 def workload_jobs(name):
@@ -73,7 +81,7 @@ class TestShardedWorkloadEquivalence:
     def test_merge_matches_sequential(self, name, slots):
         jobs = workload_jobs(name)
         seq = profile_jobs_sequential(jobs, slots=slots)
-        par = ParallelProfiler(workers=1, slots=slots).profile(jobs)
+        par = supervised(jobs, slots=slots)
         assert_profiles_identical(seq, par)
         assert seq.instructions == par.instructions
         assert seq.outputs == par.outputs
@@ -83,11 +91,11 @@ class TestShardedWorkloadEquivalence:
         jobs = [ProfileJob.stress(stages=6, chain=6, rounds=2, seed=s)
                 for s in range(3)]
         seq = profile_jobs_sequential(jobs, slots=slots)
-        par = ParallelProfiler(workers=1, slots=slots).profile(jobs)
+        par = supervised(jobs, slots=slots)
         assert_profiles_identical(seq, par)
         # Seeds change the data, not the structure: the merged graph
         # has the same node set as one shard, at 3x the frequency.
-        single = ParallelProfiler(workers=1, slots=slots).profile(jobs[:1])
+        single = supervised(jobs[:1], slots=slots)
         assert sorted(par.graph.node_keys) == \
             sorted(single.graph.node_keys)
         assert par.graph.total_frequency() == \
@@ -96,36 +104,36 @@ class TestShardedWorkloadEquivalence:
     def test_control_deps_merge(self):
         jobs = workload_jobs("chart_like")[:2]
         seq = profile_jobs_sequential(jobs, slots=8, track_control=True)
-        par = ParallelProfiler(workers=1, slots=8,
-                               track_control=True).profile(jobs)
+        par = supervised(jobs, slots=8, track_control=True)
         assert seq.graph.control_deps  # the mode actually recorded some
         assert_profiles_identical(seq, par)
 
     def test_conflict_ratio_matches(self):
         jobs = workload_jobs("trade_like")
         seq = profile_jobs_sequential(jobs, slots=8)
-        par = ParallelProfiler(workers=1, slots=8).profile(jobs)
+        par = supervised(jobs, slots=8)
         assert par.conflict_ratio() == pytest.approx(
             seq.conflict_ratio())
 
 
-class TestRealPool:
-    def test_two_workers_match_in_process(self):
+class TestWorkerCount:
+    def test_two_workers_match_one(self):
         jobs = [ProfileJob.stress(stages=5, chain=5, rounds=2, seed=s)
                 for s in range(4)]
-        inproc = ParallelProfiler(workers=1, slots=16).profile(jobs)
-        pooled = ParallelProfiler(workers=2, slots=16).profile(jobs)
-        assert_profiles_identical(inproc, pooled)
-        assert [m["label"] for m in pooled.metas] == \
-            [job.label for job in jobs]
+        one = supervised(jobs, workers=1, slots=16)
+        two = supervised(jobs, workers=2, slots=16)
+        assert_profiles_identical(one, two)  # canonical_form included
+        for profile in (one, two):
+            assert [m["label"] for m in profile.metas] == \
+                [job.label for job in jobs]
 
-    def test_workload_job_in_pool(self):
+    def test_workload_job_two_workers(self):
         spec = get_workload("pmd_like")
         jobs = [ProfileJob.workload("pmd_like", "unopt",
                                     spec.small_scale)] * 2
-        pooled = ParallelProfiler(workers=2, slots=8).profile(jobs)
+        two = supervised(jobs, workers=2, slots=8)
         seq = profile_jobs_sequential(jobs, slots=8)
-        assert_profiles_identical(seq, pooled)
+        assert_profiles_identical(seq, two)
 
 
 class TestMergeOperator:
@@ -214,7 +222,7 @@ class TestAggregatedAnalyses:
         from repro.analyses.batch import engine_for
         from repro.analyses.relative import field_racs
         jobs = workload_jobs("chart_like")
-        par = ParallelProfiler(workers=1, slots=8).profile(jobs)
+        par = supervised(jobs, slots=8)
         engine = engine_for(par.graph)
         racs = engine.field_racs()
         assert racs == field_racs(par.graph)
@@ -226,7 +234,7 @@ class TestAggregatedAnalyses:
         spec = get_workload("trade_like")
         jobs = [ProfileJob.workload("trade_like", "unopt",
                                     spec.small_scale)] * 2
-        par = ParallelProfiler(workers=1, slots=8).profile(jobs)
+        par = supervised(jobs, slots=8)
         program = spec.build("unopt", spec.small_scale)
         metrics = measure_bloat(par.graph, par.instructions)
         assert 0.0 <= metrics.ipd <= 1.0

@@ -2,7 +2,7 @@
 
 Unit tests drive :mod:`repro.observability.trace` over hand-built
 schema-v2 event streams (multiple hubs, skewed clocks, crashed spans);
-the end-to-end tests run real supervised / pooled profiles with
+the end-to-end tests run real supervised profiles with
 telemetry enabled and check the acceptance criterion: one JSONL file
 parses into one trace whose span tree holds *every* shard attempt —
 failed ones included — with intact parentage, and whose critical path
@@ -17,7 +17,6 @@ from repro.observability import (JsonlSink, Telemetry, load_trace,
                                  format_trace_report, trace_from_events,
                                  trace_to_dict, use)
 from repro.profiler import (ProfileJob, ShardPolicy, SupervisedProfiler)
-from repro.profiler.parallel import ParallelProfiler, canonical_form
 from repro.testing.faults import FaultPlan, FaultSpec
 
 TRACE = "cafe0123deadbeef"
@@ -154,13 +153,13 @@ class TestTraceModel:
         events = [
             {"ev": "meta", "t": 0.0, "schema": 1,
              "sample_interval": 10000},
-            {"ev": "span", "t": 0.5, "name": "parallel.map",
+            {"ev": "span", "t": 0.5, "name": "supervisor.map",
              "dur": 0.5},
         ]
         trace = trace_from_events(events)
         assert len(trace.spans) == 1
         [span] = trace.roots
-        assert span.name == "parallel.map"
+        assert span.name == "supervisor.map"
         assert span.duration == pytest.approx(0.5)
         report = format_trace_report(trace)
         assert "schema v1" in report
@@ -231,55 +230,26 @@ class TestEndToEnd:
             assert record["trace_id"] == hub.trace_id
             assert record["span_id"] in span_ids
 
-    def test_pool_relay_and_worker_dedup(self, tmp_path):
-        path = str(tmp_path / "pool.jsonl")
-        jobs = self._jobs(3)
-        hub = Telemetry(sink=JsonlSink(path))
-        with use(hub):
-            ParallelProfiler(workers=2).profile(jobs)
-        hub.close()
-        trace = load_trace(path)
-        runs = trace.shard_attempts()
-        assert [s.meta.get("shard") for s in runs] == [0, 1, 2]
-        [map_span] = trace.spans_named("parallel.map")
-        for span in runs:
-            assert span.parent_id == map_span.span_id
-        # Exactly one parent-side worker summary per shard, each
-        # derived from (and linked to) its relayed shard.run span.
-        workers = [e for e in trace.events if e.get("ev") == "worker"]
-        assert len(workers) == 3
-        span_by_shard = {s.meta.get("shard"): s for s in runs}
-        for event in workers:
-            linked = span_by_shard[event["shard"]]
-            assert event["span"] == linked.span_id
-            assert event["wall_s"] == pytest.approx(
-                linked.duration, abs=0.05)
-        assert trace.critical_path_duration() <= trace.wall + 1e-6
-
-    def test_in_process_pool_matches_forked_trace_shape(self, tmp_path):
+    def test_trace_shape_independent_of_worker_count(self, tmp_path):
         jobs = self._jobs(2)
         shapes = []
-        profiles = []
         for workers in (1, 2):
             path = str(tmp_path / f"w{workers}.jsonl")
             hub = Telemetry(sink=JsonlSink(path))
             with use(hub):
-                profiles.append(ParallelProfiler(
-                    workers=workers).profile(jobs))
+                SupervisedProfiler(workers=workers).profile(jobs)
             hub.close()
             trace = load_trace(path)
-            shapes.append([(s.meta.get("shard"), s.finished)
-                           for s in trace.shard_attempts()])
+            [map_span] = trace.spans_named("supervisor.map")
+            assert all(s.parent_id == map_span.span_id
+                       for s in trace.shard_attempts())
+            shapes.append(sorted((s.meta.get("shard"), s.finished)
+                                 for s in trace.shard_attempts()))
         assert shapes[0] == shapes[1] == [(0, True), (1, True)]
-        assert canonical_form(profiles[0].graph, profiles[0].state) == \
-            canonical_form(profiles[1].graph, profiles[1].state)
 
     def test_disabled_telemetry_builds_no_child_hubs(self):
         # Zero-cost contract end to end: without a parent hub, shard
         # metas carry no trace context (no child hub ever existed).
         run = SupervisedProfiler(workers=2).profile(self._jobs(2))
         for meta in run.profile.metas:
-            assert "trace" not in meta
-        pool = ParallelProfiler(workers=2).profile(self._jobs(2))
-        for meta in pool.metas:
             assert "trace" not in meta
