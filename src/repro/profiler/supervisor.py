@@ -205,10 +205,12 @@ def _run_job_salvaging(job, slots, phases, track_cr, track_control,
     back flagged ``partial`` with the error recorded, so one
     budget-blown shard degrades the run instead of failing it.
     The meta records two walls: ``wall_s`` (compile + run) and
-    ``run_wall_s`` (tracked execution alone, the number the
+    ``run_wall_s`` (the tracked ``vm.run()`` alone, the number the
     ``--self-profile`` overhead ratio compares against an untracked
-    run).  ``trace`` (the worker's span context) travels in the shard meta so
-    saved profiles can be joined back to their telemetry stream.
+    run; it includes the compiled tier's first-call compilation of
+    the methods the run executes).  ``trace`` (the worker's span
+    context) travels in the shard meta so saved profiles can be joined
+    back to their telemetry stream.
     """
     start = time.perf_counter()
     program = job.build()

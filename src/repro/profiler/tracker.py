@@ -5,7 +5,9 @@ instruction it
 
 * maps the instance to its abstract node ``(iid, h(context))`` where the
   context is the receiver-object allocation-site chain (rule METHOD
-  ENTRY maintains the chain; ``h`` is ``extend_context`` + mod-slots),
+  ENTRY maintains the chain; ``h`` is ``extend_context`` + mod-slots);
+  the tracker indexes these nodes by dense ``(iid, slot)`` rows, so a
+  repeat execution costs a row lookup and a list index, no key tuple,
 * adds def-use edges from the nodes stored in the shadow locations of
   the operands it *uses* (thin slicing: base pointers of field accesses
   are not used; array indices are),
@@ -71,6 +73,11 @@ class CostTracker(TracerBase):
         self.track_cr = track_cr
         self._static_shadow = {}   # (class, field) -> node id
         self._node_gs = []         # node id -> set of encoded contexts
+        #: iid -> [node id of (iid, slot) for each context slot], -1
+        #: where that node does not exist yet.  A dense index over the
+        #: graph's context-annotated nodes, filled on their creation;
+        #: the graph's ``(iid, d)`` map stays the source of truth.
+        self._rows = {}
         self._ret_node = None      # shadow of the value being returned
         #: branch iid -> [times taken, times not taken]; consumed by the
         #: always-true/always-false predicate client (§3.2).
@@ -135,9 +142,27 @@ class CostTracker(TracerBase):
         return shadow
 
     def _node(self, iid: int, dctx: int, g: int, flag: int = 0) -> int:
-        """Context-annotated node, with CR bookkeeping."""
-        graph = self.graph
-        node_id = graph.node(iid, dctx, flag)
+        """Context-annotated node, with CR bookkeeping.
+
+        A node seen before is found through ``_rows`` -- the iid's row,
+        then the slot's entry -- with no key tuple and no graph lookup;
+        only its first execution goes through
+        :meth:`DependenceGraph.node`, which numbers it.
+        """
+        row = self._rows.get(iid)
+        if row is not None:
+            node_id = row[dctx]
+            if node_id >= 0:
+                graph = self.graph
+                graph.freq[node_id] += 1
+                if flag:
+                    graph.flags[node_id] |= flag
+                if self.track_cr:
+                    self._node_gs[node_id].add(g)
+                return node_id
+        else:
+            row = self._rows[iid] = [-1] * self.slots
+        node_id = row[dctx] = self.graph.node(iid, dctx, flag)
         if self.track_cr:
             gs = self._node_gs
             if len(gs) <= node_id:

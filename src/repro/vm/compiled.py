@@ -4,7 +4,9 @@ The interpreter in :mod:`repro.vm.interpreter` pays a fixed toll per
 executed instruction: fetch through ``frame.pc``, an opcode ladder, and
 operand-name lookups on the instruction object.  This module removes
 that toll by compiling every finalized method into a specialized Python
-generator function, once per program:
+generator function.  A program's tier is built once: every method's
+source is emitted (and its shape checked) up front, and each method is
+compiled to a function on its first call:
 
 * **operand accessors precompiled** -- in the untraced template every
   virtual register becomes a Python local; in the traced template the
@@ -46,7 +48,9 @@ context-annotated node identities.
 Methods whose shapes the templates do not cover (no return instruction,
 execution falling off the end of the body, unknown operators) mark the
 whole program unsupported and the VM transparently falls back to the
-interpreter tier.
+interpreter tier.  Shapes are checked when the sources are emitted, so
+a method that is never called decides the fallback exactly as one that
+is.
 """
 
 from __future__ import annotations
@@ -540,19 +544,53 @@ class _MethodEmitter:
 # Program compilation + caching
 # ---------------------------------------------------------------------------
 
+class _LazyTier(dict):
+    """``{MethodDef: generator function}``, compiling on first lookup.
+
+    Every method's source is emitted up front (that is where
+    :class:`UnsupportedShape` is raised), but ``compile()`` + ``exec``
+    run only when a method is first looked up, so a run pays for the
+    templates of the methods it executes.  All methods share one
+    module namespace: the runtime constants the emitters bound and the
+    functions compiled so far.
+    """
+
+    def __init__(self, sources, namespace, filename: str):
+        super().__init__()
+        self._sources = sources        # MethodDef -> (fname, source)
+        self._ns = namespace
+        self._filename = filename
+
+    def __missing__(self, method):
+        fname, source = self._sources.pop(method)
+        exec(compile(source, self._filename, "exec"), self._ns)
+        fn = self[method] = self._ns[fname]
+        return fn
+
+    def compile_all(self):
+        """Compile every method not compiled yet."""
+        for method in list(self._sources):
+            self[method]
+
+
 def compiled_tier(program, variant: str):
     """The ``{MethodDef: generator function}`` tier for ``variant``.
 
-    Compiled lazily on first use and cached on the program; returns
-    None when the program contains a shape the templates do not
-    support (the VM then falls back to the interpreter).
+    Built on first use and cached on the program.  Building emits
+    every method's source, which checks every shape; each method's
+    function is then compiled on its first lookup (see
+    :class:`_LazyTier`).  Returns None when the program contains a
+    shape the templates do not support (the VM then falls back to the
+    interpreter).
     """
     cache = getattr(program, "_compiled_tiers", None)
     if cache is None:
         cache = program._compiled_tiers = {}
     if variant in cache:
         tier = cache[variant]
-        return tier or None
+        # A tier with nothing compiled yet is an empty, falsy mapping:
+        # only the False sentinel means "unsupported".
+        return None if tier is False else tier
     try:
         tier = _compile_program(program, variant)
     except UnsupportedShape:
@@ -563,35 +601,37 @@ def compiled_tier(program, variant: str):
 
 
 def precompile(program, tracer: bool = False, sampling: bool = False):
-    """Eagerly build the tiers a run configuration will need.
+    """Compile every method of the tiers a run configuration will need.
 
     Benchmarks call this so compilation cost lands outside the timed
-    region; normal runs compile lazily on first execution.
+    region; normal runs compile each method on its first call.
+    Returns False when the program has a shape the templates do not
+    support.
     """
     variants = []
     if not tracer or sampling:
         variants.append(VARIANT_PLAIN)
     if tracer:
         variants.append(VARIANT_TRACED)
-    return all(compiled_tier(program, v) is not None for v in variants)
+    tiers = [compiled_tier(program, v) for v in variants]
+    if any(tier is None for tier in tiers):
+        return False
+    for tier in tiers:
+        tier.compile_all()
+    return True
 
 
 def _compile_program(program, variant: str):
     ns = _base_namespace()
     ns["_program"] = program
     binder = _Binder(ns)
-    fnames = {}
-    sources = []
+    sources = {}
     for cls in sorted(program.classes.values(), key=lambda c: c.name):
         for method in sorted(cls.methods.values(), key=lambda m: m.name):
-            fname = f"_fn{len(fnames)}"
-            fnames[method] = fname
+            fname = f"_fn{len(sources)}"
             emitter = _MethodEmitter(method, fname, variant, binder)
-            sources.append(emitter.source())
-    source = "\n".join(sources)
-    code = compile(source, f"<repro-compiled:{variant}>", "exec")
-    exec(code, ns)
-    return {method: ns[fname] for method, fname in fnames.items()}
+            sources[method] = (fname, emitter.source())
+    return _LazyTier(sources, ns, f"<repro-compiled:{variant}>")
 
 
 # ---------------------------------------------------------------------------

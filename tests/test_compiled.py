@@ -25,6 +25,7 @@ from repro.profiler import (CostTracker, ProfileJob, SampleSchedule,
                             jobs_fingerprint, parse_sample_spec,
                             profile_jobs_sequential)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
+from repro.vm.compiled import VARIANT_TRACED, compiled_tier, precompile
 from repro.vm.interpreter import resolve_exec_mode
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import build_stress
@@ -86,10 +87,12 @@ class TestTierEquivalence:
             resolve_exec_mode("jit")
 
     def test_unsupported_shape_falls_back_to_interp(self):
-        # The compiled tier compiles every method up front; a method
-        # the template cannot express (empty body) poisons the whole
-        # tier even though the interpreter, which only executes what
-        # is reached, runs the program fine.
+        # The compiled tier emits (and shape-checks) every method's
+        # source up front, though it compiles each one only on its
+        # first call; a method the template cannot express (empty
+        # body) poisons the whole tier even though it is never called
+        # and the interpreter, which only executes what is reached,
+        # runs the program fine.
         from repro.lang import compile_source
         source = """
 class Dead { int unused() { return 1; } }
@@ -102,6 +105,52 @@ class Main { static void main() { Sys.printInt(7); } }
         assert broken.exec_tier == EXEC_INTERP
         assert broken.stdout() == reference.stdout() == "7"
         assert broken.instr_count == reference.instr_count
+
+
+def _methods(program):
+    return {method for cls in program.classes.values()
+            for method in cls.methods.values()}
+
+
+class _EntryRecorder(CostTracker):
+    """Records every method activation it sees."""
+
+    def __init__(self, **params):
+        super().__init__(**params)
+        self.entered = set()
+
+    def on_entry_frame(self, frame):
+        super().on_entry_frame(frame)
+        self.entered.add(frame.method)
+
+    def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
+        super().trace_call(instr, caller_frame, callee_frame, recv_obj)
+        self.entered.add(callee_frame.method)
+
+
+class TestLazyTier:
+    def test_tracked_run_compiles_only_methods_that_ran(self):
+        spec = get_workload("trade_like")
+        program = spec.build("unopt", spec.small_scale)
+        # A built tier with nothing compiled yet is an empty mapping;
+        # it must still be served as a tier, not as "unsupported".
+        tier = compiled_tier(program, VARIANT_TRACED)
+        assert len(tier) == 0
+        assert compiled_tier(program, VARIANT_TRACED) is tier
+        vm = _run(program, EXEC_COMPILED,
+                  tracer=_EntryRecorder(slots=16))
+        assert vm.exec_tier == EXEC_COMPILED
+        assert set(tier) == vm.tracer.entered
+        assert len(tier) < len(_methods(program))
+        assert all(callable(fn) for fn in tier.values())
+
+    def test_precompile_compiles_every_method(self):
+        spec = get_workload("trade_like")
+        program = spec.build("unopt", spec.small_scale)
+        assert precompile(program, tracer=True)
+        tier = compiled_tier(program, VARIANT_TRACED)
+        assert set(tier) == _methods(program)
+        assert all(callable(fn) for fn in tier.values())
 
 
 class TestSampling:

@@ -1,11 +1,16 @@
 """Tests for CostTracker — the Figure-4 rule implementation."""
 
+import pytest
+
 from conftest import run_main
 from repro.ir import instructions as ins
 from repro.profiler import (CONTEXTLESS, ELM, EFFECT_LOAD,
                             EFFECT_STORE, F_ALLOC, F_HEAP_READ,
                             F_HEAP_WRITE, F_NATIVE, F_PREDICATE,
-                            CostTracker)
+                            CostTracker, graph_to_dict, parse_sample_spec)
+from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
+from repro.workloads import all_workloads, get_workload
+from repro.workloads.stress import build_stress
 
 
 def traced(body, extra=""):
@@ -338,3 +343,85 @@ Sys.printInt(acc);
         vm, tracker = traced(body)
         assert plain.stdout() == vm.stdout()
         assert plain.instr_count == vm.instr_count
+
+
+class ReferenceNodeTracker(CostTracker):
+    """CostTracker with the node lookup it had before node rows: every
+    context-annotated instruction goes through
+    :meth:`DependenceGraph.node` by its ``(iid, slot)`` key."""
+
+    def _node(self, iid, dctx, g, flag=0):
+        node_id = self.graph.node(iid, dctx, flag)
+        if self.track_cr:
+            gs = self._node_gs
+            if len(gs) <= node_id:
+                gs.extend([None] * (node_id + 1 - len(gs)))
+            if gs[node_id] is None:
+                gs[node_id] = {g}
+            else:
+                gs[node_id].add(g)
+        return node_id
+
+
+DIFFERENTIAL_WORKLOADS = [spec.name for spec in all_workloads()] + ["stress"]
+
+#: A sampling schedule that closes and reopens the tracking window
+#: many times on a test-sized run, so window opens rebuild ``dctx``.
+REOPENING_SPEC = "1024:8192:1024:1.0"
+
+
+def _workload_program(name):
+    if name == "stress":
+        return build_stress(stages=24, chain=8, rounds=3)
+    spec = get_workload(name)
+    return spec.build("unopt", spec.small_scale)
+
+
+def _shard(tracker_cls, program, tier, sampling=None, **params):
+    """The serialized shard of one tracked run, and its VM."""
+    tracker = tracker_cls(**params)
+    vm = VM(program, tracer=tracker, exec_mode=tier, sampling=sampling)
+    vm.run()
+    assert vm.exec_tier == tier
+    return graph_to_dict(tracker.graph, tracker=tracker), vm
+
+
+def _assert_rows_match_graph(tracker):
+    """Every row entry names the node the graph has for its key, and
+    every context-annotated node has its row entry."""
+    graph = tracker.graph
+    indexed = {(iid, slot): node_id
+               for iid, row in tracker._rows.items()
+               for slot, node_id in enumerate(row) if node_id >= 0}
+    assert indexed == {key: node_id for key, node_id in graph._ids.items()
+                       if key[1] != CONTEXTLESS}
+
+
+class TestNodeRows:
+    """The dense ``(iid, slot)`` node rows change how a node is found,
+    never which node it is: shards (node numbering, freq, flags, edges,
+    ``node_gs``) are identical to the reference lookup's."""
+
+    @pytest.mark.parametrize("tier", [EXEC_INTERP, EXEC_COMPILED])
+    @pytest.mark.parametrize("name", DIFFERENTIAL_WORKLOADS)
+    def test_shards_identical_to_reference_lookup(self, name, tier):
+        program = _workload_program(name)
+        for slots in (8, 16):
+            for track_cr in (True, False):
+                params = {"slots": slots, "track_cr": track_cr}
+                expected, _ = _shard(ReferenceNodeTracker, program, tier,
+                                     **params)
+                actual, vm = _shard(CostTracker, program, tier, **params)
+                assert actual == expected, (slots, track_cr)
+                _assert_rows_match_graph(vm.tracer)
+
+    def test_sampled_shard_identical_to_reference_lookup(self):
+        program = _workload_program("bloat_like")
+        schedule = parse_sample_spec(REOPENING_SPEC)
+        expected, _ = _shard(ReferenceNodeTracker, program, EXEC_COMPILED,
+                             sampling=schedule, slots=16)
+        actual, vm = _shard(CostTracker, program, EXEC_COMPILED,
+                            sampling=schedule, slots=16)
+        assert vm.sampling_stats()["toggles"] > 2
+        assert actual == expected
+        _assert_rows_match_graph(vm.tracer)
