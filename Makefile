@@ -27,8 +27,9 @@ bench-json-pr7:
 	$(PYTHON) benchmarks/bench_matrix.py
 
 # Service metrics-overhead guard (BENCH_PR10.json at the repo root):
-# daemon ingest throughput with the live MetricsRegistry on vs off
-# over a real unix-socket session; gate <=5% overhead
+# daemon ingest throughput under serve's default telemetry hub (flight-
+# recorder ring, which also serves the stats metrics) vs the disabled
+# NULL hub over a real unix-socket session; gate <=5% overhead
 # (docs/OBSERVABILITY.md).
 bench-json-pr10:
 	$(PYTHON) benchmarks/bench_matrix.py --metrics

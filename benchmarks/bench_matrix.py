@@ -19,11 +19,13 @@ accountable for:
   sampled graphs because untracked bursts sever the shadow heap, so
   the record shows the (large) bias instead of hiding it.
 * **metrics overhead** (PR 10, ``make bench-json-pr10`` →
-  ``BENCH_PR10.json``) — daemon ingest throughput with the live
-  :class:`~repro.observability.metrics.MetricsRegistry` enabled vs
-  the null registry, over a real unix-socket push/query session.
-  Gate: ``<= 5%`` overhead.  (The *disabled* side must cost exactly
-  zero extra work — that contract is structural and enforced by
+  ``BENCH_PR10.json``) — daemon ingest throughput under ``serve``'s
+  default telemetry hub (a :class:`~repro.observability.Telemetry`
+  over a flight-recorder :class:`~repro.observability.RecorderSink`,
+  which also serves the ``stats`` metrics) vs the disabled ``NULL``
+  hub, over a real unix-socket push/query session.  Gate: ``<= 5%``
+  overhead.  (The *disabled* side must cost exactly zero extra work
+  — that contract is structural and enforced by
   ``tests/test_service.py``, not timed here.)
 
 All timing on this host is noisy (single core, 30%+ run-to-run
@@ -244,14 +246,17 @@ def metrics_overhead(pushes=METRICS_PUSHES, queries=METRICS_QUERIES,
 
     Each measured session is a real daemon on a unix socket fed the
     same push/query mix by a blocking client; only the request loop is
-    timed (daemon startup/teardown excluded).  On/off sessions are
-    interleaved per repeat so host noise degrades both sides together.
+    timed (daemon startup/teardown excluded).  "On" is the hub ``serve``
+    builds by default — telemetry into a flight-recorder ring — and
+    "off" the disabled ``NULL`` hub.  On/off sessions are interleaved
+    per repeat so host noise degrades both sides together.
     """
     import asyncio
     import tempfile
     import threading
 
-    from repro.observability.metrics import MetricsRegistry
+    from repro.observability import (NULL, FlightRecorder, RecorderSink,
+                                     Telemetry, use)
     from repro.profiler import graph_to_dict
     from repro.service import (AnalysisDaemon, ServiceClient,
                                TenantRegistry)
@@ -266,11 +271,13 @@ def metrics_overhead(pushes=METRICS_PUSHES, queries=METRICS_QUERIES,
                                 "exec_mode": vm.exec_tier},
                           tracker=tracker)
 
-    def session(metrics):
-        with tempfile.TemporaryDirectory() as tmp:
+    def serve_hub():
+        return Telemetry(sink=RecorderSink(FlightRecorder()))
+
+    def session(hub):
+        with tempfile.TemporaryDirectory() as tmp, use(hub):
             addr = os.path.join(tmp, "svc.sock")
-            daemon = AnalysisDaemon(TenantRegistry(), socket_path=addr,
-                                    metrics=metrics)
+            daemon = AnalysisDaemon(TenantRegistry(), socket_path=addr)
             thread = threading.Thread(
                 target=lambda: asyncio.run(daemon.run()), daemon=True)
             thread.start()
@@ -297,12 +304,12 @@ def metrics_overhead(pushes=METRICS_PUSHES, queries=METRICS_QUERIES,
                 thread.join(timeout=10.0)
             return elapsed
 
-    session(MetricsRegistry())          # warmup (tiers, allocator)
+    session(serve_hub())                # warmup (tiers, allocator)
     best = {"metrics_on": float("inf"), "metrics_off": float("inf")}
     for _ in range(repeats):
         best["metrics_on"] = min(best["metrics_on"],
-                                 session(MetricsRegistry()))
-        best["metrics_off"] = min(best["metrics_off"], session(None))
+                                 session(serve_hub()))
+        best["metrics_off"] = min(best["metrics_off"], session(NULL))
     requests = pushes + queries
     rps = {name: requests / seconds for name, seconds in best.items()}
     overhead = best["metrics_on"] / best["metrics_off"] - 1.0
@@ -314,10 +321,11 @@ def metrics_overhead(pushes=METRICS_PUSHES, queries=METRICS_QUERIES,
         "overhead": round(overhead, 4),
         "threshold": METRICS_THRESHOLD,
         "pass": overhead <= METRICS_THRESHOLD,
-        "note": ("overhead of the *enabled* MetricsRegistry on the "
-                 "daemon request loop; the disabled registry "
-                 "(NULL_METRICS) does exactly zero work by the "
-                 "structural guard in tests/test_service.py"),
+        "note": ("overhead of serve's default telemetry hub (flight-"
+                 "recorder ring; it also serves the stats metrics) on "
+                 "the daemon request loop; the disabled NULL hub does "
+                 "exactly zero metrics work by the structural guard in "
+                 "tests/test_service.py"),
     }
 
 

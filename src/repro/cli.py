@@ -675,11 +675,8 @@ def _cmd_serve(args):
     spill_dir = args.spill_dir or tempfile.mkdtemp(prefix="repro-serve-")
     registry = TenantRegistry(max_resident=args.max_tenants,
                               spill_dir=spill_dir)
-    from .observability import NULL_METRICS, MetricsRegistry
-    metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
     daemon = AnalysisDaemon(registry, socket_path=args.socket, tcp=tcp,
-                            max_frame=args.max_frame_mb * 1024 * 1024,
-                            metrics=metrics)
+                            max_frame=args.max_frame_mb * 1024 * 1024)
     endpoints = [f"unix:{args.socket}"] if args.socket else []
     if tcp:
         endpoints.append(f"tcp:{tcp[0]}:{tcp[1]}")
@@ -749,7 +746,8 @@ def _format_stats(stats: dict, top: int = 10) -> str:
                        f"{hist['p95_s'] * 1000:>9.3f}ms "
                        f"{hist['p99_s'] * 1000:>9.3f}ms")
     elif not daemon["metrics_enabled"]:
-        out.append("(no latency histograms: daemon runs --no-metrics)")
+        out.append("(no latency histograms: the daemon runs without a "
+                   "telemetry hub)")
     return "\n".join(out)
 
 
@@ -869,7 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "compiled dispatch, the default) or "
                             "'interp' (reference interpreter loop)")
 
-    def add_flight_record(p):
+    def add_flight_record(p, disable_help="disable the always-on "
+                                          "flight recorder"):
         p.add_argument("--flight-record", metavar="PATH",
                        help="flight-recorder dump file (default "
                             "repro-flight-PID.jsonl in the system temp "
@@ -878,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a fault, SIGUSR1, or daemon shutdown, and "
                             "the path is printed to stderr")
         p.add_argument("--no-flight-record", action="store_true",
-                       help="disable the always-on flight recorder")
+                       help=disable_help)
 
     p = sub.add_parser("run", help="execute a MiniJ program")
     p.add_argument("file")
@@ -1015,11 +1014,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", metavar="PATH",
                    help="write service telemetry (JSONL events) to "
                         "PATH")
-    p.add_argument("--no-metrics", action="store_true",
-                   help="disable the live metrics registry (stats "
-                        "queries then return no counters or latency "
-                        "histograms; zero per-request overhead)")
-    add_flight_record(p)
+    add_flight_record(p, "disable the always-on flight recorder; "
+                         "without --telemetry this also turns the "
+                         "daemon's stats metrics off (no telemetry "
+                         "hub, zero per-request overhead)")
     p.set_defaults(func=cmd_serve)
 
     from .service.protocol import QUERY_KINDS

@@ -1,22 +1,17 @@
-"""Live service metrics: counters, gauges, fixed-bucket histograms.
+"""The live-metrics snapshot format: histograms and stable snapshots.
 
 The resident daemon (``python -m repro serve``) needs *queryable*
 operational state — request rates, per-message-type latency
 distributions, per-tenant memory accounting — without re-reading JSONL
-telemetry files after the fact.  :class:`MetricsRegistry` is that
-surface: a tiny in-process registry the daemon updates on its (single-
-threaded) event loop and snapshots on ``stats``/``health`` queries.
-
-The design mirrors the :class:`~repro.observability.telemetry.Telemetry`
-hub's zero-cost contract:
-
-* :data:`NULL_METRICS` (a :class:`NullMetrics`) is the disabled
-  registry; every method is a no-op and ``enabled`` is ``False``;
-* hot paths guard on that one attribute and skip the clock reads and
-  dict updates entirely, so a daemon started with ``--no-metrics``
-  does *exactly zero* extra work per request
-  (``tests/test_metrics_registry.py`` asserts this structurally and
-  ``benchmarks/bench_matrix.py`` gates the enabled-mode overhead).
+telemetry files after the fact.  The
+:class:`~repro.observability.telemetry.Telemetry` hub holds that state
+(its counters, gauges, and ``Telemetry.observe`` histograms);
+this module defines how it is measured and snapshotted for the
+``stats`` query.  Metrics are on exactly when the command's hub is,
+and inherit its zero-cost contract: the daemon guards every clock read
+on ``hub.enabled``, so the :data:`~repro.observability.telemetry.NULL`
+hub costs no per-request work (``tests/test_service.py`` asserts this
+structurally).
 
 Latency histograms use **fixed bucket bounds** (:data:`LATENCY_BUCKETS`,
 seconds) so an ``observe`` is one bisect plus two adds — no per-sample
@@ -36,7 +31,6 @@ byte-identical JSON, which is what the service tests assert.
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
 
 #: Version stamped into every snapshot (bump on layout change).
@@ -106,74 +100,21 @@ class Histogram:
         }
 
 
-class NullMetrics:
-    """The disabled registry: every operation is a no-op.
-
-    Method-compatible with :class:`MetricsRegistry` so cold paths can
-    call it unconditionally; hot paths must guard on ``enabled`` and
-    skip the clock read *and* the call (the structural guard test
-    counts calls on a subclass and requires exactly zero).
-    """
-
-    enabled = False
-
-    def inc(self, name, delta=1):
-        pass
-
-    def gauge(self, name, value):
-        pass
-
-    def observe(self, name, seconds):
-        pass
-
-    def snapshot(self):
+def snapshot(hub) -> dict:
+    """The hub's counters, gauges, and histograms as a stable
+    JSON-ready dict (sorted keys); a disabled hub reports only
+    ``{"schema", "enabled": False}``."""
+    if not hub.enabled:
         return {"schema": METRICS_SCHEMA, "enabled": False}
-
-
-NULL_METRICS = NullMetrics()
-
-
-class MetricsRegistry:
-    """Counters, gauges, and latency histograms with stable snapshots.
-
-    Lock-cheap by construction: the daemon's event loop is single-
-    threaded, so updates are plain dict operations — no lock at all.
-    (Anything off-loop must confine itself to snapshots, which read
-    atomically enough under the GIL for monitoring purposes.)
-    """
-
-    enabled = True
-
-    def __init__(self, buckets=LATENCY_BUCKETS):
-        self.buckets = tuple(buckets)
-        self.counters = {}
-        self.gauges = {}
-        self.histograms = {}
-        self.created_unix = time.time()
-
-    def inc(self, name: str, delta=1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
-
-    def gauge(self, name: str, value) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, seconds: float) -> None:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(self.buckets)
-        histogram.observe(seconds)
-
-    def snapshot(self) -> dict:
-        """The registry as a stable JSON-ready dict (sorted keys)."""
-        return {
-            "schema": METRICS_SCHEMA,
-            "enabled": True,
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {name: histogram.snapshot()
-                           for name, histogram
-                           in sorted(self.histograms.items())},
-        }
+    return {
+        "schema": METRICS_SCHEMA,
+        "enabled": True,
+        "counters": dict(sorted(hub.counters.items())),
+        "gauges": dict(sorted(hub.gauges.items())),
+        "histograms": {name: histogram.snapshot()
+                       for name, histogram
+                       in sorted(hub.histograms.items())},
+    }
 
 
 # -- snapshot normalization ---------------------------------------------------

@@ -1,13 +1,16 @@
-"""Structured run telemetry: counters, gauges, timers, span tracing.
+"""Structured run telemetry: counters, gauges, timers, latency
+histograms, span tracing.
 
 The paper's tool ran inside a production JVM where per-phase overhead,
 context-register health, and shadow-memory footprint were operational
 concerns (Table 1 reports instrumentation overheads next to the
 analysis results).  This module is the reproduction's analogue: a
 :class:`Telemetry` hub that the VM, the cost tracker, the batched
-slicing engine, and the shard supervisor report into, with a JSONL
-event sink for offline inspection (``docs/OBSERVABILITY.md`` documents
-the schema).
+slicing engine, the shard supervisor, and the service daemon report
+into, with a JSONL event sink for offline inspection
+(``docs/OBSERVABILITY.md`` documents the schema).  The daemon's
+``stats`` query serves the hub's counters, gauges, and histograms
+(:func:`~repro.observability.metrics.snapshot`).
 
 Zero-cost-when-disabled is a hard requirement — profiling overhead is
 the subject being measured, so the measurement must not perturb it:
@@ -51,6 +54,8 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+
+from .metrics import Histogram
 
 #: Schema version stamped into the leading ``meta`` event of a stream.
 SCHEMA_VERSION = 2
@@ -209,6 +214,9 @@ class NullTelemetry:
     def timer_add(self, name, seconds, count=1):
         pass
 
+    def observe(self, name, seconds):
+        pass
+
     def event(self, kind, **fields):
         pass
 
@@ -330,7 +338,8 @@ def child_hub(context: TraceContext, sink) -> "Telemetry":
 
 
 class Telemetry:
-    """Counter/gauge/timer hub with span tracing and an event sink.
+    """Counter/gauge/timer/histogram hub with span tracing and an
+    event sink.
 
     Parameters
     ----------
@@ -357,6 +366,9 @@ class Telemetry:
         self.gauges = {}
         #: span/timer name -> [invocations, total seconds]
         self.timers = {}
+        #: latency name -> fixed-bucket :class:`Histogram` (the
+        #: daemon's ``stats`` latencies)
+        self.histograms = {}
         self._clock = clock
         self._t0 = clock()
         self.trace_id = trace_id if trace_id else new_trace_id()
@@ -394,6 +406,13 @@ class Telemetry:
         else:
             timer[0] += count
             timer[1] += seconds
+
+    def observe(self, name: str, seconds: float):
+        """Add one latency sample to the histogram ``name``."""
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram()
+        histogram.observe(seconds)
 
     def event(self, kind: str, **fields):
         self._seq += 1

@@ -21,25 +21,6 @@ from __future__ import annotations
 from .context import average_conflict_ratio
 
 
-def extend_cr_groups(groups, node_gs, node_keys, start: int) -> int:
-    """Fold nodes ``start..`` of ``node_gs`` into the CR grouping.
-
-    ``groups`` maps ``iid -> {slot: set of encoded contexts}`` — the
-    shape :func:`~repro.profiler.context.average_conflict_ratio`
-    consumes.  Entries hold *references* to the live context sets, so
-    once a node is folded its later context insertions are visible
-    without refolding; only newly created nodes need a pass.  Returns
-    the new fold watermark (``len(node_gs)``).
-    """
-    for node_id in range(start, len(node_gs)):
-        gs = node_gs[node_id]
-        if gs is None:
-            continue
-        iid, dctx = node_keys[node_id]
-        groups.setdefault(iid, {})[dctx] = gs
-    return len(node_gs)
-
-
 class TrackerState:
     """Per-run tracker facts (CR contexts, branch outcomes, returns).
 
@@ -66,14 +47,24 @@ class TrackerState:
     def conflict_ratio(self, graph) -> float:
         """Average CR over context-annotated instructions (Table 1).
 
-        The per-instruction regrouping of ``node_gs`` is cached and
-        extended incrementally, so repeated report calls on a large
-        (e.g. merged multi-shard) profile pay O(new nodes), not
+        The regrouping ``iid -> {slot: context set}`` that
+        :func:`~repro.profiler.context.average_conflict_ratio`
+        consumes is cached and extended only for nodes created since
+        the previous call.  Its entries hold *references* to the live
+        context sets, so later context insertions into grouped nodes
+        need no refold: repeated calls on a large (e.g. merged
+        multi-shard) or still-growing profile pay O(new nodes), not
         O(all nodes).
         """
-        self._cr_upto = extend_cr_groups(self._cr_groups, self.node_gs,
-                                         graph.node_keys, self._cr_upto)
-        return average_conflict_ratio(self._cr_groups)
+        node_gs, node_keys = self.node_gs, graph.node_keys
+        groups = self._cr_groups
+        for node_id in range(self._cr_upto, len(node_gs)):
+            gs = node_gs[node_id]
+            if gs is not None:
+                iid, dctx = node_keys[node_id]
+                groups.setdefault(iid, {})[dctx] = gs
+        self._cr_upto = len(node_gs)
+        return average_conflict_ratio(groups)
 
     def invalidate_cr_cache(self):
         """Drop the incremental CR regrouping; the next

@@ -29,11 +29,11 @@ from __future__ import annotations
 from ..ir import instructions as ins
 from ..observability.telemetry import current as _current_telemetry
 from .base import TracerBase
-from .context import average_conflict_ratio, context_slot, extend_context
+from .context import context_slot, extend_context
 from .graph import (CONTEXTLESS, ELM, EFFECT_ALLOC, EFFECT_LOAD,
                     EFFECT_STORE, F_ALLOC, F_HEAP_READ, F_HEAP_WRITE,
                     F_NATIVE, F_PREDICATE, DependenceGraph)
-from .state import TrackerState, extend_cr_groups
+from .state import TrackerState
 
 
 class CostTracker(TracerBase):
@@ -72,7 +72,11 @@ class CostTracker(TracerBase):
         self.enabled = self.phases is None or "main" in self.phases
         self.track_cr = track_cr
         self._static_shadow = {}   # (class, field) -> node id
-        self._node_gs = []         # node id -> set of encoded contexts
+        #: The tracker-side profile facts (CR contexts, branch
+        #: outcomes, returned nodes, CR cache); the attributes below
+        #: bind its containers for the hot path.
+        self._state = TrackerState()
+        self._node_gs = self._state.node_gs   # node id -> context set
         #: iid -> [node id of (iid, slot) for each context slot], -1
         #: where that node does not exist yet.  A dense index over the
         #: graph's context-annotated nodes, filled on their creation;
@@ -81,13 +85,10 @@ class CostTracker(TracerBase):
         self._ret_node = None      # shadow of the value being returned
         #: branch iid -> [times taken, times not taken]; consumed by the
         #: always-true/always-false predicate client (§3.2).
-        self.branch_outcomes = {}
+        self.branch_outcomes = self._state.branch_outcomes
         #: return-instruction iid -> {nodes that produced returned
         #: values}; consumed by the method-level return-cost client.
-        self.return_nodes = {}
-        # Incremental CR regrouping cache (see conflict_ratio()).
-        self._cr_groups = {}
-        self._cr_upto = 0
+        self.return_nodes = self._state.return_nodes
         # Per-opcode handler binding: trace_instr fires once per
         # executed instruction, so resolve the opcode to its handler
         # through one list index instead of an if/elif ladder.
@@ -455,27 +456,16 @@ class CostTracker(TracerBase):
     # -- statistics -----------------------------------------------------------------------
 
     def conflict_ratio(self) -> float:
-        """Average CR over context-annotated instructions (Table 1).
-
-        The iid/slot regrouping of the per-node context sets is cached
-        and extended only for nodes created since the previous call
-        (the sets themselves are shared by reference, so later context
-        insertions into already-grouped nodes are picked up for free).
-        Reports that recompute CR repeatedly on a large profile pay
-        O(new nodes) instead of O(all nodes) per call.
-        """
-        self._cr_upto = extend_cr_groups(self._cr_groups, self._node_gs,
-                                         self.graph.node_keys,
-                                         self._cr_upto)
-        return average_conflict_ratio(self._cr_groups)
+        """Average CR over context-annotated instructions (Table 1),
+        through :meth:`TrackerState.conflict_ratio`'s incremental
+        regrouping cache."""
+        return self._state.conflict_ratio(self.graph)
 
     def state(self) -> TrackerState:
         """The tracker-side profile facts as a :class:`TrackerState`.
 
-        The returned object shares (does not copy) the live
-        containers, so it reflects further tracking; serialize or
-        merge it once the run is finished.
+        The returned object is the tracker's own (not a copy), so it
+        reflects further tracking; serialize or merge it once the run
+        is finished.
         """
-        return TrackerState(node_gs=self._node_gs,
-                            branch_outcomes=self.branch_outcomes,
-                            return_nodes=self.return_nodes)
+        return self._state

@@ -30,7 +30,7 @@ import asyncio
 import os
 import time
 
-from ..observability.metrics import METRICS_SCHEMA, NULL_METRICS
+from ..observability.metrics import METRICS_SCHEMA, snapshot
 from ..observability.telemetry import current as _current_telemetry
 from .protocol import (DEFAULT_MAX_FRAME, E_BAD_MESSAGE, E_NO_PROGRAM,
                        E_QUERY_FAILED, FrameError, MESSAGE_TYPES,
@@ -47,20 +47,19 @@ class AnalysisDaemon:
 
     ``socket_path`` (unix) and ``tcp`` (a ``(host, port)`` pair) may
     be given together; at least one is required by :meth:`run`.
+
+    Live metrics (the ``stats`` latencies and request counters) go to
+    the process-wide telemetry hub; the request loop guards every
+    clock read on ``hub.enabled``, so under the disabled hub the
+    daemon does exactly zero extra per-request work.
     """
 
     def __init__(self, registry: TenantRegistry, socket_path=None,
-                 tcp=None, max_frame: int = DEFAULT_MAX_FRAME,
-                 metrics=None):
+                 tcp=None, max_frame: int = DEFAULT_MAX_FRAME):
         self.registry = registry
         self.socket_path = socket_path
         self.tcp = tcp
         self.max_frame = max_frame
-        #: Live metrics registry (``stats``/``health`` queries read
-        #: it).  Defaults to the disabled :data:`NULL_METRICS`; the
-        #: request loop guards on ``metrics.enabled`` so a disabled
-        #: daemon does exactly zero extra per-request work.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.started = time.monotonic()
         self.connections = 0
         self.frame_errors = 0
@@ -128,10 +127,9 @@ class AnalysisDaemon:
                     # Best-effort error frame, then drop: the stream
                     # is not trustworthy past a framing violation.
                     self.frame_errors += 1
-                    if self.metrics.enabled:
-                        self.metrics.inc("service.frame_errors")
-                    _current_telemetry().event("service.frame_error",
-                                               error=str(error))
+                    hub = _current_telemetry()
+                    hub.inc("service.frame_errors")
+                    hub.event("service.frame_error", error=str(error))
                     await self._send(writer,
                                      error_response(error.code,
                                                     error.message))
@@ -139,20 +137,19 @@ class AnalysisDaemon:
                 except (asyncio.IncompleteReadError, ConnectionError,
                         OSError):
                     break           # client left; nothing was applied
-                metrics = self.metrics
-                if metrics.enabled:
+                hub = _current_telemetry()
+                if hub.enabled:
                     kind = message.get("type")
                     start = time.perf_counter()
                     response = self._handle(message)
-                    metrics.observe(
+                    hub.observe(
                         "service.request"
                         f"[{kind if isinstance(kind, str) else '?'}]",
                         time.perf_counter() - start)
-                    metrics.inc("service.requests")
+                    hub.inc("service.requests")
                     if response.get("type") == "error":
-                        metrics.inc("service.errors")
-                        metrics.inc(
-                            f"service.errors[{response.get('name')}]")
+                        hub.inc("service.errors")
+                        hub.inc(f"service.errors[{response.get('name')}]")
                 else:
                     response = self._handle(message)
                 await self._send(writer, response)
@@ -233,18 +230,19 @@ class AnalysisDaemon:
 
     def stats(self) -> dict:
         """The ``stats`` payload: daemon + registry counters, per-
-        tenant resource gauges, and the metrics snapshot.
+        tenant resource gauges, and the telemetry hub's metrics
+        :func:`~repro.observability.metrics.snapshot`.
 
         Stable schema (see ``docs/OBSERVABILITY.md``): every wall-
         clock-dependent field is suffixed ``_s``/``_unix``, so
         :func:`~repro.observability.metrics.normalize_snapshot` makes
         two identical-load responses byte-for-byte comparable.
         """
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.gauge("service.tenants_resident",
-                          self.registry.resident_count())
-            metrics.gauge("service.connections", self.connections)
+        hub = _current_telemetry()
+        if hub.enabled:
+            hub.gauge("service.tenants_resident",
+                      self.registry.resident_count())
+            hub.gauge("service.connections", self.connections)
         status = self.registry.status()
         return {
             "schema": METRICS_SCHEMA,
@@ -252,7 +250,7 @@ class AnalysisDaemon:
                 "uptime_s": self._uptime(),
                 "connections": self.connections,
                 "frame_errors": self.frame_errors,
-                "metrics_enabled": metrics.enabled,
+                "metrics_enabled": hub.enabled,
             },
             "registry": {
                 "resident": status["resident"],
@@ -264,7 +262,7 @@ class AnalysisDaemon:
                 "reloads": status["reloads"],
             },
             "tenants": status["tenants"],
-            "metrics": metrics.snapshot(),
+            "metrics": snapshot(hub),
         }
 
     def health(self) -> dict:
@@ -284,7 +282,7 @@ class AnalysisDaemon:
             "pushes": registry.pushes,
             "queries": registry.queries,
             "frame_errors": self.frame_errors,
-            "metrics_enabled": self.metrics.enabled,
+            "metrics_enabled": _current_telemetry().enabled,
             "last_ingest_age_s": (round(time.time() - last_ingest, 3)
                                   if last_ingest is not None else None),
         }
@@ -305,8 +303,7 @@ class AnalysisDaemon:
                                f"top must be a positive integer, "
                                f"got {top!r}")
         hub = _current_telemetry()
-        metrics = self.metrics
-        start = time.perf_counter() if metrics.enabled else 0.0
+        start = time.perf_counter() if hub.enabled else 0.0
         # The span field is named `query`, not `kind` — span metadata
         # keys must not collide with Telemetry.event's own parameters.
         with hub.span("service.query", tenant=name, query=kind):
@@ -314,9 +311,9 @@ class AnalysisDaemon:
             self.registry.count_query(tenant)
             result = self._answer(tenant, kind, top,
                                   message.get("program"))
-        if metrics.enabled:
-            metrics.observe(f"service.query[{kind}]",
-                            time.perf_counter() - start)
+        if hub.enabled:
+            hub.observe(f"service.query[{kind}]",
+                        time.perf_counter() - start)
         return ok_response(tenant=tenant.name, kind=kind, result=result)
 
     def _answer(self, tenant, kind: str, top: int, program_spec):

@@ -1,16 +1,16 @@
-"""The live metrics registry (`repro.observability.metrics`): fixed
-bucket histograms with interpolated quantiles, the null registry's
-zero-cost contract, and the stable snapshot schema that lets two
-identical-load runs compare byte for byte."""
+"""Live metrics on the telemetry hub (`repro.observability.metrics`):
+fixed-bucket histograms with interpolated quantiles, the null hub's
+zero-cost contract, and the stable `snapshot(hub)` schema that lets
+two identical-load runs compare byte for byte."""
 
 import json
 
 import pytest
 
-from repro.observability import (LATENCY_BUCKETS, METRICS_SCHEMA,
-                                 NULL_METRICS, Histogram,
-                                 MetricsRegistry, NullMetrics,
-                                 normalize_snapshot, stable_json)
+from repro.observability import (LATENCY_BUCKETS, METRICS_SCHEMA, NULL,
+                                 Histogram, NullTelemetry, Telemetry,
+                                 normalize_snapshot, snapshot,
+                                 stable_json)
 
 # -- histograms ---------------------------------------------------------------
 
@@ -66,49 +66,56 @@ def test_histogram_snapshot_schema():
     json.dumps(doc)                      # JSON-ready as is
 
 
-# -- the null registry --------------------------------------------------------
+# -- the null hub --------------------------------------------------------------
 
 
-def test_null_metrics_is_disabled_and_inert():
-    assert NULL_METRICS.enabled is False
-    assert isinstance(NULL_METRICS, NullMetrics)
-    NULL_METRICS.inc("x")
-    NULL_METRICS.gauge("x", 1)
-    NULL_METRICS.observe("x", 0.1)
-    assert NULL_METRICS.snapshot() == {"schema": METRICS_SCHEMA,
-                                       "enabled": False}
+def test_null_hub_is_disabled_and_inert():
+    assert NULL.enabled is False
+    assert isinstance(NULL, NullTelemetry)
+    NULL.inc("x")
+    NULL.gauge("x", 1)
+    NULL.observe("x", 0.1)
+    assert snapshot(NULL) == {"schema": METRICS_SCHEMA,
+                              "enabled": False}
 
 
-def test_daemon_defaults_to_the_null_registry():
+def test_daemon_defaults_to_the_null_hub():
     from repro.service import AnalysisDaemon, TenantRegistry
     daemon = AnalysisDaemon(TenantRegistry(), socket_path="/unused")
-    assert daemon.metrics is NULL_METRICS
+    stats = daemon.stats()
+    assert stats["daemon"]["metrics_enabled"] is False
+    assert stats["metrics"] == {"schema": METRICS_SCHEMA,
+                                "enabled": False}
+    assert daemon.health()["metrics_enabled"] is False
 
 
-# -- the live registry --------------------------------------------------------
+# -- the live hub --------------------------------------------------------------
 
 
-def test_registry_counters_gauges_histograms():
-    registry = MetricsRegistry()
-    assert registry.enabled is True
-    registry.inc("service.requests")
-    registry.inc("service.requests", 2)
-    registry.gauge("service.tenants_resident", 5)
-    registry.observe("service.request[ping]", 0.0002)
-    doc = registry.snapshot()
+def test_hub_counters_gauges_histograms():
+    hub = Telemetry()
+    assert hub.enabled is True
+    hub.inc("service.requests")
+    hub.inc("service.requests", 2)
+    hub.gauge("service.tenants_resident", 5)
+    hub.observe("service.request[ping]", 0.0002)
+    doc = snapshot(hub)
     assert doc["schema"] == METRICS_SCHEMA
+    assert doc["enabled"] is True
     assert doc["counters"]["service.requests"] == 3
     assert doc["gauges"]["service.tenants_resident"] == 5
     assert doc["histograms"]["service.request[ping]"]["count"] == 1
+    assert set(doc) == {"schema", "enabled", "counters", "gauges",
+                        "histograms"}
 
 
 def test_snapshot_keys_are_sorted():
-    registry = MetricsRegistry()
-    registry.inc("zz")
-    registry.inc("aa")
-    registry.observe("zz.lat", 0.1)
-    registry.observe("aa.lat", 0.1)
-    doc = registry.snapshot()
+    hub = Telemetry()
+    hub.inc("zz")
+    hub.inc("aa")
+    hub.observe("zz.lat", 0.1)
+    hub.observe("aa.lat", 0.1)
+    doc = snapshot(hub)
     assert list(doc["counters"]) == ["aa", "zz"]
     assert list(doc["histograms"]) == ["aa.lat", "zz.lat"]
 
@@ -117,11 +124,11 @@ def test_snapshot_keys_are_sorted():
 
 
 def test_normalize_zeroes_timing_but_keeps_totals():
-    registry = MetricsRegistry()
-    registry.observe("lat", 0.003)
-    registry.observe("lat", 0.4)
+    hub = Telemetry()
+    hub.observe("lat", 0.003)
+    hub.observe("lat", 0.4)
     doc = {"uptime_s": 12.5, "last_ingest_unix": 1e9,
-           "enabled": True, "metrics": registry.snapshot()}
+           "enabled": True, "metrics": snapshot(hub)}
     normalized = normalize_snapshot(doc)
     assert normalized["uptime_s"] == 0
     assert normalized["last_ingest_unix"] == 0
@@ -138,17 +145,17 @@ def test_normalize_zeroes_timing_but_keeps_totals():
 
 
 def test_identical_load_normalizes_byte_for_byte():
-    def load(registry, latencies):
+    def load(hub, latencies):
         for seconds in latencies:
-            registry.inc("service.requests")
-            registry.observe("service.request[push]", seconds)
-        registry.gauge("service.tenants_resident", 2)
+            hub.inc("service.requests")
+            hub.observe("service.request[push]", seconds)
+        hub.gauge("service.tenants_resident", 2)
 
-    fast, slow = MetricsRegistry(), MetricsRegistry()
+    fast, slow = Telemetry(), Telemetry()
     load(fast, [0.001, 0.002, 0.003])
     load(slow, [0.9, 1.5, 7.0])          # same load, different timings
-    assert stable_json(normalize_snapshot(fast.snapshot())) == \
-        stable_json(normalize_snapshot(slow.snapshot()))
+    assert stable_json(normalize_snapshot(snapshot(fast))) == \
+        stable_json(normalize_snapshot(snapshot(slow)))
 
 
 def test_stable_json_is_sorted_and_compact():

@@ -35,9 +35,10 @@ from repro.service import (AnalysisDaemon, DEFAULT_MAX_FRAME, FrameError,
                            TenantRegistry, encode_frame, parse_addr,
                            read_frame_sync, spill_filename)
 from repro.service import protocol
-from repro.observability import (METRICS_SCHEMA, MetricsRegistry,
-                                 NullMetrics, normalize_snapshot,
-                                 stable_json)
+from repro.observability import (METRICS_SCHEMA, MemorySink,
+                                 NullTelemetry, Telemetry,
+                                 normalize_snapshot, set_current,
+                                 stable_json, use)
 from repro.vm import VM
 
 SOURCE = """
@@ -364,18 +365,26 @@ class TestShardPusher:
 
 
 class DaemonHarness:
-    """asyncio daemon on a thread + blocking-client readiness probe."""
+    """asyncio daemon on a thread + blocking-client readiness probe.
 
-    def __init__(self, tmp_path, metrics=None, **registry_kwargs):
+    ``hub`` (a telemetry hub) is installed as the active hub for the
+    daemon's lifetime; without one the daemon serves under whichever
+    hub is current (the disabled ``NULL`` unless a test installs one).
+    """
+
+    def __init__(self, tmp_path, hub=None, **registry_kwargs):
         self.registry = TenantRegistry(**registry_kwargs)
         self.addr = str(tmp_path / "svc.sock")
         self.daemon = AnalysisDaemon(self.registry,
-                                     socket_path=self.addr,
-                                     metrics=metrics)
+                                     socket_path=self.addr)
+        self.hub = hub
+        self._previous_hub = None
         self.thread = threading.Thread(
             target=lambda: asyncio.run(self.daemon.run()), daemon=True)
 
     def __enter__(self):
+        if self.hub is not None:
+            self._previous_hub = set_current(self.hub)
         self.thread.start()
         deadline = time.time() + 10.0
         while True:
@@ -391,6 +400,8 @@ class DaemonHarness:
     def __exit__(self, *exc_info):
         self.daemon.request_shutdown()
         self.thread.join(timeout=10.0)
+        if self.hub is not None:
+            set_current(self._previous_hub)
 
     def client(self):
         return ServiceClient(self.addr, timeout=10.0)
@@ -529,7 +540,6 @@ class TestDaemon:
     def test_telemetry_spans_and_counters(self, tmp_path):
         """Every handler path must work with a live telemetry hub
         (span metadata keys must not collide with `event()` params)."""
-        from repro.observability import MemorySink, Telemetry, use
         sink = MemorySink()
         hub = Telemetry(sink=sink)
         with use(hub):
@@ -561,16 +571,13 @@ class TestDaemon:
 # Live metrics: stats / health queries (docs/SERVICE.md)
 
 
-class CountingNullMetrics(NullMetrics):
-    """A disabled registry that counts calls: the structural guard —
-    the daemon must not merely discard metric updates when disabled,
-    it must never make them."""
+class CountingNullTelemetry(NullTelemetry):
+    """A disabled hub that counts metric updates: the structural guard
+    — the daemon must not merely discard latency samples and gauges
+    when the hub is off, it must never take them."""
 
     def __init__(self):
         self.calls = 0
-
-    def inc(self, name, delta=1):
-        self.calls += 1
 
     def gauge(self, name, value):
         self.calls += 1
@@ -590,8 +597,7 @@ class TestStatsHealth:
             return client.stats()["stats"], client.health()["health"]
 
     def test_stats_reports_tenants_and_latencies(self, tmp_path):
-        with DaemonHarness(tmp_path,
-                           metrics=MetricsRegistry()) as harness:
+        with DaemonHarness(tmp_path, hub=Telemetry()) as harness:
             stats, health = self._load(harness)
         assert stats["schema"] == METRICS_SCHEMA
         assert stats["daemon"]["metrics_enabled"] is True
@@ -629,8 +635,7 @@ class TestStatsHealth:
         for run in ("one", "two"):
             directory = tmp_path / run
             directory.mkdir()
-            with DaemonHarness(directory,
-                               metrics=MetricsRegistry()) as harness:
+            with DaemonHarness(directory, hub=Telemetry()) as harness:
                 stats, _health = self._load(harness)
                 docs.append(stats)
         first, second = (stable_json(normalize_snapshot(doc))
@@ -638,7 +643,7 @@ class TestStatsHealth:
         assert first == second
 
     def test_stats_on_disabled_metrics_daemon(self, tmp_path):
-        with DaemonHarness(tmp_path) as harness:       # NULL_METRICS
+        with DaemonHarness(tmp_path) as harness:       # the NULL hub
             with harness.client() as client:
                 client.push("app", make_shard("a"))
                 stats = client.stats()["stats"]
@@ -651,11 +656,10 @@ class TestStatsHealth:
         assert health["status"] == "ok"
 
     def test_disabled_metrics_do_exactly_zero_work(self, tmp_path):
-        """Structural zero-cost guard, mirroring the NullTelemetry
-        test: a counting disabled registry must see zero calls across
-        every request path."""
-        counting = CountingNullMetrics()
-        with DaemonHarness(tmp_path, metrics=counting) as harness:
+        """Structural zero-cost guard: a counting disabled hub must
+        see zero observe/gauge calls across every request path."""
+        counting = CountingNullTelemetry()
+        with use(counting), DaemonHarness(tmp_path) as harness:
             with harness.client() as client:
                 client.push("app", make_shard("a"))
                 client.query("app", "summary")
@@ -667,8 +671,7 @@ class TestStatsHealth:
         assert counting.calls == 0
 
     def test_frame_errors_degrade_health(self, tmp_path):
-        with DaemonHarness(tmp_path,
-                           metrics=MetricsRegistry()) as harness:
+        with DaemonHarness(tmp_path, hub=Telemetry()) as harness:
             raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             raw.connect(harness.addr)
             raw.settimeout(10.0)
@@ -683,8 +686,7 @@ class TestStatsHealth:
         assert stats["metrics"]["counters"]["service.frame_errors"] == 1
 
     def test_request_errors_are_counted_by_name(self, tmp_path):
-        with DaemonHarness(tmp_path,
-                           metrics=MetricsRegistry()) as harness:
+        with DaemonHarness(tmp_path, hub=Telemetry()) as harness:
             with harness.client() as client:
                 with pytest.raises(ServiceError):
                     client.query("ghost", "summary")
@@ -693,11 +695,30 @@ class TestStatsHealth:
         assert counters["service.errors"] == 1
         assert counters["service.errors[E_NO_TENANT]"] == 1
 
+    def test_stats_serve_the_hub_counters(self, tmp_path):
+        """One surface: ``stats`` reports the hub's own counters —
+        the registry's ``service.push`` included — and ``hub.flush()``
+        writes the same value to the event stream."""
+        sink = MemorySink()
+        hub = Telemetry(sink=sink)
+        pushes = 3
+        with DaemonHarness(tmp_path, hub=hub) as harness:
+            with harness.client() as client:
+                for index in range(pushes):
+                    client.push("app", make_shard(f"a{index}"))
+                counters = \
+                    client.stats()["stats"]["metrics"]["counters"]
+            hub.flush()
+        assert counters["service.push"] == pushes
+        assert counters["service.push[app]"] == pushes
+        flushed = [event["counters"] for event in sink.events
+                   if event["ev"] == "counters"][0]
+        assert flushed["service.push"] == counters["service.push"]
+
     def test_shutdown_flushes_telemetry_summaries(self, tmp_path):
         """Satellite contract: the daemon flushes the telemetry hub
         before its event loop exits, so counter summaries are in the
         sink without any atexit / hub.close() help."""
-        from repro.observability import MemorySink, Telemetry, use
         sink = MemorySink()
         hub = Telemetry(sink=sink)
         with use(hub):
@@ -767,8 +788,7 @@ class TestClientCli:
 
     def test_client_stats_and_health(self, tmp_path, capsys):
         from repro.cli import EXIT_DEGRADED, main
-        with DaemonHarness(tmp_path,
-                           metrics=MetricsRegistry()) as harness:
+        with DaemonHarness(tmp_path, hub=Telemetry()) as harness:
             addr = harness.addr
             with harness.client() as client:
                 client.push("app", make_shard("a"))

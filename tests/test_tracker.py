@@ -7,7 +7,8 @@ from repro.ir import instructions as ins
 from repro.profiler import (CONTEXTLESS, ELM, EFFECT_LOAD,
                             EFFECT_STORE, F_ALLOC, F_HEAP_READ,
                             F_HEAP_WRITE, F_NATIVE, F_PREDICATE,
-                            CostTracker, graph_to_dict, parse_sample_spec)
+                            CostTracker, TrackerState, graph_to_dict,
+                            parse_sample_spec)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import build_stress
@@ -262,6 +263,29 @@ class S {
         tracker = CostTracker(slots=8, track_cr=False)
         run_main("int a = 1 + 2; Sys.printInt(a);", tracer=tracker)
         assert tracker.conflict_ratio() == 0.0
+
+    def test_cr_cache_picks_up_a_second_run(self):
+        """The tracker's CR is its TrackerState's incremental cache: a
+        CR taken between two runs must not hide the second run's new
+        nodes and contexts from the next one."""
+        spec = get_workload("eclipse_like")
+        program = spec.build("unopt", spec.small_scale)
+        tracker = CostTracker(slots=4)
+        VM(program, tracer=tracker,
+           sampling=parse_sample_spec(REOPENING_SPEC)).run()
+        first_nodes = tracker.graph.num_nodes
+        first = tracker.conflict_ratio()
+        tracker.begin_run()
+        VM(program, tracer=tracker).run()
+        assert tracker.graph.num_nodes > first_nodes
+        state = tracker.state()
+        assert state is tracker.state()
+        fresh = TrackerState(node_gs=state.node_gs,
+                             branch_outcomes=state.branch_outcomes,
+                             return_nodes=state.return_nodes)
+        second = tracker.conflict_ratio()
+        assert second == fresh.conflict_ratio(tracker.graph)
+        assert second != first
 
 
 class TestBranchOutcomes:
