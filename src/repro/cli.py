@@ -762,22 +762,14 @@ def cmd_client(args):
     shard = program = None
     try:
         if args.action == "push":
-            with open(args.graph) as handle:
-                shard = json.load(handle)
-            if not isinstance(shard, dict):
-                print(f"repro: {args.graph!r} is not a profile "
-                      f"document", file=sys.stderr)
-                return EXIT_BAD_INPUT
+            from .profiler.serialize import read_document
+            shard = read_document(args.graph)
         elif args.action == "query" and args.file is not None:
             with open(args.file) as handle:
                 program = {"source": handle.read(),
                            "use_stdlib": not args.no_stdlib}
     except FileNotFoundError as error:
         print(f"repro: cannot open {error.filename!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as error:
-        print(f"repro: {args.graph!r} is not JSON ({error})",
-              file=sys.stderr)
         return EXIT_BAD_INPUT
     exit_code = EXIT_OK
     try:

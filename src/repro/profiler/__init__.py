@@ -23,12 +23,12 @@ from .sampling import (DEFAULT_SPEC, SampleCursor, SampleSchedule,
                        parse_sample_spec)
 from .serialize import (SalvageReport, content_checksum, graph_from_dict,
                         graph_to_dict, load_graph, load_graph_with_meta,
-                        load_profile, salvage_profile, save_graph,
-                        tracker_state_from_dict)
+                        load_profile, read_document, salvage_profile,
+                        save_graph, tracker_state_from_dict,
+                        validate_shard, write_document)
 from .state import TrackerState
 from .supervisor import (RunReport, ShardPolicy, ShardResult,
-                         SupervisedProfiler, SupervisedRun, backoff_delay,
-                         validate_shard)
+                         SupervisedProfiler, SupervisedRun, backoff_delay)
 from .tracker import CostTracker
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "graph_to_dict", "graph_from_dict", "save_graph", "load_graph",
     "load_graph_with_meta", "load_profile", "tracker_state_from_dict",
     "salvage_profile", "SalvageReport", "content_checksum",
+    "write_document", "read_document",
     "ProfileJob", "AggregateProfile", "merge_graphs",
     "fold_graph", "profile_jobs_sequential", "canonical_form",
     "normalize_sampling",

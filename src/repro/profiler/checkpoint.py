@@ -17,11 +17,12 @@ Document layout (version 1)::
      "shards": {"0": <v2 profile dict>, "3": ...},
      "checksum": "<sha256 of every other key>"}
 
-Writes are atomic (tmp file + ``os.replace``) so a kill mid-write
-leaves the previous checkpoint intact, and the checksum catches the
-torn/corrupt file a dying filesystem can still produce — both cases
-surface as :class:`~repro.profiler.errors.CheckpointError` rather than
-a silently wrong resume.  The fingerprint binds a checkpoint to the
+Checkpoints go through :func:`~repro.profiler.serialize.write_document`
+(atomic, so a kill mid-write leaves the previous checkpoint intact)
+and its reader, whose typed errors for a torn, undecodable or
+bit-flipped file surface as
+:class:`~repro.profiler.errors.CheckpointError` rather than a silently
+wrong resume.  The fingerprint binds a checkpoint to the
 exact job list and profiler configuration that produced it; resuming
 with different jobs, slots, or tracking flags is refused.
 """
@@ -29,10 +30,9 @@ with different jobs, slots, or tracking flags is refused.
 from __future__ import annotations
 
 import json
-import os
 
-from .errors import CheckpointError
-from .serialize import content_checksum
+from .errors import CheckpointError, ProfileFormatError
+from .serialize import read_document, write_document
 
 CHECKPOINT_VERSION = 1
 
@@ -78,38 +78,26 @@ def write_checkpoint(path, fingerprint: str, slots: int, total: int,
         "shards": {str(index): shard
                    for index, shard in sorted(shards.items())},
     }
-    data["checksum"] = content_checksum(data)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as handle:
-        json.dump(data, handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    write_document(path, data)
 
 
 def load_checkpoint(path, fingerprint: str = None) -> dict:
     """Validate and return the checkpointed shards (``index -> dict``).
 
     Raises :class:`~repro.profiler.errors.CheckpointError` when the
-    file is unparseable, fails its checksum, carries an unsupported
-    version, or (with ``fingerprint`` given) was written for a
-    different campaign.
+    file does not decode or parse, lacks or fails its checksum,
+    carries an unsupported version, or (with ``fingerprint`` given)
+    was written for a different campaign.
     """
     try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"checkpoint {path!r} is truncated or not JSON "
-            f"({error})") from error
-    if not isinstance(data, dict):
-        raise CheckpointError(f"checkpoint {path!r} is not a JSON object")
+        data = read_document(path, kind="checkpoint")
+    except ProfileFormatError as error:
+        raise CheckpointError(str(error)) from error
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {data.get('version')!r} "
             f"in {path!r}")
-    recorded = data.get("checksum")
-    if recorded is None or content_checksum(data) != recorded:
+    if "checksum" not in data:
         raise CheckpointError(
             f"checkpoint {path!r} failed checksum validation")
     if fingerprint is not None and data.get("fingerprint") != fingerprint:

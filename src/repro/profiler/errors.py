@@ -46,7 +46,7 @@ class ProfileChecksumError(ProfileFormatError):
 
 
 class ProfileTruncatedError(ProfileFormatError):
-    """The profile file ends mid-document (e.g. a killed writer).
+    """The file's bytes do not decode as UTF-8 or parse as JSON.
 
     :func:`~repro.profiler.serialize.salvage_profile` offers a
     best-effort recovery path for this case.

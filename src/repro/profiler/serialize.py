@@ -17,21 +17,21 @@ parent.  v1 documents (graph only) are still readable.
 Integrity
 ---------
 
-Profiles written by :func:`save_graph` carry a ``checksum`` key — the
-SHA-256 of the canonical JSON of every *other* key — which the loaders
-verify when present (:class:`~repro.profiler.errors.ProfileChecksumError`
-on mismatch).  A file that does not parse at all raises
-:class:`~repro.profiler.errors.ProfileTruncatedError`; for the common
-truncation case (a writer killed mid-``json.dump``)
-:func:`salvage_profile` recovers the longest decodable prefix —
-section order in the document (nodes before edges before tracker
-state) was chosen so truncation costs the *derived* sections first.
+Every profile, checkpoint and spill file is written by
+:func:`write_document` — atomically, with a ``checksum`` key, the
+SHA-256 of the canonical JSON of every *other* key — and read by
+:func:`read_document`, which raises typed errors.  For bytes that do
+not decode or parse, :func:`salvage_profile` recovers what precedes
+the damage plus every section after it — section order in the
+document (nodes before edges before tracker state) was chosen so
+truncation costs the *derived* sections first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from .errors import (ProfileChecksumError, ProfileFormatError,
                      ProfileTruncatedError)
@@ -157,76 +157,105 @@ def content_checksum(data: dict) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _parse_profile(path) -> dict:
-    """Read + JSON-parse a profile file with typed failures."""
-    with open(path) as handle:
-        text = handle.read()
+def write_document(path, data: dict) -> None:
+    """Stamp ``data`` with its checksum and write it atomically.
+
+    The text is encoded once, written to ``<path>.tmp.<pid>``, fsynced
+    and renamed over ``path``: if anything raises, a previous ``path``
+    keeps its bytes and no tmp file remains.
+    """
+    data["checksum"] = content_checksum(data)
+    text = json.dumps(data)
+    tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # only when something raised
+            os.remove(tmp)
+
+
+def read_document(path, kind: str = "profile") -> dict:
+    """Read a :func:`write_document` file; ``kind`` names it in errors.
+
+    Raises :class:`ProfileTruncatedError` when the bytes do not decode
+    as UTF-8 or parse as JSON (too deep nesting included), :class:`ProfileFormatError` when they
+    hold no object, :class:`ProfileChecksumError` when a recorded
+    checksum does not match.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as error:  # not UTF-8 / JSON
         raise ProfileTruncatedError(
-            f"profile {path!r} is truncated or not JSON "
+            f"{kind} {path!r} is truncated or not JSON "
             f"({error})") from error
     if not isinstance(data, dict):
-        raise ProfileFormatError(
-            f"profile {path!r} is not a JSON object")
+        raise ProfileFormatError(f"{kind} {path!r} is not a JSON object")
+    recorded = data.get("checksum")
+    if recorded is not None and content_checksum(data) != recorded:
+        raise ProfileChecksumError(
+            f"{kind} {path!r} failed checksum validation")
     return data
 
 
-def _verify_checksum(data: dict, path) -> None:
-    recorded = data.get("checksum")
-    if recorded is None:
-        return  # pre-checksum file (or worker shard dict): nothing to check
-    actual = content_checksum(data)
-    if actual != recorded:
-        raise ProfileChecksumError(
-            f"profile {path!r} failed checksum validation "
-            f"(recorded {recorded[:12]}…, computed {actual[:12]}…)")
+def validate_shard(shard) -> str:
+    """Sanity check on a shipped profile dict (worker output, a push).
+
+    Returns an error description, or ``None`` when the required
+    sections are present, the node arrays align, and a recorded
+    checksum matches.
+    """
+    if not isinstance(shard, dict):
+        return f"shard payload is {type(shard).__name__}, not dict"
+    for key in ("version", "meta", "slots", "nodes", "freq", "flags",
+                "edges"):
+        if key not in shard:
+            return f"shard is missing {key!r}"
+    if not (len(shard["nodes"]) == len(shard["freq"])
+            == len(shard["flags"])):
+        return (f"shard node arrays misaligned "
+                f"({len(shard['nodes'])} nodes / "
+                f"{len(shard['freq'])} freq / "
+                f"{len(shard['flags'])} flags)")
+    if "checksum" in shard and \
+            content_checksum(shard) != shard["checksum"]:
+        return "shard failed its content checksum"
+    return None
 
 
 def save_graph(graph: DependenceGraph, path, meta=None,
                tracker=None) -> None:
-    """Write the graph (plus optional metadata / tracker state).
-
-    The document gains a ``checksum`` key so loaders can detect silent
-    corruption; pre-checksum files remain readable.
-    """
-    data = graph_to_dict(graph, meta, tracker)
-    data["checksum"] = content_checksum(data)
-    with open(path, "w") as handle:
-        json.dump(data, handle)
+    """Write the graph (plus optional metadata / tracker state) with
+    :func:`write_document`: atomic and checksummed."""
+    write_document(path, graph_to_dict(graph, meta, tracker))
 
 
 def load_profile(path):
     """Read ``(graph, meta, state)`` from a :func:`save_graph` file.
 
     ``state`` is ``None`` for graph-only documents (v1, or v2 saved
-    without a tracker).  Raises
-    :class:`~repro.profiler.errors.ProfileTruncatedError` for
-    unparseable files,
-    :class:`~repro.profiler.errors.ProfileChecksumError` when the
-    stored checksum does not match, and
-    :class:`~repro.profiler.errors.ProfileFormatError` for unsupported
-    versions.
+    without a tracker).  Raises the errors of :func:`read_document`,
+    and :class:`ProfileFormatError` for unsupported versions.
     """
-    data = _parse_profile(path)
-    _verify_checksum(data, path)
+    data = read_document(path)
     return (graph_from_dict(data), data.get("meta", {}),
             tracker_state_from_dict(data))
 
 
 def load_graph_with_meta(path):
     """Read (graph, meta) from a file written by :func:`save_graph`."""
-    data = _parse_profile(path)
-    _verify_checksum(data, path)
+    data = read_document(path)
     return graph_from_dict(data), data.get("meta", {})
 
 
 def load_graph(path) -> DependenceGraph:
     """Read a graph previously written by :func:`save_graph`."""
-    data = _parse_profile(path)
-    _verify_checksum(data, path)
-    return graph_from_dict(data)
+    return graph_from_dict(read_document(path))
 
 
 # -- best-effort salvage -----------------------------------------------------
@@ -235,8 +264,8 @@ def load_graph(path) -> DependenceGraph:
 class SalvageReport:
     """What :func:`salvage_profile` recovered and what it gave up.
 
-    ``repaired`` is True when the JSON itself needed truncation repair
-    (as opposed to a parseable document with internal damage);
+    ``repaired`` is True when the bytes needed repair (truncated,
+    undecodable or unparseable, as opposed to internal damage);
     ``missing`` lists sections absent from the recovered document;
     ``dropped`` counts entries discarded per section because they were
     malformed or referenced unrecovered nodes.
@@ -279,20 +308,22 @@ _SECTIONS = ("nodes", "freq", "flags", "edges", "effects", "ref_edges",
 _MAX_REPAIR_TRIES = 4096
 
 
-def _repair_truncated_json(text: str):
-    """Parse the longest decodable prefix of a truncated JSON object.
+def _repair_json(text: str, damage: int) -> dict:
+    """Recover a JSON object whose text stops parsing at ``damage``.
 
-    One forward scan records every position where a value just ended
-    (a ``,``/``]``/``}`` outside any string) together with the open
-    bracket stack there; candidates are then tried newest-first by
-    cutting the text and appending the closers.  Returns the parsed
-    dict or ``None``.
+    One forward scan of the text before the damage records every
+    position where a value just ended (a ``,``/``]``/``}`` outside any
+    string) together with the open bracket stack there; candidates are
+    tried newest-first by cutting the text and appending the closers.
+    Each section that starts after the damage is then found by its key
+    and decoded on its own, so damage costs only the section it lands
+    in, from the damage on.
     """
     candidates = []
     stack = []
     in_string = False
     escaped = False
-    for index, char in enumerate(text):
+    for index, char in enumerate(text[:damage]):
         if in_string:
             if escaped:
                 escaped = False
@@ -312,14 +343,25 @@ def _repair_truncated_json(text: str):
             candidates.append((index + 1, "".join(reversed(stack))))
         elif char == ",":
             candidates.append((index, "".join(reversed(stack))))
+    data = {}
     for cut, closers in reversed(candidates[-_MAX_REPAIR_TRIES:]):
         try:
             data = json.loads(text[:cut] + closers)
+            break
         except json.JSONDecodeError:
             continue
-        if isinstance(data, dict):
-            return data
-    return None
+    data = data if isinstance(data, dict) else {}
+    decoder = json.JSONDecoder()
+    for key in ("slots",) + _SECTIONS:
+        marker = f'"{key}": '
+        start = text.find(marker, damage)
+        if key in data or start < 0:
+            continue
+        try:
+            data[key] = decoder.raw_decode(text, start + len(marker))[0]
+        except json.JSONDecodeError:
+            pass
+    return data
 
 
 def _intlist(row, length):
@@ -416,13 +458,14 @@ def salvage_profile(path):
     """Best-effort recovery: ``(graph, meta, state, report)``.
 
     Intact files load exactly as :func:`load_profile` does (with the
-    checksum verified); truncated or internally damaged files are
-    repaired to their longest decodable prefix and trimmed to a
+    checksum verified).  Truncated or damaged files are repaired to
+    the decodable prefix before the damage plus every section that
+    follows it (undecodable bytes read as U+FFFD), then trimmed to a
     consistent subset — the checksum is *not* enforced on that path
     (it cannot match a partial document), which the
     :class:`SalvageReport` records.  Raises
     :class:`~repro.profiler.errors.ProfileTruncatedError` only when
-    not even the version/node prefix survives.
+    no node section survives.
     """
     report = SalvageReport()
     try:
@@ -435,12 +478,14 @@ def salvage_profile(path):
         # parseable-yet-damaged document (dangling node references,
         # malformed rows) triggers inside graph_from_dict.
         pass
-    with open(path) as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8", errors="replace")
+    # Undecodable bytes are damage even where the JSON still parses.
+    report.repaired = "\ufffd" in text
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
-        data = _repair_truncated_json(text)
+    except json.JSONDecodeError as error:
+        data = _repair_json(text, error.pos)
         report.repaired = True
     if not isinstance(data, dict) or not isinstance(
             data.get("nodes"), list):

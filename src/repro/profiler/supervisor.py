@@ -55,7 +55,8 @@ from ..vm.errors import VMError
 from .checkpoint import jobs_fingerprint, load_checkpoint, write_checkpoint
 from .errors import ProfileInputError, ShardFailedError
 from .parallel import AggregateProfile, merge_graphs
-from .serialize import graph_from_dict, graph_to_dict, tracker_state_from_dict
+from .serialize import (graph_from_dict, graph_to_dict,
+                        tracker_state_from_dict, validate_shard)
 from .tracker import CostTracker
 
 #: Process context of every shard attempt: ``fork`` where available
@@ -290,29 +291,6 @@ def _shard_entry(payload, fault, ctx, conn):
     finally:
         set_current(NULL)
         conn.close()
-
-
-def validate_shard(shard) -> str:
-    """Structural sanity check on a worker-shipped profile dict.
-
-    Returns an error description, or ``None`` when the shard is
-    coherent enough to merge.  This is the parent-side defense against
-    corrupt worker output (and the hook the ``corrupt`` fault kind
-    exercises).
-    """
-    if not isinstance(shard, dict):
-        return f"shard payload is {type(shard).__name__}, not dict"
-    for key in ("version", "meta", "slots", "nodes", "freq", "flags",
-                "edges"):
-        if key not in shard:
-            return f"shard is missing {key!r}"
-    if not (len(shard["nodes"]) == len(shard["freq"])
-            == len(shard["flags"])):
-        return (f"shard node arrays misaligned "
-                f"({len(shard['nodes'])} nodes / "
-                f"{len(shard['freq'])} freq / "
-                f"{len(shard['flags'])} flags)")
-    return None
 
 
 # -- the supervisor ----------------------------------------------------------

@@ -19,10 +19,10 @@ touched; a bad shard (or a client that dies mid-frame, which never
 reaches the registry at all) leaves the tenant exactly as it was.
 
 Memory is bounded: at most ``max_resident`` tenants stay in RAM.  The
-least-recently-used tenant is *spilled* — written through the atomic,
-checksummed writer of :mod:`repro.profiler.checkpoint` as a
-single-shard checkpoint document — and transparently reloaded on its
-next touch.  The spill round-trip preserves node numbering, so
+least-recently-used tenant is *spilled* — written as a single-shard
+checkpoint document by :func:`~repro.profiler.serialize.write_document`
+— and transparently reloaded on its next touch (a damaged spill file
+answers ``E_SPILL``).  The spill round-trip preserves node numbering, so
 spill/reload is invisible to query results.  Spill files are also how
 state survives a clean daemon restart (:meth:`TenantRegistry.spill_all`
 runs at shutdown); a crash loses only the folds since the last spill.
@@ -40,12 +40,10 @@ import time
 from ..observability.telemetry import current as _current_telemetry
 from ..profiler.checkpoint import (CheckpointError, load_checkpoint,
                                    write_checkpoint)
-from ..profiler.errors import (ProfileChecksumError, ProfileFormatError,
-                               ProfileInputError)
+from ..profiler.errors import ProfileFormatError, ProfileInputError
 from ..profiler.parallel import fold_graph
-from ..profiler.serialize import (content_checksum, graph_from_dict,
-                                  graph_to_dict, tracker_state_from_dict)
-from ..profiler.supervisor import validate_shard
+from ..profiler.serialize import (graph_from_dict, graph_to_dict,
+                                  tracker_state_from_dict, validate_shard)
 from .protocol import (E_BAD_MESSAGE, E_BAD_SHARD, E_NO_TENANT,
                        E_SLOTS_MISMATCH, E_SPILL, ServiceError)
 
@@ -139,10 +137,6 @@ class TenantState:
         problem = validate_shard(shard)
         if problem is not None:
             raise ServiceError(E_BAD_SHARD, problem)
-        if "checksum" in shard and \
-                content_checksum(shard) != shard["checksum"]:
-            raise ServiceError(E_BAD_SHARD,
-                               "shard failed its content checksum")
         if self.slots is not None and shard["slots"] != self.slots:
             raise ServiceError(
                 E_SLOTS_MISMATCH,
@@ -389,8 +383,8 @@ class TenantRegistry:
         try:
             shards = load_checkpoint(path, _tenant_fingerprint(name))
             tenant = TenantState.from_profile_dict(name, shards[0])
-        except (CheckpointError, ProfileChecksumError, ProfileFormatError,
-                KeyError, OSError) as error:
+        except (CheckpointError, ProfileFormatError, KeyError,
+                OSError) as error:
             raise ServiceError(E_SPILL,
                                f"cannot reload tenant {name!r} from "
                                f"{path!r}: {error}") from error

@@ -566,6 +566,41 @@ class TestDaemon:
             assert not harness.thread.is_alive()
         assert (spill_dir / spill_filename("app")).exists()
 
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_spill_file_answers_e_spill(self, tmp_path, damage):
+        from repro.observability.bloatreport import bloat_report_data
+        spill_dir = tmp_path / "spill"
+        shard_a = make_shard("a")
+        shard_b = make_shard("b", source=SOURCE_B)
+        program_b = {"source": SOURCE_B, "use_stdlib": False}
+        with DaemonHarness(tmp_path, max_resident=1,
+                           spill_dir=str(spill_dir)) as harness:
+            with harness.client() as client:
+                client.push("a", shard_a)
+                client.push("b", shard_b)       # evicts tenant a
+                path = spill_dir / spill_filename("a")
+                data = bytearray(path.read_bytes())
+                if damage == "truncate":
+                    del data[len(data) // 2:]
+                else:
+                    data[len(data) // 2] ^= 0xFF
+                path.write_bytes(bytes(data))
+                for request in (lambda: client.query("a", "summary"),
+                                lambda: client.push("a", shard_a)):
+                    with pytest.raises(ServiceError) as err:
+                        request()
+                    assert err.value.code == protocol.E_SPILL
+                served = client.query("b", "report", program=program_b,
+                                      top=10)["result"]
+        graph, state = offline_merge([shard_b])
+        meta = {"instructions": shard_b["meta"]["instructions"],
+                "slots": 16, "output": shard_b["meta"]["output"],
+                "exec_mode": shard_b["meta"]["exec_mode"]}
+        batch = bloat_report_data(graph, meta, state,
+                                  compile_source(SOURCE_B), top=10)
+        assert json.dumps(served, indent=2, sort_keys=True) == \
+            json.dumps(batch, indent=2, sort_keys=True)
+
 
 # ---------------------------------------------------------------------------
 # Live metrics: stats / health queries (docs/SERVICE.md)

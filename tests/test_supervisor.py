@@ -9,6 +9,7 @@ run merges exactly the surviving shards.  Every failure path here is
 driven by the deterministic harness in ``repro.testing.faults``.
 """
 
+import importlib
 import os
 
 import pytest
@@ -17,7 +18,8 @@ from repro.observability import MemorySink, Telemetry, set_current
 from repro.profiler import (CheckpointError, ProfileInputError,
                             ProfileJob, ShardFailedError, ShardPolicy,
                             SupervisedProfiler, backoff_delay,
-                            canonical_form, jobs_fingerprint,
+                            canonical_form, content_checksum,
+                            jobs_fingerprint,
                             load_checkpoint, profile_jobs_sequential,
                             validate_shard, write_checkpoint)
 from repro.testing.faults import FaultPlan, FaultSpec, SimulatedKill
@@ -406,3 +408,15 @@ class TestShardValidation:
                  "nodes": [[1, 0]], "freq": [2], "flags": [0],
                  "edges": []}
         assert validate_shard(shard) is None
+
+    @pytest.mark.parametrize("module", ["repro.profiler.serialize",
+                                        "repro.profiler.supervisor"])
+    def test_rejects_checksum_mismatch(self, module):
+        check = importlib.import_module(module).validate_shard
+        shard = {"version": 2, "meta": {}, "slots": 16,
+                 "nodes": [[1, 0]], "freq": [2], "flags": [0],
+                 "edges": []}
+        shard["checksum"] = content_checksum(shard)
+        assert check(shard) is None
+        shard["freq"] = [3]
+        assert "checksum" in check(shard)
