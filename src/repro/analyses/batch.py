@@ -14,12 +14,18 @@ slicers:
    connected components with an iterative Tarjan;
 3. reachable-SCC sets are propagated through the condensation in
    reverse-topological order as Python big-int bitsets — one OR per
-   condensation edge, so every set is materialized exactly once, and
-   each SCC's weighted closure sum is maintained alongside by
-   extracting only the delta bits each merged child contributes;
-4. a query from an unmasked node is then a precomputed O(1) lookup;
-   masked starts union their neighbors' closures the same delta-only
-   way.
+   condensation edge, so every set is materialized exactly once.  This
+   *condensation* depends on the graph's shape only, and records per
+   SCC a weighing plan: its widest child plus the SCCs the other
+   children add to that child's closure (extracted from the lowest set
+   byte up, so a one-bit delta costs one byte);
+4. *weighing* replays the plans in the same order to turn ``freq``
+   into every SCC's closure sum.  The first build is condense + weigh;
+   a frequency-only change (the fold of a repeated shard) re-weighs
+   the indexes in place and keeps their condensations;
+5. a query from an unmasked node is then a precomputed O(1) lookup;
+   masked starts union their neighbors' closures, extracting only the
+   delta bits each one adds.
 
 A node carrying a stop flag is still a valid query start (the paper's
 definitions always include the slice criterion itself): it is answered
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from itertools import islice
 
 from ..observability.telemetry import current as _current_telemetry
 from ..profiler.graph import (F_HEAP_READ, F_HEAP_WRITE, F_NATIVE,
@@ -40,7 +47,7 @@ from ..profiler.graph import (F_HEAP_READ, F_HEAP_WRITE, F_NATIVE,
 
 INFINITE = float("inf")
 
-#: byte value -> tuple of set-bit offsets, for weighted popcounts.
+#: byte value -> tuple of set-bit offsets, for set-bit extraction.
 _BYTE_BITS = [tuple(b for b in range(8) if value >> b & 1)
               for value in range(256)]
 
@@ -54,6 +61,12 @@ class ReachabilityIndex:
     byte per node) tags nodes whose presence in a closure must be
     reported — the F_NATIVE infinite-benefit bit.
 
+    The index is built in two steps.  :meth:`_condense` depends on the
+    graph's shape only: SCC ids, closure bitsets, marks, and a per-SCC
+    weighing *plan*.  :meth:`_weigh` turns a frequency vector into
+    per-SCC closure sums by replaying the plan, so a frequency-only
+    change is answered by :meth:`reweigh` without re-running Tarjan.
+
     After construction, :meth:`query` answers "sum of frequencies over
     the closure of ``node``, and does the closure contain a marked
     node?" in (amortized) the cost of one weighted popcount.
@@ -65,29 +78,65 @@ class ReachabilityIndex:
         self.offsets = offsets
         self.targets = targets
         self.allowed = allowed
-        self.freq = freq
         self.node_mark = mark
-        #: Telemetry label for the build-phase timings.
+        #: Telemetry label for the build and re-weigh timings.
         self.name = name
         #: node id -> SCC id (-1 for masked-out nodes).
         self.comp = [-1] * num_nodes
         #: SCC id -> big-int bitset of SCCs in its closure (itself incl).
         self.comp_bits = []
+        #: SCC id -> does the closure contain a marked node?
+        self.comp_mark = []
+        #: SCC id -> its widest child SCC (-1 for a sink), whose closure
+        #: sum the weighing reuses wholesale.
+        self.plan_base = array("q")
+        #: ``plan_ids[plan_offsets[c]:plan_offsets[c + 1]]`` are the
+        #: SCCs in the children's union that the base closure misses.
+        self.plan_offsets = array("q", [0])
+        self.plan_ids = array("q")
+        #: The frequency vector the sums below were weighed with.
+        self.freq = freq
         #: SCC id -> summed frequency of its own member nodes.
         self.comp_weight = []
         #: SCC id -> summed frequency over the whole closure (the
-        #: Definition-4 answer for every member node), maintained
-        #: incrementally during construction so allowed-node queries
-        #: are O(1).
+        #: Definition-4 answer for every member node), so allowed-node
+        #: queries are O(1).
         self.comp_cost = []
-        #: SCC id -> does the closure contain a marked node?
-        self.comp_mark = []
         self._build()
 
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        """Iterative Tarjan; closures are completed at SCC pop time.
+        """Condense, then weigh with the construction-time frequencies.
+
+        When the telemetry hub is enabled, the SCC-discovery and
+        closure-propagation shares of the build are timed separately
+        (one clock pair per *popped SCC*, never per node or edge) and
+        reported as a ``batch.index`` event plus
+        ``batch.scc[...]`` / ``batch.propagation[...]`` timers and a
+        ``batch.condense[...]`` counter.
+        """
+        hub = _current_telemetry()
+        clock = time.perf_counter if hub.enabled else None
+        build_start = clock() if clock else 0.0
+        prop_seconds = self._condense(clock)
+        weigh_start = clock() if clock else 0.0
+        self._weigh(self.freq)
+        if clock:
+            end = clock()
+            prop_seconds += end - weigh_start
+            total = end - build_start
+            scc_seconds = max(total - prop_seconds, 0.0)
+            hub.inc(f"batch.condense[{self.name}]")
+            hub.timer_add(f"batch.scc[{self.name}]", scc_seconds)
+            hub.timer_add(f"batch.propagation[{self.name}]", prop_seconds)
+            hub.event("batch.index", index=self.name, nodes=self.n,
+                      sccs=len(self.comp_bits), dur=round(total, 6),
+                      scc_s=round(scc_seconds, 6),
+                      propagation_s=round(prop_seconds, 6))
+
+    def _condense(self, clock):
+        """Iterative Tarjan; closures and plans are sealed at pop time.
 
         Tarjan emits SCCs in reverse topological order of the
         condensation: every SCC reachable from C is finished before C
@@ -95,28 +144,26 @@ class ReachabilityIndex:
         with the (already final) closures of the components its member
         edges leave into — each condensation edge contributes exactly
         one big-int OR, and no node is ever double-counted because a
-        set bit identifies a whole SCC exactly once.
+        set bit identifies a whole SCC exactly once.  C's plan records
+        its widest child plus the bits the other children add to that
+        child's closure; for the chain-shaped unions that dominate
+        real dependence graphs this is a handful of ids per SCC.
 
-        When the telemetry hub is enabled, the SCC-discovery and
-        closure-propagation shares of the build are timed separately
-        (one clock pair per *popped SCC*, never per node or edge) and
-        reported as a ``batch.index`` event plus
-        ``batch.scc[...]`` / ``batch.propagation[...]`` timers.
+        Returns the seconds spent sealing closures (0.0 without a
+        ``clock``).
         """
-        hub = _current_telemetry()
-        clock = time.perf_counter if hub.enabled else None
-        build_start = clock() if clock else 0.0
         prop_seconds = 0.0
         n = self.n
         offsets = self.offsets
         targets = self.targets
         allowed = self.allowed
-        freq = self.freq
         node_mark = self.node_mark
         comp = self.comp
         comp_bits = self.comp_bits
-        comp_weight = self.comp_weight
         comp_mark = self.comp_mark
+        plan_base = self.plan_base
+        plan_offsets = self.plan_offsets
+        plan_ids = self.plan_ids
 
         index = [-1] * n
         low = [0] * n
@@ -172,53 +219,89 @@ class ReachabilityIndex:
                         break
                 if clock:
                     seal_start = clock()
-                weight = 0
                 mark = False
                 children = set()
                 for m in members:
-                    weight += freq[m]
                     if node_mark is not None and node_mark[m]:
                         mark = True
                     for e in range(offsets[m], offsets[m + 1]):
                         c2 = comp[targets[e]]
                         if c2 >= 0 and c2 != cid:
                             children.add(c2)
-                ubits, ucost, umark = self._union(children)
-                comp_bits.append(ubits | 1 << cid)
-                comp_weight.append(weight)
-                self.comp_cost.append(weight + ucost)
-                comp_mark.append(mark or umark)
+                if not children:
+                    base = -1
+                    bits = 0
+                elif len(children) == 1:
+                    base, = children
+                    bits = comp_bits[base]
+                    mark = mark or comp_mark[base]
+                else:
+                    base = max(children,
+                               key=lambda c: comp_bits[c].bit_count())
+                    bits = comp_bits[base]
+                    for c in children:
+                        bits |= comp_bits[c]
+                        if comp_mark[c]:
+                            mark = True
+                    plan_ids.extend(_set_bits(bits ^ comp_bits[base]))
+                plan_base.append(base)
+                plan_offsets.append(len(plan_ids))
+                comp_bits.append(bits | 1 << cid)
+                comp_mark.append(mark)
                 if clock:
                     prop_seconds += clock() - seal_start
+        return prop_seconds
 
-        if clock:
-            total = clock() - build_start
-            scc_seconds = max(total - prop_seconds, 0.0)
-            hub.timer_add(f"batch.scc[{self.name}]", scc_seconds)
-            hub.timer_add(f"batch.propagation[{self.name}]", prop_seconds)
-            hub.event("batch.index", index=self.name, nodes=n,
-                      sccs=len(comp_bits), dur=round(total, 6),
-                      scc_s=round(scc_seconds, 6),
-                      propagation_s=round(prop_seconds, 6))
+    def _weigh(self, freq):
+        """Per-SCC weights and closure sums under ``freq``.
+
+        The one propagation path, shared by the first build and every
+        re-weigh: SCC ids are in pop order, which is reverse
+        topological, so each SCC's base closure sum is final before
+        the SCC itself is summed.
+        """
+        self.freq = freq
+        # One spare slot absorbs the masked nodes (SCC id -1).
+        weight = [0] * (len(self.comp_bits) + 1)
+        for f, cid in zip(freq, self.comp):
+            weight[cid] += f
+        weight.pop()
+        plan_offsets = self.plan_offsets
+        plan_ids = self.plan_ids
+        cost = []
+        append = cost.append
+        for total, base, lo, hi in zip(weight, self.plan_base, plan_offsets,
+                                       islice(plan_offsets, 1, None)):
+            if base >= 0:
+                total += cost[base]
+            if lo != hi:
+                for i in plan_ids[lo:hi]:
+                    total += weight[i]
+            append(total)
+        self.comp_weight = weight
+        self.comp_cost = cost
+
+    def reweigh(self, freq):
+        """Re-weigh under new frequencies; the shape must be unchanged.
+
+        Counted as ``batch.reweigh[...]`` (counter and timer) when the
+        telemetry hub is enabled.
+        """
+        hub = _current_telemetry()
+        if not hub.enabled:
+            self._weigh(freq)
+            return
+        start = time.perf_counter()
+        self._weigh(freq)
+        hub.inc(f"batch.reweigh[{self.name}]")
+        hub.timer_add(f"batch.reweigh[{self.name}]",
+                      time.perf_counter() - start)
 
     # -- queries ------------------------------------------------------------
 
-    def weighted(self, bits: int) -> int:
-        """Sum of member frequencies over the SCCs set in ``bits``."""
-        return self._extract(bits)
-
     def _extract(self, bits: int) -> int:
-        """Weighted popcount of a raw bitset via the per-byte table."""
-        total = 0
-        comp_weight = self.comp_weight
-        data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-        byte_bits = _BYTE_BITS
-        for i, byte in enumerate(data):
-            if byte:
-                base = i << 3
-                for offset in byte_bits[byte]:
-                    total += comp_weight[base + offset]
-        return total
+        """Weighted popcount of a raw bitset."""
+        return sum(map(self.comp_weight.__getitem__, _set_bits(bits)))
 
     def _union(self, comps):
         """(bitset, weighted sum, mark) over a union of SCC closures.
@@ -282,6 +365,26 @@ class ReachabilityIndex:
         return self.freq[node] + total, mark or union_mark
 
 
+def _set_bits(bits: int):
+    """Ids of the set bits of ``bits``, ascending.
+
+    Walks only the bytes from the lowest set bit up, so a one-bit
+    delta high in a wide bitset costs one byte, not the whole prefix.
+    """
+    if not bits:
+        return []
+    first = ((bits & -bits).bit_length() - 1) >> 3
+    bits >>= first << 3
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    byte_bits = _BYTE_BITS
+    ids = []
+    for i, byte in enumerate(data, first):
+        if byte:
+            base = i << 3
+            ids.extend(base + offset for offset in byte_bits[byte])
+    return ids
+
+
 def _allowed_mask(flags, stop_flags: int) -> bytearray:
     if not stop_flags:
         return bytearray(b"\x01" * len(flags)) if flags else bytearray()
@@ -321,6 +424,7 @@ class BatchSliceEngine:
         self._cost_index = None
         self._hrac_index = None
         self._hrab_index = None
+        self._reachability = None
         # Validity checksums managed by engine_for().
         self._freq_sum = None
         self._flag_sum = None
@@ -354,6 +458,17 @@ class BatchSliceEngine:
                 _allowed_mask(flags, F_HEAP_WRITE), self.graph.freq,
                 mark=_flag_mask(flags, F_NATIVE), name="hrab")
         return self._hrab_index
+
+    def reweigh(self, freq):
+        """Re-weigh every index built so far under new frequencies.
+
+        Valid only while the CSR snapshot and flags are unchanged;
+        :func:`engine_for` checks that before calling it.
+        """
+        for index in (self._cost_index, self._hrac_index,
+                      self._hrab_index):
+            if index is not None:
+                index.reweigh(freq)
 
     # -- per-node queries (same contracts as the reference functions) --------
 
@@ -416,7 +531,15 @@ class BatchSliceEngine:
 
         Same fixpoint as ``deadvalues._consumer_reachability`` but
         walked over the frozen CSR arrays instead of per-node sets.
+        Computed once per engine: it reads only the CSR and ``flags``,
+        so a re-weigh leaves it valid.  Every caller gets the same two
+        bytearrays; treat them as read-only.
         """
+        if self._reachability is None:
+            self._reachability = self._consumer_walk()
+        return self._reachability
+
+    def _consumer_walk(self):
         csr = self.csr
         n = csr.num_nodes
         flags = self.graph.flags
@@ -527,19 +650,23 @@ class MethodLocalCostIndex:
 
 
 def engine_for(graph: DependenceGraph) -> BatchSliceEngine:
-    """The cached engine for ``graph``, rebuilt when the graph moved on.
+    """The cached engine for ``graph``, kept current as the graph moves.
 
     Validity covers adjacency (CSR snapshot identity) plus cheap
     checksums of the live ``freq``/``flags`` vectors, which can change
-    without adding nodes or edges (frequency bumps, flag accumulation)
-    and are baked into the engine's indexes at build time.
+    without adding nodes or edges (frequency bumps, flag accumulation).
+    A new CSR or a flag change rebuilds the engine; a frequency-only
+    change — the fold of a repeated shard — re-weighs the indexes
+    already built and keeps their condensations.
     """
     engine = getattr(graph, "_batch_engine", None)
     freq_sum = sum(graph.freq)
     flag_sum = sum(graph.flags)
     if (engine is not None and engine.csr is graph.freeze()
-            and engine._freq_sum == freq_sum
             and engine._flag_sum == flag_sum):
+        if engine._freq_sum != freq_sum:
+            engine.reweigh(graph.freq)
+            engine._freq_sum = freq_sum
         return engine
     engine = BatchSliceEngine(graph)
     engine._freq_sum = freq_sum

@@ -23,8 +23,10 @@ from repro.analyses.methodcost import _iid_to_method, _method_local_cost
 from repro.profiler import (CostTracker, F_HEAP_READ, F_HEAP_WRITE,
                             F_NATIVE, F_PREDICATE)
 from repro.profiler.graph import DependenceGraph
+from repro.profiler.parallel import fold_graph, merge_graphs
 from repro.vm import VM
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
+from repro.workloads.stress import build_stress
 
 
 def _profiled(spec, slots):
@@ -198,14 +200,30 @@ class TestEngineCache:
 
     def test_engine_for_rebuilds_on_freq_bump(self):
         """Frequency changes don't add nodes or edges, but stale
-        engines would return stale costs — the checksum catches it."""
+        weights would return stale costs — the checksum catches it and
+        the engine re-weighs its indexes without re-condensing them."""
         graph = self._graph()
         first = engine_for(graph)
+        first.abstract_costs()
+        first.hrac(0)
+        first.hrab(0)
+        indexes = [first.cost_index(), first.hrac_index(),
+                   first.hrab_index()]
+        comps = [index.comp for index in indexes]
         graph.node(graph.node_keys[0][0], graph.node_keys[0][1])
         second = engine_for(graph)
-        assert second is not first
+        assert second is first
+        assert [second.cost_index(), second.hrac_index(),
+                second.hrab_index()] == indexes
+        for index, comp in zip(indexes, comps):
+            assert index.comp is comp
+        n = graph.num_nodes
         assert second.abstract_costs() == \
-            [abstract_cost(graph, v) for v in range(graph.num_nodes)]
+            [abstract_cost(graph, v) for v in range(n)]
+        assert [second.hrac(v) for v in range(n)] == \
+            [hrac(graph, v) for v in range(n)]
+        assert [second.hrab(v) for v in range(n)] == \
+            [hrab(graph, v) for v in range(n)]
 
     def test_engine_for_rebuilds_on_flag_change(self):
         graph = self._graph()
@@ -215,6 +233,70 @@ class TestEngineCache:
         second = engine_for(graph)
         assert second is not first
         assert second.hrac(0) == hrac(graph, 0)
+
+
+def _tracked_graph(program, slots=8):
+    tracker = CostTracker(slots=slots)
+    VM(program, tracer=tracker).run()
+    return tracker.graph
+
+
+def _fold_pair(name):
+    """Two shards of one program whose second adds to the first.
+
+    Suite workloads pair a half-scale run with a small-scale run; the
+    stress pair differs in seed and round count.
+    """
+    if name == "stress":
+        return (_tracked_graph(build_stress(4, 6, rounds=1, seed=0)),
+                _tracked_graph(build_stress(4, 6, rounds=3, seed=1)))
+    spec = get_workload(name)
+    half = {key: max(1, value // 2)
+            for key, value in spec.small_scale.items()}
+    return (_tracked_graph(spec.build("unopt", half)),
+            _tracked_graph(spec.build("unopt", spec.small_scale)))
+
+
+def _shape(graph):
+    return graph.num_nodes, graph.num_edges, sum(graph.flags)
+
+
+#: antlr/bloat/pmd and the stress pair grow on the second fold; derby
+#: keeps its shape from the first fold on.
+@pytest.mark.parametrize("name", ["antlr_like", "bloat_like", "pmd_like",
+                                  "derby_like", "stress"])
+def test_cached_engine_matches_references_across_folds(name):
+    """Fold A, B, A, B and query the cached engine after every fold:
+    shape-changing folds rebuild it, weight-only folds re-weigh it,
+    and both must stay bit-identical to the per-node references."""
+    a, b = _fold_pair(name)
+    merged = merge_graphs([a])
+    engine = None
+    for step, shard in enumerate((None, b, a, b)):
+        before = _shape(merged)
+        if shard is not None:
+            fold_graph(merged, shard)
+        previous = engine
+        engine = engine_for(merged)
+        if step >= 2:
+            assert _shape(merged) == before
+        if previous is not None:
+            assert (engine is previous) == (_shape(merged) == before)
+        n = merged.num_nodes
+        assert engine.abstract_costs() == \
+            [abstract_cost(merged, v) for v in range(n)], step
+        for v in range(n):
+            assert engine.hrac(v) == hrac(merged, v), (step, v)
+            assert engine.hrab(v, "infinite") == \
+                hrab(merged, v, "infinite"), (step, v)
+            assert engine.hrab(v, "count") == \
+                hrab(merged, v, "count"), (step, v)
+        assert engine.field_racs() == _ref_field_racs(merged), step
+        assert engine.field_rabs() == _ref_field_rabs(merged), step
+        assert engine.field_rabs("count") == \
+            _ref_field_rabs(merged, "count"), step
+        assert tuple(engine.consumer_reachability()) == \
+            tuple(_ref_consumer_reachability(merged)), step
 
 
 class TestSyntheticShapes:

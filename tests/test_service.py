@@ -455,6 +455,40 @@ class TestDaemon:
             json.dumps(batch, indent=2, sort_keys=True)
         assert racs                     # field table is non-empty
 
+    def test_served_report_equals_batch_after_every_push(self, tmp_path):
+        """Query between pushes: a repeated shard only moves ``freq``,
+        so the tenant's cached engine is re-weighed, not rebuilt — and
+        must still agree with a fresh offline merge of each prefix."""
+        from repro.observability.bloatreport import bloat_report_data
+        s0, s1 = make_shard("s0"), make_shard("s1")
+        program_spec = {"source": SOURCE, "use_stdlib": False}
+        program = compile_source(SOURCE)
+        pushed = []
+        with DaemonHarness(tmp_path) as harness:
+            with harness.client() as client:
+                for shard in (s0, s1, s0, s1):
+                    client.push("app", shard)
+                    pushed.append(shard)
+                    served = client.query("app", "report",
+                                          program=program_spec,
+                                          top=10)["result"]
+                    racs = client.query("app", "rac",
+                                        program=program_spec,
+                                        top=10)["result"]
+                    graph, state = offline_merge(pushed)
+                    meta = {"instructions": sum(s["meta"]["instructions"]
+                                                for s in pushed),
+                            "slots": 16,
+                            "output": s0["meta"]["output"],
+                            "exec_mode": s0["meta"]["exec_mode"]}
+                    if len(pushed) > 1:     # as batch mode writes it
+                        meta["runs"] = len(pushed)
+                    batch = bloat_report_data(graph, meta, state,
+                                              program, top=10)
+                    assert json.dumps(served, sort_keys=True) == \
+                        json.dumps(batch, sort_keys=True), len(pushed)
+                    assert racs == batch["hrac"], len(pushed)
+
     def test_query_error_paths(self, tmp_path):
         with DaemonHarness(tmp_path) as harness:
             with harness.client() as client:

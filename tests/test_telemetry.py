@@ -230,6 +230,25 @@ class TestDerivedStats:
         assert any(s["name"] == "batch.freeze" for s in spans)
         assert "batch.scc[hrac]" in hub.timers
         assert "batch.propagation[hrab]" in hub.timers
+        assert hub.counters["batch.condense[hrac]"] == 1
+        assert hub.counters["batch.condense[hrab]"] == 1
+
+    def test_freq_only_change_reweighs_without_condensing(self):
+        from repro.analyses.batch import engine_for
+        program = _stress_program()
+        tracker, _ = _profile(program)
+        graph = tracker.graph
+        hub = Telemetry(sink=MemorySink())
+        with use(hub):
+            engine_for(graph).field_racs()
+            engine_for(graph).field_rabs()
+            graph.node(*graph.node_keys[0])     # bump one frequency
+            engine_for(graph).field_racs()
+        hub.close()
+        for index in ("hrac", "hrab"):
+            assert hub.counters[f"batch.condense[{index}]"] == 1
+            assert hub.counters[f"batch.reweigh[{index}]"] == 1
+            assert hub.timers[f"batch.reweigh[{index}]"][0] == 1
 
 
 # -- JSONL sink --------------------------------------------------------------
