@@ -1,54 +1,32 @@
 """Client analyses over the abstract thin dependence graph."""
 
-from .batch import (BatchSliceEngine, MethodLocalCostIndex,
-                    ReachabilityIndex, engine_for)
-from .cachecost import CacheReport, analyze_caches, format_cache_report
-from .collections_rank import rank_collections
-from .copyprofile import BOTTOM, CopyChain, CopyProfiler
-from .cost import (ConcreteThinSlicer, TaintCostTracker, absolute_cost,
-                   abstract_cost, sink_costs_from_graph)
-from .costbenefit import (SiteReport, analyze_cost_benefit,
-                          explain_site, top_offenders)
-from .deadvalues import (BloatMetrics, DeadLine, dead_lines,
-                         dead_star, measure_bloat)
-from .methodcost import (MethodCost, ReturnCost, method_costs,
-                         return_costs)
-from .nullprop import NullOrigin, NullTracker, explain_null_failure
-from .overwrites import WriteReadImbalance, write_read_imbalances
-from .predicates import PredicateReport, constant_predicates
-from .relative import (DEFAULT_TREE_DEPTH, INFINITE, ObjectCostBenefit,
-                       all_object_cost_benefits, control_inclusive_hrac,
-                       field_racs, field_rabs, hrab, hrac,
-                       multi_hop_hrab, multi_hop_hrac,
-                       object_cost_benefit, reference_tree)
-from .report import (format_bloat_metrics, format_copy_chains,
-                     format_cost_benefit_report, format_method_costs,
-                     format_write_read_report)
-from .typestate import (TypestateSpec, TypestateTracker, Violation,
-                        file_protocol)
+from .. import _lazy_surface
 
-__all__ = [
-    "BatchSliceEngine", "MethodLocalCostIndex", "ReachabilityIndex",
-    "engine_for",
-    "abstract_cost", "absolute_cost", "ConcreteThinSlicer",
-    "TaintCostTracker", "sink_costs_from_graph",
-    "hrac", "hrab", "field_racs", "field_rabs", "reference_tree",
-    "object_cost_benefit", "all_object_cost_benefits",
-    "ObjectCostBenefit", "INFINITE", "DEFAULT_TREE_DEPTH",
-    "SiteReport", "analyze_cost_benefit", "top_offenders",
-    "explain_site",
-    "BloatMetrics", "measure_bloat", "dead_star", "DeadLine",
-    "dead_lines",
-    "NullTracker", "NullOrigin", "explain_null_failure",
-    "TypestateSpec", "TypestateTracker", "Violation", "file_protocol",
-    "CopyProfiler", "CopyChain", "BOTTOM",
-    "MethodCost", "method_costs", "ReturnCost", "return_costs",
-    "CacheReport", "analyze_caches", "format_cache_report",
-    "multi_hop_hrac", "multi_hop_hrab", "control_inclusive_hrac",
-    "WriteReadImbalance", "write_read_imbalances",
-    "PredicateReport", "constant_predicates",
-    "rank_collections",
-    "format_cost_benefit_report", "format_bloat_metrics",
-    "format_method_costs", "format_write_read_report",
-    "format_copy_chains",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "batch": ("BatchSliceEngine", "MethodLocalCostIndex",
+              "ReachabilityIndex", "engine_for"),
+    "cachecost": ("CacheReport", "analyze_caches", "format_cache_report"),
+    "collections_rank": ("rank_collections",),
+    "copyprofile": ("BOTTOM", "CopyChain", "CopyProfiler"),
+    "cost": ("ConcreteThinSlicer", "TaintCostTracker", "absolute_cost",
+             "abstract_cost", "sink_costs_from_graph"),
+    "costbenefit": ("SiteReport", "analyze_cost_benefit", "explain_site",
+                    "top_offenders"),
+    "deadvalues": ("BloatMetrics", "DeadLine", "dead_lines", "dead_star",
+                   "measure_bloat"),
+    "methodcost": ("MethodCost", "ReturnCost", "method_costs",
+                   "return_costs"),
+    "nullprop": ("NullOrigin", "NullTracker", "explain_null_failure"),
+    "overwrites": ("WriteReadImbalance", "write_read_imbalances"),
+    "predicates": ("PredicateReport", "constant_predicates"),
+    "relative": ("DEFAULT_TREE_DEPTH", "INFINITE", "ObjectCostBenefit",
+                 "all_object_cost_benefits", "control_inclusive_hrac",
+                 "field_racs", "field_rabs", "hrab", "hrac",
+                 "multi_hop_hrab", "multi_hop_hrac", "object_cost_benefit",
+                 "reference_tree"),
+    "report": ("format_bloat_metrics", "format_copy_chains",
+               "format_cost_benefit_report", "format_method_costs",
+               "format_write_read_report"),
+    "typestate": ("TypestateSpec", "TypestateTracker", "Violation",
+                  "file_protocol"),
+})

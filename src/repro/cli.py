@@ -127,14 +127,10 @@ def _telemetry_scope(path, flight=None):
 
 
 def _load_program(path: str, use_stdlib: bool):
-    from .observability import current
-    with current().span("compile", file=path):
-        source = open(path).read()
-        if use_stdlib:
-            from .stdlib import compile_with_stdlib
-            return compile_with_stdlib(source)
-        from .lang import compile_source
-        return compile_source(source)
+    from .profiler.parallel import compile_program
+    with open(path) as handle:
+        source = handle.read()
+    return compile_program(source, use_stdlib, origin=path)
 
 
 def _print_reports(program, graph, which: str, top: int, *,

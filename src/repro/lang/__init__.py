@@ -6,18 +6,16 @@ The one-call entry point is :func:`compile_source`::
     program = compile_source(source_text)        # finalized IR Program
 """
 
-from .ast import ProgramDecl
-from .codegen import compile_source
-from .errors import CompileError, LexError, ParseError, TypeError_
-from .formatter import format_program_decl, format_source
-from .lexer import tokenize
-from .parser import parse
-from .resolver import ClassTable, build_class_table
-from .typecheck import check
+from .. import _lazy_surface
 
-__all__ = [
-    "compile_source", "parse", "tokenize", "check", "build_class_table",
-    "ClassTable", "ProgramDecl",
-    "CompileError", "LexError", "ParseError", "TypeError_",
-    "format_source", "format_program_decl",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "ast": ("ProgramDecl",),
+    "codegen": ("compile_source",),
+    "errors": ("CompileError", "LexError", "ParseError", "TypeError_"),
+    "formatter": ("format_program_decl", "format_source"),
+    "lexer": ("tokenize",),
+    "parser": ("parse",),
+    "resolver": ("ClassTable", "build_class_table"),
+    "typecheck": ("check",),
+    "tokens": (),
+})

@@ -8,23 +8,9 @@ formatted program must behave identically to the original.
 from __future__ import annotations
 
 from . import ast
+from .parser import BINARY_PRECEDENCE
 
 _INDENT = "    "
-
-#: Binary operator precedence (higher binds tighter); mirrors the
-#: parser's grammar levels.
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "|": 3,
-    "^": 4,
-    "&": 5,
-    "==": 6, "!=": 6,
-    "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "<<": 8, ">>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-}
 
 _ESCAPES = {
     "\n": "\\n",
@@ -80,7 +66,7 @@ def format_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
             else ""
         return f"{expr.op}{spacer}{operand}"
     if isinstance(expr, ast.Binary):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         lhs = format_expr(expr.lhs, prec - 1)     # left associative
         rhs = format_expr(expr.rhs, prec)
         text = f"{lhs} {expr.op} {rhs}"

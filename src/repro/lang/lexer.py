@@ -87,11 +87,12 @@ def tokenize(source: str) -> list:
             tokens.append(Token(kind, text, line, start_col))
             continue
 
-        # Integer literals.
-        if ch.isdigit():
+        # Integer literals: ASCII digits only (str.isdigit() also
+        # accepts digits such as '²' that int() rejects).
+        if "0" <= ch <= "9":
             start = pos
             start_col = col
-            while pos < n and source[pos].isdigit():
+            while pos < n and "0" <= source[pos] <= "9":
                 pos += 1
                 col += 1
             if pos < n and (source[pos].isalpha() or source[pos] == "_"):

@@ -9,7 +9,7 @@ Grammar sketch (see README for the full language reference)::
                | ID '(' params? ')' block                 constructor
     stmt      := varDecl | if | while | for | return | break | continue
                | super '(' args ')' ';' | assignment/exprStmt | block
-    expr      := or-expression with Java precedence; see _parse_* below
+    expr      := unary (binop unary)*, binop by BINARY_PRECEDENCE
 """
 
 from __future__ import annotations
@@ -22,11 +22,32 @@ from .tokens import T_EOF, T_IDENT, T_INT, T_KEYWORD, T_PUNCT, T_STRING
 _TYPE_KEYWORDS = ("int", "bool", "string")
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 
+#: Binary operator precedence, higher binds tighter (Java's levels).
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
+#: Deepest expression nesting the parser accepts (see
+#: :meth:`Parser._nest`), so that parsing, type checking and code
+#: generation of any accepted program stay within Python's default
+#: recursion limit.
+MAX_NESTING = 100
+
 
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -302,96 +323,43 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------------
 
+    def _nest(self):
+        """Enter one level of expression nesting (a parenthesised or
+        bracketed sub-expression, a call argument, a unary operand or
+        a binary right operand)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._error("expression nested too deeply")
+
     def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        expr = self.parse_and()
-        while self.check(T_PUNCT, "||"):
-            tok = self.advance()
-            rhs = self.parse_and()
-            expr = ast.Binary("||", expr, rhs, tok.line, tok.col)
+        self._nest()
+        expr = self.parse_binary(1)
+        self.depth -= 1
         return expr
 
-    def parse_and(self) -> ast.Expr:
-        expr = self.parse_bitor()
-        while self.check(T_PUNCT, "&&"):
-            tok = self.advance()
-            rhs = self.parse_bitor()
-            expr = ast.Binary("&&", expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_bitor(self) -> ast.Expr:
-        expr = self.parse_bitxor()
-        while self.check(T_PUNCT, "|"):
-            tok = self.advance()
-            rhs = self.parse_bitxor()
-            expr = ast.Binary("|", expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_bitxor(self) -> ast.Expr:
-        expr = self.parse_bitand()
-        while self.check(T_PUNCT, "^"):
-            tok = self.advance()
-            rhs = self.parse_bitand()
-            expr = ast.Binary("^", expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_bitand(self) -> ast.Expr:
-        expr = self.parse_equality()
-        while self.check(T_PUNCT, "&"):
-            tok = self.advance()
-            rhs = self.parse_equality()
-            expr = ast.Binary("&", expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_equality(self) -> ast.Expr:
-        expr = self.parse_relational()
-        while self.check(T_PUNCT, "==") or self.check(T_PUNCT, "!="):
-            tok = self.advance()
-            rhs = self.parse_relational()
-            expr = ast.Binary(tok.text, expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_relational(self) -> ast.Expr:
-        expr = self.parse_shift()
-        while (self.check(T_PUNCT, "<") or self.check(T_PUNCT, "<=")
-               or self.check(T_PUNCT, ">") or self.check(T_PUNCT, ">=")):
-            tok = self.advance()
-            rhs = self.parse_shift()
-            expr = ast.Binary(tok.text, expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_shift(self) -> ast.Expr:
-        expr = self.parse_additive()
-        while self.check(T_PUNCT, "<<") or self.check(T_PUNCT, ">>"):
-            tok = self.advance()
-            rhs = self.parse_additive()
-            expr = ast.Binary(tok.text, expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_additive(self) -> ast.Expr:
-        expr = self.parse_multiplicative()
-        while self.check(T_PUNCT, "+") or self.check(T_PUNCT, "-"):
-            tok = self.advance()
-            rhs = self.parse_multiplicative()
-            expr = ast.Binary(tok.text, expr, rhs, tok.line, tok.col)
-        return expr
-
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing over :data:`BINARY_PRECEDENCE`: every
+        operator binds its operands left-associatively."""
         expr = self.parse_unary()
-        while (self.check(T_PUNCT, "*") or self.check(T_PUNCT, "/")
-               or self.check(T_PUNCT, "%")):
-            tok = self.advance()
-            rhs = self.parse_unary()
+        while True:
+            tok = self.peek()
+            prec = (BINARY_PRECEDENCE.get(tok.text)
+                    if tok.kind == T_PUNCT else None)
+            if prec is None or prec < min_prec:
+                return expr
+            self.advance()
+            self._nest()
+            rhs = self.parse_binary(prec + 1)
+            self.depth -= 1
             expr = ast.Binary(tok.text, expr, rhs, tok.line, tok.col)
-        return expr
 
     def parse_unary(self) -> ast.Expr:
         tok = self.peek()
         if tok.is_(T_PUNCT, "-") or tok.is_(T_PUNCT, "!"):
             self.advance()
+            self._nest()
             operand = self.parse_unary()
+            self.depth -= 1
             return ast.Unary(tok.text, operand, tok.line, tok.col)
         return self.parse_postfix()
 

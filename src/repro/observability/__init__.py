@@ -27,36 +27,23 @@ Six modules, one instrumentation surface (see
   report behind ``python -m repro report``.
 """
 
-from .bloatreport import bloat_report_data, render_bloat_report
-from .flightrecorder import (DEFAULT_CAPACITY, FlightRecorder,
-                             RecorderSink, arm_signal, current_recorder,
-                             dump_current, install)
-from .metrics import (LATENCY_BUCKETS, METRICS_SCHEMA, Histogram,
-                      normalize_snapshot, snapshot, stable_json)
-from .overhead import (OverheadReport, measure_overhead,
-                       overhead_from_dict, time_untracked)
-from .telemetry import (DEFAULT_SAMPLE_INTERVAL, NULL, SCHEMA_VERSION,
-                        JsonlSink, MemorySink, NullTelemetry, PipeSink,
-                        SpanHandle, Telemetry, TraceContext, child_hub,
-                        current, emit_tracker_stats, new_trace_id,
-                        opcode_class_counts, read_jsonl, set_current,
-                        slot_collision_counts, use)
-from .trace import (Span, Trace, format_trace_report, load_trace,
-                    trace_from_events, trace_to_dict)
+from .. import _lazy_surface
 
-__all__ = [
-    "Telemetry", "NullTelemetry", "NULL", "JsonlSink", "MemorySink",
-    "PipeSink", "current", "set_current", "use", "read_jsonl",
-    "SCHEMA_VERSION", "DEFAULT_SAMPLE_INTERVAL",
-    "TraceContext", "SpanHandle", "child_hub", "new_trace_id",
-    "opcode_class_counts", "slot_collision_counts", "emit_tracker_stats",
-    "Span", "Trace", "load_trace", "trace_from_events",
-    "format_trace_report", "trace_to_dict",
-    "Histogram", "LATENCY_BUCKETS", "METRICS_SCHEMA", "snapshot",
-    "normalize_snapshot", "stable_json",
-    "FlightRecorder", "RecorderSink", "DEFAULT_CAPACITY", "install",
-    "current_recorder", "dump_current", "arm_signal",
-    "OverheadReport", "measure_overhead", "overhead_from_dict",
-    "time_untracked",
-    "render_bloat_report", "bloat_report_data",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "bloatreport": ("bloat_report_data", "render_bloat_report"),
+    "flightrecorder": ("DEFAULT_CAPACITY", "FlightRecorder", "RecorderSink",
+                       "arm_signal", "current_recorder", "dump_current",
+                       "install"),
+    "metrics": ("LATENCY_BUCKETS", "METRICS_SCHEMA", "Histogram",
+                "normalize_snapshot", "snapshot", "stable_json"),
+    "overhead": ("OverheadReport", "measure_overhead", "overhead_from_dict",
+                 "time_untracked"),
+    "telemetry": ("DEFAULT_SAMPLE_INTERVAL", "NULL", "SCHEMA_VERSION",
+                  "JsonlSink", "MemorySink", "NullTelemetry", "PipeSink",
+                  "SpanHandle", "Telemetry", "TraceContext", "child_hub",
+                  "current", "emit_tracker_stats", "new_trace_id",
+                  "opcode_class_counts", "read_jsonl", "set_current",
+                  "slot_collision_counts", "use"),
+    "trace": ("Span", "Trace", "format_trace_report", "load_trace",
+              "trace_from_events", "trace_to_dict"),
+})

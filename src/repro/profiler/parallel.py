@@ -13,8 +13,9 @@ map-reduce profiling architecture:
 
 * **map** — :class:`~repro.profiler.supervisor.SupervisedProfiler`
   runs each :class:`ProfileJob` in its own worker process; the worker
-  compiles its program, runs VM + :class:`CostTracker`, and returns a
-  compact serialized profile (format v2, graph + tracker state);
+  builds its program (a forked worker reuses the parent's compile, see
+  :func:`compile_program`), runs VM + :class:`CostTracker`, and returns
+  a compact serialized profile (format v2, graph + tracker state);
 * **reduce** — the parent deserializes and folds the shards through
   :func:`merge_graphs`, yielding one graph/state pair it can hand
   straight to the batched slicing engine and the report clients.
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 from .errors import ProfileInputError
 from .graph import DependenceGraph
 from .state import TrackerState
-from .tracker import CostTracker
 
 DEFAULT_MAX_STEPS = 2_000_000_000
 
@@ -64,10 +64,12 @@ def normalize_sampling(sampling):
 class ProfileJob:
     """One execution shard: a picklable recipe for building a program.
 
-    Workers rebuild the program from the recipe (source text, file
-    path, registered workload, or stress-generator parameters) so jobs
-    stay cheap to ship across process boundaries — compiled programs
-    never need to be pickled.
+    Workers build the program from the recipe (source text, file path,
+    registered workload, or stress-generator parameters) so jobs stay
+    cheap to ship across process boundaries — compiled programs never
+    need to be pickled.  Source and file recipes compile through
+    :func:`compile_program`, so a worker forked from a parent that
+    already compiled the same source reuses that program.
 
     ``exec_mode`` (``"interp"`` / ``"compiled"`` / ``None`` for the
     VM default) and ``sampling`` (a serialized
@@ -139,13 +141,14 @@ class ProfileJob:
                   exec_mode=self.exec_mode, sampling=self.schedule())
 
     def build(self):
-        """Compile this job's program (runs inside the worker)."""
+        """This job's program (runs inside the worker)."""
         spec = self.spec
         if self.kind == "source":
-            return _compile(spec["source"], spec["use_stdlib"])
+            return compile_program(spec["source"], spec["use_stdlib"])
         if self.kind == "file":
             with open(spec["path"]) as handle:
-                return _compile(handle.read(), spec["use_stdlib"])
+                return compile_program(handle.read(), spec["use_stdlib"],
+                                       origin=spec["path"])
         if self.kind == "workload":
             from ..workloads import get_workload
             return get_workload(spec["name"]).build(spec["variant"],
@@ -156,12 +159,36 @@ class ProfileJob:
         raise ValueError(f"unknown job kind {self.kind!r}")
 
 
-def _compile(source: str, use_stdlib: bool):
-    if use_stdlib:
-        from ..stdlib import compile_with_stdlib
-        return compile_with_stdlib(source)
-    from ..lang import compile_source
-    return compile_source(source)
+#: ``((source, use_stdlib), program)`` of this process's last compile.
+_last_compile = None
+
+
+def compile_program(source: str, use_stdlib: bool, origin: str = None):
+    """Compile MiniJ ``source`` (with the stdlib when ``use_stdlib``),
+    memoized per process on ``(source, use_stdlib)``.
+
+    The CLI compiles a program once in the parent; shard workers
+    forked from it inherit the memo and skip lex, parse, typecheck and
+    codegen.  Under ``spawn`` the memo starts empty and the worker
+    compiles from its recipe.  The returned program is shared between
+    runs (the VM only caches its compiled tiers on it).  The
+    ``compile`` span, tagged ``file=origin``, is emitted only when the
+    compile actually runs.
+    """
+    global _last_compile
+    key = (source, use_stdlib)
+    if _last_compile is not None and _last_compile[0] == key:
+        return _last_compile[1]
+    from ..observability.telemetry import current
+    with current().span("compile", file=origin):
+        if use_stdlib:
+            from ..stdlib import compile_with_stdlib
+            program = compile_with_stdlib(source)
+        else:
+            from ..lang import compile_source
+            program = compile_source(source)
+    _last_compile = (key, program)
+    return program
 
 
 # -- the reduce operator ----------------------------------------------------
@@ -406,6 +433,7 @@ def profile_jobs_sequential(jobs, slots: int = 16, phases=None,
         raise ProfileInputError(
             "no profile jobs given: profile_jobs_sequential() "
             "requires at least one ProfileJob")
+    from .tracker import CostTracker
     tracker = CostTracker(slots=slots, phases=phases, track_cr=track_cr,
                           track_control=track_control)
     metas = []

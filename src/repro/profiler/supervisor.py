@@ -51,6 +51,9 @@ from multiprocessing import connection as _mpconn
 from ..observability.telemetry import (NULL, PipeSink, child_hub,
                                        set_current)
 from ..observability.telemetry import current as _current_telemetry
+# The VM tiers every shard worker runs, imported before any fork so
+# that workers inherit them instead of each importing them again.
+from ..vm import compiled, interpreter  # noqa: F401
 from ..vm.errors import VMError
 from .checkpoint import jobs_fingerprint, load_checkpoint, write_checkpoint
 from .errors import ProfileInputError, ShardFailedError
@@ -205,7 +208,8 @@ def _run_job_salvaging(job, slots, phases, track_cr, track_control,
     graph-so-far is a valid — merely incomplete — profile; it ships
     back flagged ``partial`` with the error recorded, so one
     budget-blown shard degrades the run instead of failing it.
-    The meta records two walls: ``wall_s`` (compile + run) and
+    The meta records two walls: ``wall_s`` (build + run; the build is
+    free when the worker inherited its parent's compile) and
     ``run_wall_s`` (the tracked ``vm.run()`` alone, the number the
     ``--self-profile`` overhead ratio compares against an untracked
     run; it includes the compiled tier's first-call compilation of

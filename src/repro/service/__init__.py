@@ -17,16 +17,14 @@ format, message vocabulary, error codes, tenant and eviction
 semantics, and a worked push-then-query session.
 """
 
-from .client import ServiceClient, ShardPusher, parse_addr, read_frame_sync
-from .daemon import AnalysisDaemon
-from .protocol import (DEFAULT_MAX_FRAME, ERROR_CODES, MESSAGE_TYPES,
-                       QUERY_KINDS, FrameError, ServiceError,
-                       encode_frame)
-from .registry import TenantRegistry, TenantState, spill_filename
+from .. import _lazy_surface
 
-__all__ = [
-    "AnalysisDaemon", "TenantRegistry", "TenantState",
-    "ServiceClient", "ShardPusher", "parse_addr", "read_frame_sync",
-    "ServiceError", "FrameError", "encode_frame", "spill_filename",
-    "MESSAGE_TYPES", "QUERY_KINDS", "ERROR_CODES", "DEFAULT_MAX_FRAME",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "client": ("ServiceClient", "ShardPusher", "parse_addr",
+               "read_frame_sync"),
+    "daemon": ("AnalysisDaemon",),
+    "protocol": ("DEFAULT_MAX_FRAME", "ERROR_CODES", "MESSAGE_TYPES",
+                 "QUERY_KINDS", "FrameError", "ServiceError",
+                 "encode_frame"),
+    "registry": ("TenantRegistry", "TenantState", "spill_filename"),
+})

@@ -5,18 +5,22 @@ and the template-compiled dispatch tier (``exec_mode="compiled"``, the
 default — see :mod:`repro.vm.compiled`).
 """
 
-from .errors import (VMArithmeticError, VMBoundsError, VMError, VMLimitError,
-                     VMNullError, VMTypestateError)
-from .frames import Frame
-from .heap import Heap
-from .interpreter import (EXEC_COMPILED, EXEC_INTERP, EXEC_MODES, VM,
-                          resolve_exec_mode, run_program)
-from .values import ArrayObject, HeapObject, default_value, render_value
+from .. import _lazy_surface
 
-__all__ = [
-    "VM", "run_program", "Frame", "Heap",
-    "EXEC_COMPILED", "EXEC_INTERP", "EXEC_MODES", "resolve_exec_mode",
-    "ArrayObject", "HeapObject", "default_value", "render_value",
-    "VMError", "VMNullError", "VMBoundsError", "VMArithmeticError",
-    "VMLimitError", "VMTypestateError",
-]
+#: Execution tiers (``--exec-mode``); defined here so naming one costs
+#: no interpreter import.
+EXEC_INTERP = "interp"
+EXEC_COMPILED = "compiled"
+EXEC_MODES = (EXEC_INTERP, EXEC_COMPILED)
+
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "errors": ("VMArithmeticError", "VMBoundsError", "VMError",
+               "VMLimitError", "VMNullError", "VMTypestateError"),
+    "frames": ("Frame",),
+    "heap": ("Heap",),
+    "interpreter": ("VM", "resolve_exec_mode", "run_program"),
+    "values": ("ArrayObject", "HeapObject", "default_value",
+               "render_value"),
+    "compiled": (), "natives": (),
+})
+__all__ += ["EXEC_COMPILED", "EXEC_INTERP", "EXEC_MODES"]

@@ -58,6 +58,7 @@ from ..ir import instructions as ins
 from ..observability.telemetry import current as _current_telemetry
 from .errors import (VMArithmeticError, VMBoundsError, VMError, VMLimitError,
                      VMNullError)
+from . import EXEC_COMPILED, EXEC_INTERP, EXEC_MODES
 from .frames import Frame
 from .heap import Heap
 from .natives import lookup_native
@@ -65,10 +66,6 @@ from .values import render_value
 
 
 # -- execution modes --------------------------------------------------------
-
-EXEC_INTERP = "interp"
-EXEC_COMPILED = "compiled"
-EXEC_MODES = (EXEC_INTERP, EXEC_COMPILED)
 
 
 def resolve_exec_mode(value=None) -> str:

@@ -159,6 +159,33 @@ def test_profile_telemetry_flag(demo_file, tmp_path, capsys):
     assert "tracker" in kinds
 
 
+def test_sharded_profile_compiles_once(demo_file, tmp_path):
+    """Forked shard workers reuse the parent's compiled program: a
+    fresh ``profile --jobs 2 --runs 4`` records one compile span."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from repro.observability import read_jsonl
+    events_path = tmp_path / "events.jsonl"
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "profile", demo_file,
+         "--no-stdlib", "--jobs", "2", "--runs", "4", "--report",
+         "bloat", "--telemetry", str(events_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    events = read_jsonl(str(events_path))
+    compiles = [e for e in events
+                if e["ev"] == "span" and e["name"] == "compile"]
+    assert len(compiles) == 1
+    assert compiles[0]["file"] == demo_file
+    assert sum(e["ev"] == "span" and e["name"] == "shard.run"
+               for e in events) == 4
+
+
 def test_profile_self_profile_flag(demo_file, capsys):
     assert main(["profile", demo_file, "--no-stdlib",
                  "--report", "bloat", "--self-profile"]) == 0
@@ -296,6 +323,24 @@ class TestCleanErrors:
         assert main(["run", str(path)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "parse error" in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_digit_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "sup.mj"
+        path.write_text("class Main { static void main() "
+                        "{ int x = \u00b2; } }", encoding="utf-8")
+        assert main(["run", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "lex error" in err
+        assert "Traceback" not in err
+
+    def test_deep_nesting_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "deep.mj"
+        path.write_text("class Main { static void main() { Sys.printInt("
+                        + "(" * 5000 + "1" + ")" * 5000 + "); } }")
+        assert main(["run", str(path), "--no-stdlib"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "expression nested too deeply" in err
         assert "Traceback" not in err
 
     def test_runtime_error(self, tmp_path, capsys):

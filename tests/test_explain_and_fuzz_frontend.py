@@ -1,12 +1,22 @@
 """Tests for explain_site and frontend robustness fuzzing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_main
 from repro.analyses import analyze_cost_benefit, explain_site
-from repro.lang import CompileError, compile_source
+from repro.lang import CompileError, ParseError, compile_source, parse
+from repro.lang.parser import MAX_NESTING
 from repro.profiler import CostTracker
+
+
+def _parses(source: str) -> bool:
+    try:
+        parse(source)
+    except ParseError:
+        return False
+    return True
 
 
 class TestExplainSite:
@@ -142,6 +152,57 @@ class TestFrontendTotality:
         vm = VM(compile_source(source))
         vm.run()
         assert vm.stdout() == "7"
+
+    def test_unicode_identifiers_run(self):
+        source = ("class Main { static void main() { int \u00e9 = 4; "
+                  "int x\u00b2 = 2; Sys.printInt(\u00e9 * x\u00b2); } }")
+        from repro.vm import VM
+        vm = VM(compile_source(source))
+        vm.run()
+        assert vm.stdout() == "8"
+
+    def test_80_parens_compile(self):
+        expr = "(" * 80 + "7" + ")" * 80
+        source = (f"class Main {{ static void main() "
+                  f"{{ Sys.printInt({expr}); }} }}")
+        from repro.vm import VM
+        vm = VM(compile_source(source))
+        vm.run()
+        assert vm.stdout() == "7"
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 5000 + "7" + ")" * 5000,
+        "- " * 5000 + "7",
+        "f(" * 5000 + "7" + ")" * 5000,
+    ], ids=["parens", "unary", "calls"])
+    def test_too_deep_is_a_parse_error(self, expr):
+        source = (f"class Main {{ static int f(int x) {{ return x; }} "
+                  f"static void main() {{ Sys.printInt({expr}); }} }}")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            compile_source(source)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "(" * n + "7" + ")" * n,
+        lambda n: "- " * n + "7",
+        lambda n: "f(" * n + "7" + ")" * n,
+        lambda n: "a[" * n + "0" + "]" * n,
+        lambda n: "1 + (" * n + "6" + ")" * n,
+        lambda n: "1 + 2 * f(" * n + "5" + ")" * n,
+    ], ids=["parens", "unary", "calls", "index", "right-nested",
+            "precedence-staircase"])
+    def test_deepest_accepted_nesting_compiles(self, make):
+        """At the limit, an accepted program also typechecks and
+        generates code within the default recursion limit."""
+        def source(n):
+            return ("class Main { static int f(int x) { return x; } "
+                    "static void main() { int[] a = new int[1]; "
+                    f"Sys.printInt({make(n)}); }} }}")
+        deepest = max(n for n in range(1, MAX_NESTING + 1)
+                      if _parses(source(n)))
+        assert deepest >= MAX_NESTING // 4
+        compile_source(source(deepest))
+        with pytest.raises(ParseError, match="nested too deeply"):
+            compile_source(source(deepest + 2))
 
     def test_many_classes(self):
         classes = "\n".join(

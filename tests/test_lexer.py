@@ -42,6 +42,19 @@ class TestBasics:
         with pytest.raises(LexError, match="malformed number"):
             tokenize("12abc")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_non_ascii_digits_rejected(self, digit):
+        # str.isdigit() accepts these, but they are no MiniJ literal.
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(f"int x = {digit};")
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(f"1{digit}")
+
+    def test_unicode_identifiers_still_lex(self):
+        tokens = tokenize("\u00e9t\u00e9 x\u00b2")
+        assert [(t.kind, t.text) for t in tokens[:-1]] == [
+            (T_IDENT, "\u00e9t\u00e9"), (T_IDENT, "x\u00b2")]
+
     def test_punctuation_longest_match(self):
         assert texts("<= < << = == ++ + +=") == [
             "<=", "<", "<<", "=", "==", "++", "+", "+="]

@@ -149,6 +149,36 @@ class TestStatements:
         assert isinstance(outer.stmts[1], ast.Block)
 
 
+#: Java's binary precedence levels, loosest first.
+LEVELS = [("||",), ("&&",), ("|",), ("^",), ("&",), ("==", "!="),
+          ("<", "<=", ">", ">="), ("<<", ">>"), ("+", "-"),
+          ("*", "/", "%")]
+LEVEL = {op: level for level, ops in enumerate(LEVELS) for op in ops}
+
+
+@pytest.mark.parametrize("op1", list(LEVEL))
+@pytest.mark.parametrize("op2", list(LEVEL))
+def test_binary_operator_pair_shape(op1, op2):
+    """``a op1 b op2 c``: the tighter operator groups first, and equal
+    levels group left; each node sits at its operator's token."""
+    expr = parse_expr(f"a {op1} b {op2} c")
+    col1 = len("class Main { static void main() { int x = a ") + 1
+    col2 = col1 + len(f"{op1} b ")
+    if LEVEL[op2] > LEVEL[op1]:
+        assert (expr.op, expr.lhs.ident) == (op1, "a")
+        inner = expr.rhs
+        assert (inner.op, inner.lhs.ident, inner.rhs.ident) == \
+            (op2, "b", "c")
+        assert (expr.col, inner.col) == (col1, col2)
+    else:
+        assert (expr.op, expr.rhs.ident) == (op2, "c")
+        inner = expr.lhs
+        assert (inner.op, inner.lhs.ident, inner.rhs.ident) == \
+            (op1, "a", "b")
+        assert (inner.col, expr.col) == (col1, col2)
+    assert expr.line == inner.line == 1
+
+
 class TestExpressions:
     def test_precedence_mul_over_add(self):
         expr = parse_expr("1 + 2 * 3")
