@@ -231,7 +231,7 @@ class NullTelemetry:
         with telemetry off must not build hubs of their own."""
         return None
 
-    def vm_sample(self, vm, stack, count):  # pragma: no cover - guarded
+    def vm_sample(self, vm, stack, count, shadow=None):  # pragma: no cover
         return count + DEFAULT_SAMPLE_INTERVAL
 
     def vm_finish(self, vm):
@@ -471,22 +471,24 @@ class Telemetry:
 
     # -- VM integration ------------------------------------------------------
 
-    def vm_sample(self, vm, stack, count: int) -> int:
+    def vm_sample(self, vm, stack, count: int, shadow=None) -> int:
         """Growth sample at an instruction checkpoint; returns the next
         checkpoint.
 
         Reports executed instructions, heap allocations, live
-        shadow-location population (per-frame shadow maps plus the
+        shadow-location population (per-frame shadow maps, or
+        ``shadow`` when the caller counted them itself, plus the
         tracker's static shadow), and — when the tracer builds a
         dependence graph — Gcost node/edge counts, so node/edge growth
         and shadow-memory footprint are visible *over time*, not just
         at exit.
         """
-        shadow = 0
-        for frame in stack:
-            frame_shadow = getattr(frame, "shadow", None)
-            if frame_shadow:
-                shadow += len(frame_shadow)
+        if shadow is None:
+            shadow = 0
+            for frame in stack:
+                frame_shadow = getattr(frame, "shadow", None)
+                if frame_shadow:
+                    shadow += len(frame_shadow)
         fields = {"i": count, "heap": vm.heap.total_allocated,
                   "shadow": shadow, "frames": len(stack)}
         tracer = vm.tracer

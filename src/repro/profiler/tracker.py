@@ -22,6 +22,13 @@ instruction it
 
 Tracking can be restricted to named execution phases (``Sys.phase``),
 reproducing §4.1's reduced-overhead mode.
+
+The ``trace_*`` hooks below are the interpreter's tracer protocol.  On
+the compiled tier a run whose tracer is exactly a ``CostTracker``
+executes the *tracked* template instead (``vm/compiled.py``): it
+inlines the intra-method rules over Python locals and calls the
+hooks' node-id helpers for the rest, building the same graph, node
+numbering and tracker state.
 """
 
 from __future__ import annotations
@@ -82,6 +89,12 @@ class CostTracker(TracerBase):
         #: graph's context-annotated nodes, filled on their creation;
         #: the graph's ``(iid, d)`` map stays the source of truth.
         self._rows = {}
+        #: iid -> [node id] of a contextless predicate: the tracked
+        #: template's one-slot row for a branch.
+        self._cells = {}
+        #: method -> its rows and cells, as the tracked template binds
+        #: them once per activation (see :meth:`_method_rows`).
+        self._bound_rows = {}
         self._ret_node = None      # shadow of the value being returned
         #: branch iid -> [times taken, times not taken]; consumed by the
         #: always-true/always-false predicate client (§3.2).
@@ -147,8 +160,7 @@ class CostTracker(TracerBase):
 
         A node seen before is found through ``_rows`` -- the iid's row,
         then the slot's entry -- with no key tuple and no graph lookup;
-        only its first execution goes through
-        :meth:`DependenceGraph.node`, which numbers it.
+        only its first execution goes through :meth:`_first`.
         """
         row = self._rows.get(iid)
         if row is not None:
@@ -163,6 +175,14 @@ class CostTracker(TracerBase):
                 return node_id
         else:
             row = self._rows[iid] = [-1] * self.slots
+        return self._first(row, iid, dctx, g, flag)
+
+    def _first(self, row, iid: int, dctx: int, g: int, flag: int,
+               pred=None) -> int:
+        """First execution of ``(iid, dctx)``: number the node through
+        :meth:`DependenceGraph.node`, file it in the iid's ``row``.
+        The tracked template passes its nearest enclosing predicate
+        ``pred`` (always None without ``track_control``)."""
         node_id = row[dctx] = self.graph.node(iid, dctx, flag)
         if self.track_cr:
             gs = self._node_gs
@@ -172,13 +192,17 @@ class CostTracker(TracerBase):
                 gs[node_id] = {g}
             else:
                 gs[node_id].add(g)
+        if pred is not None:
+            self._control_dep(node_id, pred)
         return node_id
 
     def _control(self, node, frame):
         """Record the nearest enclosing predicate (control ablation)."""
         pred = frame.last_pred
-        if pred is None:
-            return
+        if pred is not None:
+            self._control_dep(node, pred)
+
+    def _control_dep(self, node, pred):
         deps = self.graph.control_deps.get(node)
         if deps is None:
             self.graph.control_deps[node] = {pred}
@@ -296,25 +320,29 @@ class CostTracker(TracerBase):
         node = self._node(instr.iid, frame.dctx, frame.g, F_ALLOC)
         if self.track_control:
             self._control(node, frame)
-        alloc_key = (instr.iid, frame.dctx)
-        self.graph.effects[node] = (EFFECT_ALLOC, alloc_key, None)
-        obj.tag = alloc_key
-        obj.shadow = {}
+        self._alloc(node, instr.iid, frame.dctx, obj)
         self._shadow(frame)[instr.dest] = node
 
     def trace_new_array(self, instr, frame, arr):
         node = self._node(instr.iid, frame.dctx, frame.g, F_ALLOC)
         if self.track_control:
             self._control(node, frame)
-        alloc_key = (instr.iid, frame.dctx)
-        self.graph.effects[node] = (EFFECT_ALLOC, alloc_key, None)
-        arr.tag = alloc_key
-        arr.shadow = {}
         shadow = self._shadow(frame)
-        src = shadow.get(instr.size)
-        if src is not None:
-            self.graph.add_edge(src, node)
+        self._new_array(node, instr.iid, frame.dctx, arr,
+                        shadow.get(instr.size))
         shadow[instr.dest] = node
+
+    def _alloc(self, node, iid, dctx, obj):
+        """Rule ALLOC: tag the object with its context-annotated site."""
+        alloc_key = (iid, dctx)
+        self.graph.effects[node] = (EFFECT_ALLOC, alloc_key, None)
+        obj.tag = alloc_key
+        obj.shadow = {}
+
+    def _new_array(self, node, iid, dctx, arr, size_src):
+        self._alloc(node, iid, dctx, arr)
+        if size_src is not None:
+            self.graph.add_edge(size_src, node)
 
     # -- field and array accesses ------------------------------------------------------
 
@@ -336,66 +364,66 @@ class CostTracker(TracerBase):
         node = self._node(instr.iid, frame.dctx, frame.g, F_HEAP_WRITE)
         if self.track_control:
             self._control(node, frame)
-        graph = self.graph
-        tag = self._tag(obj)
-        graph.effects[node] = (EFFECT_STORE, tag, instr.field)
-        shadow = self._shadow(frame)
-        src = shadow.get(instr.src)
-        if src is not None:
-            graph.add_edge(src, node)
-        if obj.shadow is None:
-            obj.shadow = {}
-        obj.shadow[instr.field] = node
-        # Reference edge to the context-matching allocation node.
-        alloc_node = graph.find(tag[0], tag[1])
-        if alloc_node is not None:
-            graph.add_ref_edge(node, alloc_node)
-        # Points-to summary for reference trees (Definition 7).
-        if value is not None and not isinstance(value, (int, str)):
-            graph.add_points_to(tag, instr.field, self._tag(value))
+        self._store(node, obj, instr.field, instr.field, value,
+                    self._shadow(frame).get(instr.src), None)
 
     def trace_array_load(self, instr, frame, arr, idx):
         node = self._node(instr.iid, frame.dctx, frame.g, F_HEAP_READ)
         if self.track_control:
             self._control(node, frame)
-        graph = self.graph
-        tag = self._tag(arr)
-        graph.effects[node] = (EFFECT_LOAD, tag, ELM)
         shadow = self._shadow(frame)
+        self._array_load(node, arr, idx, shadow.get(instr.idx))
+        shadow[instr.dest] = node
+
+    def _array_load(self, node, arr, idx, idx_src):
+        graph = self.graph
+        graph.effects[node] = (EFFECT_LOAD, arr.tag or self._tag(arr), ELM)
+        succs = graph.succs
         arr_shadow = arr.shadow
         if arr_shadow is not None:
             src = arr_shadow.get(idx)
-            if src is not None:
+            if src is not None and node not in succs[src]:
                 graph.add_edge(src, node)
         # The index is a use ("the index used to locate the element is
         # still considered to be used").
-        src = shadow.get(instr.idx)
-        if src is not None:
-            graph.add_edge(src, node)
-        shadow[instr.dest] = node
+        if idx_src is not None and node not in succs[idx_src]:
+            graph.add_edge(idx_src, node)
 
     def trace_array_store(self, instr, frame, arr, idx, value):
         node = self._node(instr.iid, frame.dctx, frame.g, F_HEAP_WRITE)
         if self.track_control:
             self._control(node, frame)
-        graph = self.graph
-        tag = self._tag(arr)
-        graph.effects[node] = (EFFECT_STORE, tag, ELM)
         shadow = self._shadow(frame)
-        src = shadow.get(instr.src)
-        if src is not None:
+        self._store(node, arr, ELM, idx, value, shadow.get(instr.src),
+                    shadow.get(instr.idx))
+
+    def _store(self, node, obj, field, key, value, src, idx_src):
+        """Rule STORE FIELD (and its array-element form) for ``node``.
+
+        ``field`` names the effect's field (``ELM`` for an element) and
+        ``key`` the shadow slot written (the field name, or the index);
+        ``src`` and ``idx_src`` are the stored value's and the index's
+        shadows (None when untracked, or for a field store's index).
+        """
+        graph = self.graph
+        tag = obj.tag or self._tag(obj)
+        graph.effects[node] = (EFFECT_STORE, tag, field)
+        succs = graph.succs
+        if src is not None and node not in succs[src]:
             graph.add_edge(src, node)
-        src = shadow.get(instr.idx)
-        if src is not None:
-            graph.add_edge(src, node)
-        if arr.shadow is None:
-            arr.shadow = {}
-        arr.shadow[idx] = node
-        alloc_node = graph.find(tag[0], tag[1])
+        if idx_src is not None and node not in succs[idx_src]:
+            graph.add_edge(idx_src, node)
+        shadow = obj.shadow
+        if shadow is None:
+            shadow = obj.shadow = {}
+        shadow[key] = node
+        # Reference edge to the context-matching allocation node.
+        alloc_node = graph.find(*tag)
         if alloc_node is not None:
             graph.add_ref_edge(node, alloc_node)
+        # Points-to summary for reference trees (Definition 7).
         if value is not None and not isinstance(value, (int, str)):
-            graph.add_points_to(tag, ELM, self._tag(value))
+            graph.add_points_to(tag, field, value.tag or self._tag(value))
 
     # -- calls ------------------------------------------------------------------------
 
@@ -424,16 +452,18 @@ class CostTracker(TracerBase):
             callee_frame.last_pred = caller_frame.last_pred
 
     def trace_return(self, instr, frame):
-        if instr.src is not None:
-            node = self._shadow(frame).get(instr.src)
-            self._ret_node = node
-            if node is not None:
-                nodes = self.return_nodes.get(instr.iid)
-                if nodes is None:
-                    nodes = self.return_nodes[instr.iid] = set()
-                nodes.add(node)
-        else:
-            self._ret_node = None
+        self._return(instr.iid, None if instr.src is None
+                     else self._shadow(frame).get(instr.src))
+
+    def _return(self, iid, node):
+        """Rule RETURN: ``node`` (the returned value's shadow) waits
+        for the caller's :meth:`trace_call_complete`."""
+        self._ret_node = node
+        if node is not None:
+            nodes = self.return_nodes.get(iid)
+            if nodes is None:
+                nodes = self.return_nodes[iid] = set()
+            nodes.add(node)
 
     def trace_call_complete(self, instr, caller_frame):
         if instr.dest is not None and self._ret_node is not None:
@@ -443,15 +473,49 @@ class CostTracker(TracerBase):
     # -- natives ------------------------------------------------------------------------
 
     def trace_native(self, instr, frame):
-        node = self.graph.node(instr.iid, CONTEXTLESS, F_NATIVE)
         shadow = self._shadow(frame)
-        graph = self.graph
-        for arg in instr.args:
-            src = shadow.get(arg)
-            if src is not None:
-                graph.add_edge(src, node)
+        node = self._native(instr.iid, [shadow.get(arg) for arg in instr.args])
         if instr.dest is not None:
             shadow[instr.dest] = node
+
+    def _native(self, iid, srcs) -> int:
+        """Contextless consumer node of a native call; ``srcs`` are the
+        argument shadows."""
+        graph = self.graph
+        node = graph.node(iid, CONTEXTLESS, F_NATIVE)
+        for src in srcs:
+            if src is not None:
+                graph.add_edge(src, node)
+        return node
+
+    # -- tracked template support -----------------------------------------------------
+    #
+    # The compiled tier's tracked template (``vm/compiled.py``) inlines
+    # the intra-method rules above over Python locals.  For the cold or
+    # heavy parts it calls the helpers the hooks share -- ``_first``,
+    # ``_control_dep``, ``_alloc``, ``_new_array``, ``_store``,
+    # ``_array_load``, ``_native``, ``_return`` -- which take node ids
+    # and values, never frames, and the two below, which only it uses.
+
+    def _method_rows(self, method, iids, predicate_iids) -> tuple:
+        """The rows of a method's context-annotated instructions
+        (``iids``), then the cells of its branches, created on the
+        method's first activation and bound by every later one."""
+        rows, slots = self._rows, self.slots
+        bound = [rows.get(iid) or rows.setdefault(iid, [-1] * slots)
+                 for iid in iids]
+        cells = self._cells
+        bound.extend(cells.get(iid) or cells.setdefault(iid, [-1])
+                     for iid in predicate_iids)
+        bound = self._bound_rows[method] = tuple(bound)
+        return bound
+
+    def _predicate(self, cell, iid) -> int:
+        """First execution of branch ``iid`` under this tracker."""
+        node = cell[0] = self.graph.node(iid, CONTEXTLESS, F_PREDICATE)
+        if iid not in self.branch_outcomes:
+            self.branch_outcomes[iid] = [0, 0]
+        return node
 
     # -- statistics -----------------------------------------------------------------------
 

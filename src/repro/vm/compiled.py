@@ -5,23 +5,34 @@ executed instruction: fetch through ``frame.pc``, an opcode ladder, and
 operand-name lookups on the instruction object.  This module removes
 that toll by compiling every finalized method into a specialized Python
 generator function.  A program's tier is built once: every method's
-source is emitted (and its shape checked) up front, and each method is
-compiled to a function on its first call:
+shape is checked up front, and each method is emitted and compiled to
+a function on its first call.  Three template variants exist; the
+tracer's type selects one per run:
 
-* **operand accessors precompiled** -- in the untraced template every
-  virtual register becomes a Python local; in the traced template the
-  register file stays the interpreter's ``frame.regs`` dict so tracer
-  hooks observe the exact interpreter frame protocol,
-* **constants folded** -- instruction fields (operator, field name,
-  literal value, branch targets, resolved call targets, class objects,
-  natives) are baked into the generated source or bound once in the
-  module namespace,
-* **tracker calls fused per opcode** -- the traced template binds each
-  opcode's hook to one local (``CostTracker._instr_dispatch`` handlers
-  when the tracker exposes them, the public ``trace_*`` protocol
-  otherwise) guarded by a single hoisted ``traced`` flag,
-* the untraced template contains **zero tracking branches**: no
-  ``traced`` flag, no hook calls, nothing to predict.
+* **plain** (no tracer; untracked sampling bursts) -- every virtual
+  register is a Python local, and the template contains **zero
+  tracking branches**: no ``traced`` flag, no hooks, nothing to predict;
+* **tracked** (the tracer is exactly
+  :class:`~repro.profiler.tracker.CostTracker`) -- registers *and their
+  shadow nodes* are locals, and the paper's Figure-4 rules are emitted
+  inline: an intra-method instruction or ``LOAD_FIELD`` finds its node
+  in its iid's row (rows are bound once per activation), bumps its
+  frequency, tests its def-use edges against the source nodes'
+  successor sets and stores its shadow, with no call on the hot path;
+  heap stores, array accesses, allocations, natives and returns call
+  tracker helpers that take node ids and values.  A call hands the
+  argument shadows to the callee on its frame; a return leaves its
+  node with the tracker for the caller's resume;
+* **traced** (every other tracer) -- the register file stays the
+  interpreter's ``frame.regs`` dict and each instruction calls the
+  tracer's public ``trace_*`` hook, so tracers observe the exact
+  interpreter frame protocol.
+
+Instruction fields (operator, field name, literal value, branch
+targets, resolved call targets, class objects, natives) are baked into
+the generated source or bound once in the module namespace, and the
+tracked and traced variants guard tracking with one hoisted ``traced``
+flag.
 
 Control flow is compiled to basic blocks dispatched by a small integer
 ``_L`` inside one ``while True`` loop; calls suspend the generator with
@@ -38,19 +49,24 @@ current and phases closed, and the tracker's graph-so-far remains a
 salvageable partial profile.
 
 Burst sampling (``VM(sampling=...)``) selects the template *per
-activation*: calls spawned while the tracking window is off run the
-untraced template at full speed; calls spawned inside a window (and the
-entry activation) run the traced template, whose hoisted flag follows
-the window toggles.  The driver maintains the receiver-context chain
-across untraced activations so tracked windows keep the paper's
-context-annotated node identities.
+activation*: an activation spawned while the tracking window is off
+runs the plain template at full speed until it returns, and stays
+untracked even if a window opens meanwhile; one spawned inside a window
+(and the entry activation) runs the tracer's template, whose hoisted
+flag follows the window toggles.  The interpreter follows the same
+rule, so sampled profiles agree across tiers.  The trampoline maintains
+the receiver-context chain across plain activations so tracked windows
+keep the paper's context-annotated node identities; the tracked
+template re-reads its frame's context after every checkpoint, native
+and call return, because a window opening rebuilds the chain.
 
 Methods whose shapes the templates do not cover (no return instruction,
 execution falling off the end of the body, unknown operators) mark the
 whole program unsupported and the VM transparently falls back to the
-interpreter tier.  Shapes are checked when the sources are emitted, so
-a method that is never called decides the fallback exactly as one that
-is.
+interpreter tier.  Every method's shape is checked when the program's
+first tier is built, so a method that is never called decides the
+fallback exactly as one that is; each method's source is then emitted
+and compiled on its first call.
 """
 
 from __future__ import annotations
@@ -64,19 +80,126 @@ from .natives import lookup_native
 
 VARIANT_PLAIN = "plain"
 VARIANT_TRACED = "traced"
+VARIANT_TRACKED = "tracked"
 
 #: rt.hooks index for ``trace_call_complete`` (past the opcode range).
 HOOK_CALL_COMPLETE = ins.OP_INTRINSIC + 1
 
-#: Opcodes whose interpreter hook is ``trace_instr`` (fusable through
-#: ``CostTracker._instr_dispatch``).
+#: Opcodes whose interpreter hook is ``trace_instr``.
 _INSTR_HOOK_OPS = (ins.OP_CONST, ins.OP_MOVE, ins.OP_BINOP, ins.OP_UNOP,
                    ins.OP_INTRINSIC, ins.OP_BRANCH, ins.OP_ARRAY_LEN,
                    ins.OP_LOAD_STATIC, ins.OP_STORE_STATIC)
 
+#: What the tracked template binds from ``rt.env`` per activation (see
+#: :func:`_tracked_env`, which builds the values in this order).
+_TRACKED_ENV = ("_fire", "_tr", "tk", "freq", "flags", "sc", "ngs", "cr",
+                "ctl", "slots", "fx", "bo", "ss", "_br", "_nn", "_pn", "_ae",
+                "_cd", "_tg", "_nob", "_nar", "_st", "_ald", "_nat", "_ret")
+
+
+def _tracked_env(rt, tracker) -> tuple:
+    fire, traced_now = rt.fire, rt.traced_now
+
+    def fire_tracked(count, instr, frame):
+        return (fire(count, instr, frame), traced_now(),
+                frame.g, frame.dctx)
+
+    graph = tracker.graph
+    return (fire_tracked, traced_now, tracker, graph.freq, graph.flags,
+            graph.succs, tracker._node_gs, tracker.track_cr,
+            tracker.track_control, tracker.slots, graph.effects,
+            tracker.branch_outcomes, tracker._static_shadow,
+            tracker._bound_rows, tracker._first, tracker._predicate,
+            graph.add_edge, tracker._control_dep, tracker._tag,
+            tracker._alloc, tracker._new_array, tracker._store,
+            tracker._array_load, tracker._native, tracker._return)
+
+
+def _live_shadow(gens) -> int:
+    """Shadow locations held by the tracked activations on the stack.
+
+    Their shadows are Python locals named ``s<n>``; this cold path (one
+    telemetry growth sample) counts the bound ones, which is what the
+    interpreter's per-frame shadow maps hold.
+    """
+    total = 0
+    for gen, tracked in gens:
+        frame = gen.gi_frame
+        if tracked and frame is not None:
+            total += sum(1 for name, node in frame.f_locals.items()
+                         if node is not None and name[0] == "s"
+                         and name[1:].isdigit())
+    return total
+
 
 class UnsupportedShape(Exception):
     """A method the templates cannot compile; triggers interp fallback."""
+
+
+#: Opcodes that end a basic block.
+_TERMINATORS = (ins.OP_BRANCH, ins.OP_JUMP, ins.OP_RETURN)
+
+#: What the templates can express (see _MethodEmitter._emit_instr).
+_OPCODES = frozenset(range(ins.OP_CONST, ins.OP_INTRINSIC + 1))
+_BINOPS = frozenset(("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==",
+                     "!=", "&", "|", "^", "<<", ">>", ins.BIN_CONCAT))
+_INTRINSICS = frozenset((ins.INTR_SLEN, ins.INTR_SCHARAT, ins.INTR_SEQ,
+                         ins.INTR_SHASH, ins.INTR_ITOS, ins.INTR_CHR,
+                         ins.INTR_SCMP))
+
+
+def _blocks(method):
+    """``method``'s basic blocks as ``(leader, instructions, next)``.
+
+    ``next`` is the index a block falls through to, or None when its
+    last instruction is a terminator.  Instructions no block reaches
+    by position (dead code after a terminator) are left out, as the
+    templates leave them out.
+    """
+    body = method.body
+    name = method.qualified_name
+    if not body:
+        raise UnsupportedShape(f"{name}: empty body")
+    if not any(i.op == ins.OP_RETURN for i in body):
+        raise UnsupportedShape(f"{name}: no return instruction")
+    leaders = {0}
+    for instr in body:
+        if instr.op == ins.OP_BRANCH:
+            leaders.add(instr.then_index)
+            leaders.add(instr.else_index)
+        elif instr.op == ins.OP_JUMP:
+            leaders.add(instr.target_index)
+    blocks = []
+    for leader in sorted(leaders):
+        i = leader
+        instrs = []
+        while i < len(body) and (i == leader or i not in leaders):
+            instrs.append(body[i])
+            if body[i].op in _TERMINATORS:
+                break
+            i += 1
+        else:
+            if i >= len(body):
+                raise UnsupportedShape(f"{name}: execution can fall off "
+                                       f"the end of the body")
+            blocks.append((leader, instrs, i))
+            continue
+        blocks.append((leader, instrs, None))
+    return blocks
+
+
+def _check_shape(method):
+    """Raise :class:`UnsupportedShape` unless every variant's template
+    can express ``method``."""
+    for _, instrs, _ in _blocks(method):
+        for instr in instrs:
+            op = instr.op
+            if (op not in _OPCODES
+                    or op == ins.OP_BINOP and instr.binop not in _BINOPS
+                    or op == ins.OP_INTRINSIC
+                    and instr.intr not in _INTRINSICS):
+                raise UnsupportedShape(
+                    f"{method.qualified_name}: cannot compile {instr}")
 
 
 class _Binder:
@@ -120,10 +243,13 @@ class _MethodEmitter:
         self.method = method
         self.fname = fname
         self.traced = variant == VARIANT_TRACED
+        self.tracked = variant == VARIANT_TRACKED
         self.binder = binder
         self.lines = []
         self._mangled = {}
         self._used_hooks = set()
+        self._rows = []       # iids of context-annotated nodes -> w<n>
+        self._cells = []      # branch iids -> c<n>
 
     # -- small helpers ---------------------------------------------------
 
@@ -136,6 +262,10 @@ class _MethodEmitter:
             mangled = self._mangled[name] = f"r{len(self._mangled)}"
         return mangled
 
+    def shadow(self, name: str) -> str:
+        """The tracked template's shadow local of register ``name``."""
+        return "s" + self.reg(name)[1:]
+
     def iname(self, instr) -> str:
         return self.binder.bind(instr, "i")
 
@@ -144,46 +274,40 @@ class _MethodEmitter:
 
     def check(self, d: int, instr):
         """The fused budget / telemetry / sampling checkpoint."""
-        self.emit(d, "count += 1")
-        tail = "; traced = _tr()" if self.traced else ""
-        self.emit(d, f"if count > limit: "
-                     f"limit = _fire(count, {self.iname(instr)}, frame){tail}")
+        fire = f"_fire(count, {self.iname(instr)}, frame)"
+        if self.tracked:
+            # The tracked template's _fire also re-reads the flag and
+            # the frame's context (a window opening rebuilds it).
+            fire = f"limit, traced, g, dctx = {fire}"
+        elif self.traced:
+            fire = f"limit = {fire}; traced = _tr()"
+        else:
+            fire = f"limit = {fire}"
+        self.emit(d, f"if (count := count + 1) > limit: {fire}")
 
     def hook(self, d: int, instr, args: str = ""):
-        if not self.traced:
-            return
-        op = instr.op
-        self._used_hooks.add(op)
-        self.emit(d, f"if traced: _hk{op}({self.iname(instr)}, frame{args})")
+        """Track ``instr`` after it ran: its hook, or its inline rule."""
+        if self.tracked:
+            self.emit(d, "if traced:")
+            self._emit_rule(d + 1, instr)
+        elif self.traced:
+            op = instr.op
+            self._used_hooks.add(op)
+            self.emit(d, f"if traced: _hk{op}({self.iname(instr)}, "
+                         f"frame{args})")
 
     # -- emission --------------------------------------------------------
 
     def source(self) -> str:
-        body = self.method.body
-        if not body:
-            raise UnsupportedShape(
-                f"{self.method.qualified_name}: empty body")
-        if not any(i.op == ins.OP_RETURN for i in body):
-            raise UnsupportedShape(
-                f"{self.method.qualified_name}: no return instruction")
-
-        leaders = {0}
-        for instr in body:
-            if instr.op == ins.OP_BRANCH:
-                leaders.add(instr.then_index)
-                leaders.add(instr.else_index)
-            elif instr.op == ins.OP_JUMP:
-                leaders.add(instr.target_index)
-
-        # Body first: discovers mangled registers and used hooks, both
-        # needed by the prologue.
+        # Body first: discovers mangled registers, used hooks and node
+        # rows, all needed by the prologue.
         self.lines = []
-        self._emit_blocks(body, sorted(leaders))
+        self._emit_blocks()
         block_lines = self.lines
 
         self.lines = []
         self.emit(0, f"def {self.fname}(rt, frame, count, limit):")
-        self._emit_prologue(body)
+        self._emit_prologue()
         self.emit(1, "try:")
         self.emit(2, "_L = 0")
         self.emit(2, "while True:")
@@ -195,9 +319,10 @@ class _MethodEmitter:
         self.emit(2, "raise")
         return "\n".join(self.lines) + "\n"
 
-    def _emit_prologue(self, body):
+    def _emit_prologue(self):
         self.emit(1, "vm = rt.vm")
-        self.emit(1, "_fire = rt.fire")
+        if not self.tracked:
+            self.emit(1, "_fire = rt.fire")
         if self.traced:
             self.emit(1, "regs = frame.regs")
             self.emit(1, "_tr = rt.traced_now")
@@ -205,41 +330,55 @@ class _MethodEmitter:
             self.emit(1, "_hooks = rt.hooks")
             for op in sorted(self._used_hooks):
                 self.emit(1, f"_hk{op} = _hooks[{op}]")
-        else:
-            # Entry registers (receiver + parameters) become locals.
-            entry_regs = []
-            if not self.method.is_static:
-                entry_regs.append("this")
-            entry_regs.extend(name for name, _ in self.method.params)
-            bound = [name for name in entry_regs if name in self._mangled]
-            if bound:
-                self.emit(1, "_rg = frame.regs")
-                for name in bound:
-                    self.emit(1, f"{self.reg(name)} = _rg[{name!r}]")
+            return
+        # Entry registers (receiver + parameters) become locals.
+        entry_regs = []
+        if not self.method.is_static:
+            entry_regs.append("this")
+        entry_regs.extend(name for name, _ in self.method.params)
+        bound = [name for name in entry_regs if name in self._mangled]
+        if self.tracked:
+            self._emit_tracked_prologue(entry_regs)
+        if bound:
+            self.emit(1, "_rg = frame.regs")
+            for name in bound:
+                self.emit(1, f"{self.reg(name)} = _rg[{name!r}]")
 
-    def _emit_blocks(self, body, leaders):
-        leader_set = set(leaders)
-        for pos, leader in enumerate(leaders):
+    def _emit_tracked_prologue(self, entry_regs):
+        self.emit(1, f"{', '.join(_TRACKED_ENV)} = rt.env")
+        self.emit(1, "traced = _tr()")
+        self.emit(1, "g = frame.g; dctx = frame.dctx; lp = frame.last_pred")
+        names = ([f"w{n}" for n in range(len(self._rows))]
+                 + [f"c{n}" for n in range(len(self._cells))])
+        if names:
+            mname = self.binder.bind(self.method, "m")
+            self.emit(1, f"{', '.join(names)}, = _br.get({mname}) or "
+                         f"tk._method_rows({mname}, {tuple(self._rows)}, "
+                         f"{tuple(self._cells)})")
+        # Every entry register gets its shadow local, used or not: the
+        # caller hands over one shadow per argument (see _emit_call).
+        entry = [self.shadow(name) for name in entry_regs]
+        others = sorted({self.shadow(name) for name in self._mangled}
+                        - set(entry), key=lambda s: int(s[1:]))
+        if others:
+            self.emit(1, " = ".join(others) + " = None")
+        if entry:
+            nones = "None, " * len(entry)
+            self.emit(1, f"{', '.join(entry)}, = frame.shadow or ({nones})")
+
+    def _emit_blocks(self):
+        for pos, (leader, instrs, fall_through) in enumerate(
+                _blocks(self.method)):
             kw = "if" if pos == 0 else "elif"
             self.emit(3, f"{kw} _L == {leader}:")
-            i = leader
-            terminated = False
-            while i < len(body) and (i == leader or i not in leader_set):
-                instr = body[i]
-                terminated = self._emit_instr(4, instr)
-                if terminated:
-                    break
-                i += 1
-            if not terminated:
-                if i >= len(body):
-                    raise UnsupportedShape(
-                        f"{self.method.qualified_name}: execution can fall "
-                        f"off the end of the body")
-                self.emit(4, f"_L = {i}")
+            for instr in instrs:
+                self._emit_instr(4, instr)
+            if fall_through is not None:
+                self.emit(4, f"_L = {fall_through}")
                 self.emit(4, "continue")
 
-    def _emit_instr(self, d: int, instr) -> bool:
-        """Emit one instruction; True if it terminates the block."""
+    def _emit_instr(self, d: int, instr):
+        """Emit one instruction."""
         op = instr.op
         R = self.reg
         iname = self.iname(instr)
@@ -268,12 +407,10 @@ class _MethodEmitter:
                          f"else {instr.else_index}")
             self.hook(d, instr)
             self.emit(d, "continue")
-            return True
 
         elif op == ins.OP_JUMP:
             self.emit(d, f"_L = {instr.target_index}")
             self.emit(d, "continue")
-            return True
 
         elif op == ins.OP_LOAD_FIELD:
             self.emit(d, f"_o = {R(instr.obj)}")
@@ -365,12 +502,108 @@ class _MethodEmitter:
             value = R(instr.src) if instr.src is not None else "None"
             self.emit(d, f"yield (None, {value}, count, limit)")
             self.emit(d, "return")
-            return True
 
         else:
             raise UnsupportedShape(
                 f"{self.method.qualified_name}: unknown opcode {op}")
-        return False
+
+    # -- the tracked template's inline Figure-4 rules ----------------------
+
+    def _emit_rule(self, d: int, instr):
+        """``instr``'s tracking rule, run when the ``traced`` flag is on.
+
+        Mirrors :class:`~repro.profiler.tracker.CostTracker`'s hooks
+        step for step (node, control dependence, edges in the hooks'
+        order, effects, shadow), so the graph, its node numbering and
+        the tracker state are the ones the hooks build.
+        """
+        from ..profiler.graph import (ELM, EFFECT_LOAD, F_ALLOC,
+                                      F_HEAP_READ, F_HEAP_WRITE)
+        op = instr.op
+        S = self.shadow
+        if op == ins.OP_BRANCH:
+            cell = f"c{len(self._cells)}"
+            self._cells.append(instr.iid)
+            cond = S(instr.cond)
+            self.emit(d, f"if (_k := {cell}[0]) < 0: "
+                         f"_k = _pn({cell}, {instr.iid})")
+            self.emit(d, "else: freq[_k] += 1")
+            self._edge(d, cond)
+            self.emit(d, f"bo[{instr.iid}][0 if {self.reg(instr.cond)} "
+                         f"else 1] += 1")
+            self.emit(d, "if ctl: lp = _k")
+            return
+        if op == ins.OP_RETURN:
+            node = S(instr.src) if instr.src is not None else "None"
+            self.emit(d, f"_ret({instr.iid}, {node})")
+            return
+        flag = {ins.OP_LOAD_FIELD: F_HEAP_READ, ins.OP_LOAD_STATIC:
+                F_HEAP_READ, ins.OP_ARRAY_LOAD: F_HEAP_READ,
+                ins.OP_STORE_FIELD: F_HEAP_WRITE, ins.OP_STORE_STATIC:
+                F_HEAP_WRITE, ins.OP_ARRAY_STORE: F_HEAP_WRITE,
+                ins.OP_NEW_OBJECT: F_ALLOC,
+                ins.OP_NEW_ARRAY: F_ALLOC}.get(op, 0)
+        row = f"w{len(self._rows)}"
+        self._rows.append(instr.iid)
+        # First execution: the helper numbers the node.  Repeats: its
+        # frequency, flag (a tracker profiling several builds of one
+        # program may meet an iid under another opcode), CR context
+        # and (track_control only: ``lp`` stays None otherwise)
+        # control dependence, inline.
+        self.emit(d, f"if (_k := {row}[dctx]) < 0: "
+                     f"_k = _nn({row}, {instr.iid}, dctx, g, {flag}, lp)")
+        mark = f" flags[_k] |= {flag};" if flag else ""
+        self.emit(d, f"else: freq[_k] += 1;{mark} cr and ngs[_k].add(g); "
+                     f"lp is None or _cd(_k, lp)")
+        if op in (ins.OP_MOVE, ins.OP_UNOP):
+            self._edge(d, S(instr.src))
+        elif op == ins.OP_BINOP:
+            self._edge(d, S(instr.lhs))
+            self._edge(d, S(instr.rhs))
+        elif op == ins.OP_INTRINSIC:
+            for arg in instr.args:
+                self._edge(d, S(arg))
+        elif op == ins.OP_ARRAY_LEN:
+            self._edge(d, S(instr.arr))
+        elif op == ins.OP_LOAD_STATIC:
+            self.emit(d, f"_x = ss.get({(instr.class_name, instr.field)!r})")
+            self._edge(d, "_x")
+        elif op == ins.OP_STORE_STATIC:
+            self._edge(d, S(instr.src))
+            self.emit(d, f"ss[{(instr.class_name, instr.field)!r}] = _k")
+            return
+        elif op == ins.OP_LOAD_FIELD:
+            field = repr(instr.field)
+            self.emit(d, f"fx[_k] = ({EFFECT_LOAD!r}, _o.tag or _tg(_o), "
+                         f"{field})")
+            self.emit(d, "_x = _o.shadow")
+            self.emit(d, f"if _x is not None: _x = _x.get({field})")
+            self._edge(d, "_x")
+        elif op == ins.OP_STORE_FIELD:
+            field = repr(instr.field)
+            self.emit(d, f"_st(_k, _o, {field}, {field}, _v, "
+                         f"{S(instr.src)}, None)")
+            return
+        elif op == ins.OP_ARRAY_LOAD:
+            self.emit(d, f"_ald(_k, _o, _x, {S(instr.idx)})")
+        elif op == ins.OP_ARRAY_STORE:
+            self.emit(d, f"_st(_k, _o, {ELM!r}, _x, _v, {S(instr.src)}, "
+                         f"{S(instr.idx)})")
+            return
+        elif op == ins.OP_NEW_OBJECT:
+            self.emit(d, f"_nob(_k, {instr.iid}, dctx, _o)")
+        elif op == ins.OP_NEW_ARRAY:
+            self.emit(d, f"_nar(_k, {instr.iid}, dctx, _o, "
+                         f"{S(instr.size)})")
+        self.emit(d, f"{S(instr.dest)} = _k")
+
+    def _edge(self, d: int, src: str):
+        """Def-use edge from the node in local ``src`` to node ``_k``;
+        only a new edge pays for a call."""
+        self.emit(d, f"if {src} is not None and _k not in sc[{src}]: "
+                     f"_ae({src}, _k)")
+
+    # -- operators ---------------------------------------------------------
 
     def _emit_binop(self, d: int, instr, iname: str):
         R = self.reg
@@ -505,10 +738,21 @@ class _MethodEmitter:
             self._used_hooks.add(ins.OP_CALL)
             self.emit(d, f"if traced: _hk{ins.OP_CALL}({iname}, frame, "
                          f"_cf, {recv_expr})")
+        elif self.tracked:
+            # Rule METHOD ENTRY: one shadow per entry register of the
+            # callee (receiver first), then the receiver chain.
+            entry = ([instr.recv] if instr.recv is not None else [])
+            shadows = "".join(f"{self.shadow(r)}, " for r in
+                              entry + list(instr.args))
+            context = ("_cf.g = _g = _xc(g, _r.site); _cf.dctx = _g % slots"
+                       if instr.recv is not None
+                       else "_cf.g = g; _cf.dctx = g % slots")
+            self.emit(d, f"if traced: _cf.shadow = ({shadows}); "
+                         f"_cf.last_pred = lp; {context}")
         self.emit(d, f"_p = yield ({target_expr}, _cf, count, limit)")
         self.emit(d, "count = _p[1]")
         self.emit(d, "limit = _p[2]")
-        if self.traced:
+        if self.traced or self.tracked:
             # The driver refreshes the hoisted flag in the resume
             # message -- one expression evaluated trampoline-side
             # instead of a closure call per return.
@@ -519,6 +763,15 @@ class _MethodEmitter:
             self._used_hooks.add(HOOK_CALL_COMPLETE)
             self.emit(d, f"if traced: _hk{HOOK_CALL_COMPLETE}"
                          f"({iname}, frame)")
+        elif self.tracked:
+            # The callee's return left its node on the tracker.
+            self.emit(d, "if traced:")
+            self.emit(d + 1, "g = frame.g; dctx = frame.dctx")
+            if instr.dest is not None:
+                self.emit(d + 1, "_k = tk._ret_node")
+                self.emit(d + 1, f"if _k is not None: "
+                                 f"{self.shadow(instr.dest)} = _k")
+            self.emit(d + 1, "tk._ret_node = None")
 
     def _emit_native(self, d: int, instr, iname: str):
         R = self.reg
@@ -533,11 +786,20 @@ class _MethodEmitter:
         if instr.dest is not None:
             self.emit(d, f"{R(instr.dest)} = _v")
         # A native may move a sampling boundary (Sys.phase resets the
-        # window cursor) and may toggle phase-restricted tracking.
+        # window cursor, and may rebuild contexts) and may toggle
+        # phase-restricted tracking.
         self.emit(d, "limit = rt.limit")
         if self.traced:
             self.emit(d, "traced = _tr()")
-        self.hook(d, instr)
+            self.hook(d, instr)
+        elif self.tracked:
+            self.emit(d, "traced = _tr()")
+            shadows = "".join(f"{self.shadow(a)}, " for a in instr.args)
+            node = f"_nat({instr.iid}, ({shadows}))"
+            if instr.dest is not None:
+                node = f"{self.shadow(instr.dest)} = {node}"
+            self.emit(d, f"if traced: g = frame.g; dctx = frame.dctx; "
+                         f"{node}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,72 +809,101 @@ class _MethodEmitter:
 class _LazyTier(dict):
     """``{MethodDef: generator function}``, compiling on first lookup.
 
-    Every method's source is emitted up front (that is where
-    :class:`UnsupportedShape` is raised), but ``compile()`` + ``exec``
-    run only when a method is first looked up, so a run pays for the
-    templates of the methods it executes.  All methods share one
-    module namespace: the runtime constants the emitters bound and the
-    functions compiled so far.
+    A method's source is emitted and run through ``compile()`` +
+    ``exec`` only when the method is first looked up, so a run pays
+    for the templates of the methods it executes.  All methods share
+    one module namespace: the runtime constants the emitters bound and
+    the functions compiled so far.
     """
 
-    def __init__(self, sources, namespace, filename: str):
+    def __init__(self, program, variant: str):
         super().__init__()
-        self._sources = sources        # MethodDef -> (fname, source)
-        self._ns = namespace
-        self._filename = filename
+        ns = self._ns = _base_namespace()
+        ns["_program"] = program
+        if variant == VARIANT_TRACKED:
+            from ..profiler.context import extend_context
+            ns["_xc"] = extend_context
+        self._binder = _Binder(ns)
+        self._variant = variant
+        self._filename = f"<repro-compiled:{variant}>"
+        #: MethodDef -> generated function name, for methods not yet
+        #: compiled.
+        self._pending = {}
+        for cls in sorted(program.classes.values(), key=lambda c: c.name):
+            for method in sorted(cls.methods.values(),
+                                 key=lambda m: m.name):
+                self._pending[method] = f"_fn{len(self._pending)}"
 
     def __missing__(self, method):
-        fname, source = self._sources.pop(method)
+        fname = self._pending.pop(method)
+        source = _MethodEmitter(method, fname, self._variant,
+                                self._binder).source()
         exec(compile(source, self._filename, "exec"), self._ns)
         fn = self[method] = self._ns[fname]
         return fn
 
     def compile_all(self):
         """Compile every method not compiled yet."""
-        for method in list(self._sources):
+        for method in list(self._pending):
             self[method]
 
 
 def compiled_tier(program, variant: str):
     """The ``{MethodDef: generator function}`` tier for ``variant``.
 
-    Built on first use and cached on the program.  Building emits
-    every method's source, which checks every shape; each method's
-    function is then compiled on its first lookup (see
-    :class:`_LazyTier`).  Returns None when the program contains a
-    shape the templates do not support (the VM then falls back to the
-    interpreter).
+    Built on first use and cached on the program.  The first tier a
+    program builds checks every method's shape, so a method that is
+    never called decides the fallback exactly as one that is; each
+    method's function is then emitted and compiled on its first
+    lookup (see :class:`_LazyTier`).  Returns None when the program
+    contains a shape the templates do not support (the VM then falls
+    back to the interpreter).
     """
     cache = getattr(program, "_compiled_tiers", None)
     if cache is None:
-        cache = program._compiled_tiers = {}
-    if variant in cache:
-        tier = cache[variant]
-        # A tier with nothing compiled yet is an empty, falsy mapping:
-        # only the False sentinel means "unsupported".
-        return None if tier is False else tier
-    try:
-        tier = _compile_program(program, variant)
-    except UnsupportedShape:
-        cache[variant] = False
-        return None
-    cache[variant] = tier
-    return tier
+        try:
+            for cls in program.classes.values():
+                for method in cls.methods.values():
+                    _check_shape(method)
+        except UnsupportedShape:
+            cache = {VARIANT_PLAIN: False, VARIANT_TRACED: False,
+                     VARIANT_TRACKED: False}
+        else:
+            cache = {}
+        program._compiled_tiers = cache
+    tier = cache.get(variant)
+    if tier is None:
+        tier = cache[variant] = _LazyTier(program, variant)
+    # A tier with nothing compiled yet is an empty, falsy mapping:
+    # only the False sentinel means "unsupported".
+    return None if tier is False else tier
 
 
-def precompile(program, tracer: bool = False, sampling: bool = False):
+def template_variant(tracer) -> str:
+    """The template variant a run with ``tracer`` executes."""
+    if tracer is None:
+        return VARIANT_PLAIN
+    from ..profiler.tracker import CostTracker
+    return VARIANT_TRACKED if type(tracer) is CostTracker else VARIANT_TRACED
+
+
+def precompile(program, tracer=False, sampling: bool = False):
     """Compile every method of the tiers a run configuration will need.
 
-    Benchmarks call this so compilation cost lands outside the timed
-    region; normal runs compile each method on its first call.
-    Returns False when the program has a shape the templates do not
-    support.
+    ``tracer`` is the run's tracer, True for a
+    :class:`~repro.profiler.tracker.CostTracker`, or False for an
+    untraced run.  Benchmarks call this so compilation cost lands
+    outside the timed region; normal runs compile each method on its
+    first call.  Returns False when the program has a shape the
+    templates do not support.
     """
     variants = []
     if not tracer or sampling:
         variants.append(VARIANT_PLAIN)
-    if tracer:
-        variants.append(VARIANT_TRACED)
+    if tracer is True:
+        variants.append(VARIANT_TRACKED)
+    elif tracer:
+        variants.append(template_variant(tracer))
     tiers = [compiled_tier(program, v) for v in variants]
     if any(tier is None for tier in tiers):
         return False
@@ -621,45 +912,15 @@ def precompile(program, tracer: bool = False, sampling: bool = False):
     return True
 
 
-def _compile_program(program, variant: str):
-    ns = _base_namespace()
-    ns["_program"] = program
-    binder = _Binder(ns)
-    sources = {}
-    for cls in sorted(program.classes.values(), key=lambda c: c.name):
-        for method in sorted(cls.methods.values(), key=lambda m: m.name):
-            fname = f"_fn{len(sources)}"
-            emitter = _MethodEmitter(method, fname, variant, binder)
-            sources[method] = (fname, emitter.source())
-    return _LazyTier(sources, ns, f"<repro-compiled:{variant}>")
-
-
 # ---------------------------------------------------------------------------
-# Tracker hook fusion
+# Tracer hooks of the traced template
 # ---------------------------------------------------------------------------
 
 def build_hooks(tracer):
-    """Resolve the tracer's per-opcode hooks once per run.
-
-    ``CostTracker`` exposes ``_instr_dispatch`` (opcode -> bound
-    handler); fusing through it skips the ``trace_instr`` indirection.
-    The fusion is only safe when ``trace_instr`` itself has not been
-    overridden, so any tracer with custom ``trace_instr`` behaviour
-    gets the public protocol unchanged.
-    """
+    """Resolve the tracer's per-opcode hooks once per run."""
     hooks = [None] * (HOOK_CALL_COMPLETE + 1)
-    dispatch = getattr(tracer, "_instr_dispatch", None)
-    if dispatch is not None:
-        try:
-            from ..profiler.tracker import CostTracker
-        except ImportError:  # pragma: no cover - profiler always present
-            dispatch = None
-        else:
-            if not (isinstance(tracer, CostTracker) and
-                    type(tracer).trace_instr is CostTracker.trace_instr):
-                dispatch = None
     for op in _INSTR_HOOK_OPS:
-        hooks[op] = dispatch[op] if dispatch is not None else tracer.trace_instr
+        hooks[op] = tracer.trace_instr
     hooks[ins.OP_LOAD_FIELD] = tracer.trace_load_field
     hooks[ins.OP_STORE_FIELD] = tracer.trace_store_field
     hooks[ins.OP_ARRAY_LOAD] = tracer.trace_array_load
@@ -686,14 +947,12 @@ def run_compiled(vm) -> bool:
     """
     program = vm.program
     tracer = vm.tracer
-    need_traced = tracer is not None
-    need_plain = tracer is None or (vm.sampling is not None)
-    traced_fns = plain_fns = None
-    if need_traced:
-        traced_fns = compiled_tier(program, VARIANT_TRACED)
-        if traced_fns is None:
-            return False
-    if need_plain:
+    variant = template_variant(tracer)
+    fns = compiled_tier(program, variant)
+    if fns is None:
+        return False
+    plain_fns = fns
+    if tracer is not None and vm.sampling is not None:
         plain_fns = compiled_tier(program, VARIANT_PLAIN)
         if plain_fns is None:
             return False
@@ -701,15 +960,20 @@ def run_compiled(vm) -> bool:
     entry = program.entry
     frame = Frame(entry)
     frames = [frame]
+    gens = []
     rt = RunControl(vm, frames)
     cursor = rt.cursor
     rt.tracer = tracer
     if tracer is not None:
-        rt.hooks = build_hooks(tracer)
         if cursor is None:
             rt.traced_now = lambda: tracer.enabled
         else:
             rt.traced_now = lambda: tracer.enabled and cursor.on
+        if variant == VARIANT_TRACKED:
+            rt.env = _tracked_env(rt, tracer)
+            rt.live_shadow = lambda: _live_shadow(gens)
+        else:
+            rt.hooks = build_hooks(tracer)
         if tracer.enabled:
             tracer.on_entry_frame(frame)
 
@@ -719,11 +983,10 @@ def run_compiled(vm) -> bool:
     if sampling_calls:
         from ..profiler.context import extend_context
         ctx_slots = getattr(tracer, "slots", 0)
-    # The entry activation always runs the traced template when a
-    # tracer is attached: the tracking windows toggle its hoisted flag,
-    # and long-lived frames (main) would otherwise never be tracked.
-    fns = traced_fns if tracer is not None else plain_fns
-    gens = [(fns[entry](rt, frame, count, limit), tracer is not None)]
+    # The entry activation always runs the tracer's template when one
+    # is attached: the tracking windows toggle its hoisted flag, and
+    # long-lived frames (main) would otherwise never be tracked.
+    gens.append((fns[entry](rt, frame, count, limit), tracer is not None))
     msg = None
     telemetry = vm.telemetry
     try:
@@ -736,10 +999,10 @@ def run_compiled(vm) -> bool:
                     cframe = item[1]
                     if sampling_calls:
                         if cursor.on:
-                            # Inside a window, calls made by still-
-                            # plain activations must extend the
-                            # receiver-context chain here (their
-                            # templates carry no hooks).
+                            # Inside a window, calls made by activations
+                            # whose templates did not run rule METHOD
+                            # ENTRY extend the receiver-context chain
+                            # here.
                             if not (gen_traced and tracer.enabled):
                                 recv = cframe.regs.get("this")
                                 caller = frames[-1]
@@ -749,7 +1012,7 @@ def run_compiled(vm) -> bool:
                                 cframe.dctx = ((g % ctx_slots)
                                                if ctx_slots else 0)
                             callee_traced = True
-                            callee_fns = traced_fns
+                            callee_fns = fns
                         else:
                             # Untracked burst: no bookkeeping at all.
                             # RunControl rebuilds the chain from the
@@ -770,7 +1033,7 @@ def run_compiled(vm) -> bool:
                     gens.pop()
                     frames.pop()
                     if gens:
-                        # Traced resumers take their refreshed hoisted
+                        # Tracking resumers take their refreshed hoisted
                         # flag from the message (see _emit_call).
                         if gens[-1][1]:
                             msg = (item[1], count, limit,

@@ -8,6 +8,10 @@ attaches two pieces of state per frame:
 * ``g`` — the encoded receiver-object context chain for this activation
   (the paper's ``objCon`` value before the mod-``s`` reduction), and
   ``dctx`` — its slot in the bounded domain.
+
+Under burst sampling, ``tracked`` says whether the activation may be
+tracked at all: one spawned during an untracked burst stays untracked
+until it returns (``DESIGN.md`` §12).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 class Frame:
     __slots__ = ("method", "regs", "pc", "dest", "call_instr",
-                 "shadow", "g", "dctx", "last_pred")
+                 "shadow", "g", "dctx", "last_pred", "tracked")
 
     def __init__(self, method, dest=None, call_instr=None):
         self.method = method
@@ -32,6 +36,7 @@ class Frame:
         #: Nearest enclosing predicate node (control-dependence hint),
         #: maintained by trackers running with track_control=True.
         self.last_pred = None
+        self.tracked = True
 
     def __repr__(self):
         return f"<frame {self.method.qualified_name} pc={self.pc}>"

@@ -90,13 +90,17 @@ class RunControl:
     degenerates to ``limit == max_steps`` and the loop runs the exact
     same per-instruction work as the bare interpreter.
 
-    The compiled tier stores its per-run bindings (tracer hooks, the
-    hoisted-flag refresher) on the same object, so generated templates
-    reach everything through one ``rt`` argument.
+    The compiled tier stores its per-run bindings (tracer hooks or the
+    tracked template's environment, the hoisted-flag refresher) on the
+    same object, so generated templates reach everything through one
+    ``rt`` argument.  Its tracked template keeps shadows in Python
+    locals, so it also installs ``live_shadow``, which counts them for
+    growth samples.
     """
 
     __slots__ = ("vm", "stack", "telemetry", "max_steps", "cursor",
-                 "_tel_next", "limit", "tracer", "hooks", "traced_now")
+                 "_tel_next", "limit", "tracer", "hooks", "env",
+                 "traced_now", "live_shadow")
 
     def __init__(self, vm, stack):
         self.vm = vm
@@ -111,6 +115,7 @@ class RunControl:
         self._tel_next = (vm.instr_count + self.telemetry.sample_interval
                           if self.telemetry.enabled else None)
         self.limit = self.max_steps
+        self.live_shadow = None
         vm._run_control = self
 
     def initial(self, count: int) -> int:
@@ -139,7 +144,10 @@ class RunControl:
         vm.instr_count = count
         tel_next = self._tel_next
         if tel_next is not None and count > tel_next:
-            self._tel_next = self.telemetry.vm_sample(vm, self.stack, count)
+            live = self.live_shadow
+            self._tel_next = self.telemetry.vm_sample(
+                vm, self.stack, count,
+                shadow=live() if live is not None else None)
         cursor = self.cursor
         if cursor is not None and count > cursor.boundary:
             was_on = cursor.on
@@ -338,15 +346,17 @@ class VM:
         control = RunControl(self, stack)
         telemetry = self.telemetry
         limit = control.initial(count)
-        # Tracking can only toggle inside a native (Sys.phase) or at a
-        # sampling-window boundary (a checkpoint), so the flag is
-        # hoisted out of the dispatch loop and refreshed at the places
-        # that can change it.
+        # Tracking can only toggle inside a native (Sys.phase), at a
+        # sampling-window boundary (a checkpoint), or -- under sampling
+        # -- at a call or return into an activation spawned during an
+        # untracked burst, so the flag is hoisted out of the dispatch
+        # loop and refreshed at the places that can change it.
         traced = tracer is not None and tracer.enabled and control.window_on
-        # Calls made inside a window while the tracker itself is phase-
-        # disabled still extend the receiver-context chain (trace_call
-        # does not fire).  Untracked bursts skip the bookkeeping
-        # entirely; RunControl rebuilds the chain when a window opens.
+        # Under sampling, calls made inside a window by an activation
+        # that does not fire trace_call (phase-disabled tracker, or an
+        # untracked activation) still extend the receiver-context
+        # chain.  Untracked bursts skip the bookkeeping entirely;
+        # RunControl rebuilds the chain when a window opens.
         track_ctx = tracer is not None and control.cursor is not None
         if track_ctx:
             from ..profiler.context import extend_context
@@ -364,7 +374,7 @@ class VM:
                 if count > limit:
                     limit = control.fire(count, instr, frame)
                     traced = (tracer is not None and tracer.enabled
-                              and control.window_on)
+                              and control.window_on and frame.tracked)
 
                 if op == ins.OP_BINOP:
                     regs[instr.dest] = self._binop(instr, regs, frame)
@@ -475,6 +485,12 @@ class VM:
                              if recv_obj is not None else frame.g)
                         callee_frame.g = g
                         callee_frame.dctx = (g % ctx_slots) if ctx_slots else 0
+                    if track_ctx:
+                        # Per-activation rule (DESIGN.md §12): a callee
+                        # spawned during a burst stays untracked until
+                        # it returns, as on the compiled tier.
+                        callee_frame.tracked = on = control.window_on
+                        traced = on and tracer.enabled
 
                 elif op == ins.OP_RETURN:
                     value = regs[instr.src] if instr.src is not None else None
@@ -483,6 +499,9 @@ class VM:
                     stack.pop()
                     if stack:
                         caller = stack[-1]
+                        if track_ctx:
+                            traced = (caller.tracked and tracer.enabled
+                                      and control.window_on)
                         call_instr = frame.call_instr
                         if call_instr.dest is not None:
                             caller.regs[call_instr.dest] = value
@@ -555,7 +574,7 @@ class VM:
                     # (phase) or moved a sampling boundary (phase reset).
                     limit = control.limit
                     traced = (tracer is not None and tracer.enabled
-                              and control.window_on)
+                              and control.window_on and frame.tracked)
                     if traced:
                         tracer.trace_native(instr, frame)
 

@@ -1,14 +1,17 @@
 """Compiled dispatch tier + adaptive burst sampling.
 
-Two contracts pin the PR-7 performance work:
+Two contracts pin the compiled tier and burst sampling:
 
-* **tier equivalence** — with sampling off, the compiled closure tier
-  is observationally identical to the reference interpreter: same
+* **tier equivalence** — with sampling off, the compiled tier is
+  observationally identical to the reference interpreter: same
   output, same instruction count, same phase windows, and a
-  ``canonical_form``-identical Gcost, on every registered workload
-  plus the analysis-stress program.  Each equivalence test also
-  asserts ``exec_tier == "compiled"`` so a silent interpreter
-  fallback cannot turn the suite into a vacuous pass.
+  ``canonical_form``-identical profile (Gcost plus the tracker's CR
+  contexts, branch outcomes and return nodes), on every registered
+  workload plus the analysis-stress program, for every
+  ``CostTracker`` configuration the tracked template covers.  Each
+  equivalence test also asserts ``exec_tier == "compiled"`` and that
+  the expected template variant ran, so a silent fallback cannot
+  turn the suite into a vacuous pass.
 * **sampling estimation** — the burst schedule is a pure function of
   the instruction count, so sampled runs replay deterministically
   (across repeats *and* across tiers), and scaled frequencies are
@@ -25,7 +28,8 @@ from repro.profiler import (CostTracker, ProfileJob, SampleSchedule,
                             jobs_fingerprint, parse_sample_spec,
                             profile_jobs_sequential)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
-from repro.vm.compiled import VARIANT_TRACED, compiled_tier, precompile
+from repro.vm.compiled import (VARIANT_TRACED, VARIANT_TRACKED,
+                               compiled_tier, precompile)
 from repro.vm.interpreter import resolve_exec_mode
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import build_stress
@@ -44,11 +48,32 @@ def _programs():
     yield "stress", build_stress(stages=24, chain=8, rounds=3)
 
 
+#: The CostTracker configurations one tracked template must cover:
+#: slots 8/16 x track_cr on/off, phase-restricted tracking (enabled ->
+#: disabled -> enabled on trade_like, the workload with phases), and
+#: the control-dependence ablation.
+TRACKER_CONFIGS = [{"slots": slots, "track_cr": track_cr}
+                   for slots in (8, 16) for track_cr in (True, False)] + [
+    {"slots": 16, "phases": ("main", "steady")},
+    {"slots": 16, "track_control": True},
+]
+
+
 def _run(program, exec_mode, tracer=None, sampling=None):
     vm = VM(program, tracer=tracer, exec_mode=exec_mode,
             sampling=sampling)
     vm.run()
     return vm
+
+
+def _profile(vm):
+    """The run's whole profile: Gcost plus the tracker state."""
+    return canonical_form(vm.tracer.graph, vm.tracer.state())
+
+
+def _assert_tracked_template_ran(program):
+    assert len(compiled_tier(program, VARIANT_TRACKED)) > 0
+    assert len(compiled_tier(program, VARIANT_TRACED)) == 0
 
 
 class TestTierEquivalence:
@@ -66,14 +91,54 @@ class TestTierEquivalence:
     @pytest.mark.parametrize("name,program", list(_programs()),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_tracked_gcost_equivalence(self, name, program):
-        interp = _run(program, EXEC_INTERP, tracer=CostTracker(slots=16))
-        compiled = _run(program, EXEC_COMPILED,
-                        tracer=CostTracker(slots=16))
-        assert compiled.exec_tier == EXEC_COMPILED
-        assert compiled.stdout() == interp.stdout()
+        for params in TRACKER_CONFIGS:
+            interp = _run(program, EXEC_INTERP,
+                          tracer=CostTracker(**params))
+            compiled = _run(program, EXEC_COMPILED,
+                            tracer=CostTracker(**params))
+            assert compiled.exec_tier == EXEC_COMPILED
+            assert compiled.stdout() == interp.stdout()
+            assert compiled.instr_count == interp.instr_count
+            assert _profile(compiled) == _profile(interp), params
+        _assert_tracked_template_ran(program)
+
+    @pytest.mark.parametrize("fault", ["budget", "null"])
+    def test_faulting_run_leaves_the_same_partial_profile(self, fault):
+        # Fault containment: the tracker's graph-so-far is a salvageable
+        # partial profile, and it is the same on both tiers.
+        from repro.lang import compile_source
+        from repro.vm import VMError
+        if fault == "budget":
+            spec = get_workload("bloat_like")
+            program = spec.build("unopt", spec.small_scale)
+            max_steps = 30_000
+        else:
+            program = compile_source("""
+class Box { int v; Box next; }
+class Main { static void main() {
+    Box b = new Box();
+    int acc = 0;
+    for (int i = 0; i < 40; i++) {
+        b.next = new Box();
+        b.next.v = i * 3;
+        acc = acc + b.next.v;
+        if (i == 31) { b = b.next.next; }
+    }
+    Sys.printInt(acc);
+} }""")
+            max_steps = 2_000_000_000
+        runs = {}
+        for tier in (EXEC_INTERP, EXEC_COMPILED):
+            vm = VM(program, tracer=CostTracker(slots=16), exec_mode=tier,
+                    max_steps=max_steps)
+            with pytest.raises(VMError):
+                vm.run()
+            runs[tier] = vm
+        interp, compiled = runs[EXEC_INTERP], runs[EXEC_COMPILED]
         assert compiled.instr_count == interp.instr_count
-        assert canonical_form(compiled.tracer.graph) == \
-            canonical_form(interp.tracer.graph)
+        assert compiled.tracer.graph.num_nodes > 0
+        assert _profile(compiled) == _profile(interp)
+        _assert_tracked_template_ran(program)
 
     def test_default_mode_is_compiled(self):
         program = build_stress(stages=6, chain=6, rounds=2)
@@ -145,12 +210,23 @@ class TestLazyTier:
         assert all(callable(fn) for fn in tier.values())
 
     def test_precompile_compiles_every_method(self):
+        # tracer=True stands for a CostTracker: its tracked template.
         spec = get_workload("trade_like")
         program = spec.build("unopt", spec.small_scale)
         assert precompile(program, tracer=True)
-        tier = compiled_tier(program, VARIANT_TRACED)
+        tier = compiled_tier(program, VARIANT_TRACKED)
         assert set(tier) == _methods(program)
         assert all(callable(fn) for fn in tier.values())
+
+    @pytest.mark.parametrize("tracer,variant", [
+        (CostTracker(slots=16), VARIANT_TRACKED),
+        (_EntryRecorder(slots=16), VARIANT_TRACED)],
+        ids=["cost-tracker", "subclass"])
+    def test_precompile_follows_the_tracer_type(self, tracer, variant):
+        spec = get_workload("trade_like")
+        program = spec.build("unopt", spec.small_scale)
+        assert precompile(program, tracer=tracer)
+        assert set(compiled_tier(program, variant)) == _methods(program)
 
 
 class TestSampling:
@@ -191,18 +267,22 @@ class TestSampling:
 
     def test_sampled_graph_identical_across_tiers(self):
         # The window schedule depends only on the instruction count,
-        # which both tiers advance identically — so even the *sampled*
-        # (lossy) graphs must agree exactly.
+        # which both tiers advance identically, and both tiers leave an
+        # activation spawned during a burst untracked until it returns
+        # -- so even the *sampled* (lossy) profiles must agree exactly.
         schedule = parse_sample_spec(SMALL_SPEC)
-        program = build_stress(stages=24, chain=8, rounds=4, seed=5)
-        interp = _run(program, EXEC_INTERP, tracer=CostTracker(slots=16),
-                      sampling=schedule)
-        compiled = _run(program, EXEC_COMPILED,
-                        tracer=CostTracker(slots=16), sampling=schedule)
-        assert compiled.exec_tier == EXEC_COMPILED
-        assert interp.sampling_stats() == compiled.sampling_stats()
-        assert canonical_form(interp.tracer.graph) == \
-            canonical_form(compiled.tracer.graph)
+        programs = [program for _, program in _programs()]
+        programs[-1] = build_stress(stages=24, chain=8, rounds=4, seed=5)
+        for program in programs:
+            interp = _run(program, EXEC_INTERP,
+                          tracer=CostTracker(slots=16), sampling=schedule)
+            compiled = _run(program, EXEC_COMPILED,
+                            tracer=CostTracker(slots=16), sampling=schedule)
+            assert compiled.exec_tier == EXEC_COMPILED
+            assert interp.sampling_stats() == compiled.sampling_stats()
+            assert interp.sampling_stats()["toggles"] > 0
+            assert _profile(interp) == _profile(compiled)
+            _assert_tracked_template_ran(program)
 
     def test_frequency_estimates_are_bounded(self):
         program = build_stress(stages=96, chain=24, rounds=40, seed=7)

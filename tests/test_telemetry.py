@@ -76,6 +76,33 @@ class TestEquivalence:
         assert vm_on.instr_count == vm_off.instr_count
         assert canonical_form(tr_on.graph) == canonical_form(tr_off.graph)
 
+    @pytest.mark.parametrize("sampling", [None, "1024:8192:1024:1.0"],
+                             ids=["exact", "sampled"])
+    def test_growth_samples_identical_across_tiers(self, sampling):
+        # The compiled tier's tracked template keeps shadows in Python
+        # locals; growth samples must still report exactly what the
+        # interpreter's per-frame shadow maps hold.
+        from repro.profiler import parse_sample_spec
+        spec = get_workload("bloat_like")
+        program = spec.build("unopt", spec.small_scale)
+        samples = {}
+        for tier in ("interp", "compiled"):
+            sink = MemorySink()
+            hub = Telemetry(sink=sink, sample_interval=4096)
+            vm = VM(program, tracer=CostTracker(slots=16), telemetry=hub,
+                    exec_mode=tier, sampling=parse_sample_spec(sampling))
+            vm.run()
+            hub.close()
+            assert vm.exec_tier == tier
+            samples[tier] = [{key: event[key] for key in
+                              ("i", "heap", "shadow", "frames", "nodes",
+                               "edges")}
+                             for event in sink.events
+                             if event["ev"] == "sample"]
+        assert len(samples["interp"]) > 10
+        assert any(sample["shadow"] > 0 for sample in samples["interp"])
+        assert samples["compiled"] == samples["interp"]
+
     def test_untracked_run_unaffected(self):
         program = _stress_program()
         vm_plain = VM(program)
