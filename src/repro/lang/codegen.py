@@ -281,9 +281,51 @@ class CodeGen:
     # -- expressions -----------------------------------------------------------
 
     def _gen_expr(self, expr: ast.Expr, want_value: bool = True) -> str:
+        # A left spine (``a + b + c``, ``x.f().g()``, ``a[i][j]``) is
+        # walked in a loop, so a flat chain of any length costs no
+        # Python stack per link.  Going down, each node sets its line
+        # and takes its short-circuit register before its left operand
+        # is generated (that order fixes instruction lines and register
+        # numbers); coming up, each finishes from its operand's register.
         mb = self.mb
         if expr.line:
             mb.at_line(expr.line)
+        operand = (_generated_first(expr)
+                   if type(expr) in _POSTFIX_OR_BINARY else None)
+        if operand is None:
+            return self._gen_leaf(expr, want_value)
+        spine = []
+        while operand is not None:
+            result = (mb.temp() if type(expr) is ast.Binary
+                      and expr.lowered in ("and", "or") else None)
+            spine.append((expr, want_value, result))
+            expr, want_value = operand, True
+            if expr.line:
+                mb.at_line(expr.line)
+            operand = _generated_first(expr)
+        reg = self._gen_leaf(expr, want_value)
+        for node, want, result in reversed(spine):
+            reg = self._gen_from_operand(node, reg, want, result)
+        return reg
+
+    def _gen_from_operand(self, expr: ast.Expr, operand: str,
+                          want_value: bool, result) -> str:
+        """Finish ``expr`` once :func:`_generated_first` of it is in
+        register ``operand``."""
+        mb = self.mb
+        if isinstance(expr, ast.FieldAccess):
+            if expr.kind == "arraylen":
+                return mb.array_len(operand)
+            return mb.load_field(operand, expr.name)
+        if isinstance(expr, ast.Index):
+            return mb.array_load(operand, self._gen_expr(expr.idx))
+        if isinstance(expr, ast.CallExpr):
+            return self._gen_call(expr, want_value, operand)
+        return self._gen_binary(expr, operand, result)
+
+    def _gen_leaf(self, expr: ast.Expr, want_value: bool) -> str:
+        """An expression with no operand generated before it."""
+        mb = self.mb
         if isinstance(expr, ast.IntLit):
             return mb.const_int(expr.value)
         if isinstance(expr, ast.BoolLit):
@@ -302,17 +344,9 @@ class CodeGen:
                 return mb.load_field("this", expr.binding[1].name)
             sig = expr.binding[1]  # static
             return mb.load_static(sig.owner, sig.name)
-        if isinstance(expr, ast.FieldAccess):
-            if expr.kind == "static":
-                sig = expr.field_def
-                return mb.load_static(sig.owner, sig.name)
-            if expr.kind == "arraylen":
-                return mb.array_len(self._gen_expr(expr.obj))
-            return mb.load_field(self._gen_expr(expr.obj), expr.name)
-        if isinstance(expr, ast.Index):
-            arr = self._gen_expr(expr.arr)
-            idx = self._gen_expr(expr.idx)
-            return mb.array_load(arr, idx)
+        if isinstance(expr, ast.FieldAccess):   # static
+            sig = expr.field_def
+            return mb.load_static(sig.owner, sig.name)
         if isinstance(expr, ast.CallExpr):
             return self._gen_call(expr, want_value)
         if isinstance(expr, ast.New):
@@ -327,23 +361,20 @@ class CodeGen:
             operand = self._gen_expr(expr.operand)
             op = ins.UN_NEG if expr.op == "-" else ins.UN_NOT
             return mb.unop(op, operand)
-        if isinstance(expr, ast.Binary):
-            return self._gen_binary(expr)
         raise TypeError_(f"cannot generate {type(expr).__name__}",
                          expr.line, expr.col)
 
-    def _gen_call(self, expr: ast.CallExpr, want_value: bool) -> str:
+    def _gen_call(self, expr: ast.CallExpr, want_value: bool,
+                  recv: str = None) -> str:
+        """``recv`` is the register of a receiver expression, already
+        generated (``None`` for a call without one)."""
         mb = self.mb
         kind = expr.kind
         returns_value = expr.type != irt.VOID
 
         if kind == "intrinsic":
-            args = []
             # String instance methods pass the receiver as first operand.
-            if expr.recv is not None and not (
-                    isinstance(expr.recv, ast.Name)
-                    and expr.recv.binding[0] == "class"):
-                args.append(self._gen_expr(expr.recv))
+            args = [recv] if recv is not None else []
             args.extend(self._gen_expr(a) for a in expr.args)
             return mb.intrinsic(expr.intrinsic, args)
 
@@ -360,23 +391,21 @@ class CodeGen:
             return dest
 
         # virtual
-        if expr.recv is None or (isinstance(expr.recv, ast.Name)
-                                 and expr.recv.binding[0] == "class"):
+        if recv is None:
             recv = "this"
-        else:
-            recv = self._gen_expr(expr.recv)
         args = [self._gen_expr(a) for a in expr.args]
         dest = mb.temp() if returns_value else None
         mb.call_virtual(expr.target_class, expr.method, recv, args,
                         dest=dest)
         return dest
 
-    def _gen_binary(self, expr: ast.Binary) -> str:
+    def _gen_binary(self, expr: ast.Binary, lhs: str, result) -> str:
+        """Finish ``expr`` with its left operand in register ``lhs``;
+        ``result`` is the register a short-circuit ``&&``/``||`` was
+        given before its left operand was generated."""
         mb = self.mb
         lowered = expr.lowered
         if lowered in ("and", "or"):
-            result = mb.temp()
-            lhs = self._gen_expr(expr.lhs)
             mb.move(result, lhs)
             rhs_label = mb.fresh_label("sc_rhs")
             end_label = mb.fresh_label("sc_end")
@@ -390,19 +419,16 @@ class CodeGen:
             mb.label(end_label)
             return result
         if lowered == "concat":
-            lhs = self._gen_expr(expr.lhs)
             lhs = self._coerce_to_string(expr.lhs, lhs)
             rhs = self._gen_expr(expr.rhs)
             rhs = self._coerce_to_string(expr.rhs, rhs)
             return mb.binop(ins.BIN_CONCAT, lhs, rhs)
         if lowered in ("seq", "sne"):
-            lhs = self._gen_expr(expr.lhs)
             rhs = self._gen_expr(expr.rhs)
             eq = mb.intrinsic(ins.INTR_SEQ, [lhs, rhs])
             if lowered == "sne":
                 return mb.unop(ins.UN_NOT, eq)
             return eq
-        lhs = self._gen_expr(expr.lhs)
         rhs = self._gen_expr(expr.rhs)
         return mb.binop(expr.op, lhs, rhs)
 
@@ -410,6 +436,32 @@ class CodeGen:
         if node.type == irt.INT:
             return self.mb.intrinsic(ins.INTR_ITOS, [reg])
         return reg
+
+
+#: The node types that may have an operand generated first.
+_POSTFIX_OR_BINARY = frozenset((ast.Binary, ast.Index, ast.FieldAccess,
+                                ast.CallExpr))
+
+
+def _generated_first(expr: ast.Expr):
+    """The operand :meth:`CodeGen._gen_expr` generates before the rest
+    of ``expr``: the left side of a binary, the array of an index, the
+    object of an instance field access, or the receiver expression of
+    an intrinsic or virtual call (not a class qualifier).  ``None``
+    for every other node."""
+    kind = type(expr)
+    if kind is ast.Binary:
+        return expr.lhs
+    if kind is ast.Index:
+        return expr.arr
+    if kind is ast.FieldAccess:
+        return None if expr.kind == "static" else expr.obj
+    if kind is ast.CallExpr and expr.kind in ("intrinsic", "virtual"):
+        recv = expr.recv
+        if recv is not None and not (type(recv) is ast.Name
+                                     and recv.binding[0] == "class"):
+            return recv
+    return None
 
 
 def compile_source(source: str, entry_class: str = "Main",

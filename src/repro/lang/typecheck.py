@@ -228,8 +228,20 @@ class Checker:
             self._require_assignable(arg, want, got, "argument")
 
     def _check_expr(self, expr: ast.Expr) -> irt.Type:
-        type_ = self._infer(expr)
-        expr.type = type_
+        operand = (_left_operand(expr) if type(expr) in _POSTFIX_OR_BINARY
+                   else None)
+        if operand is not None:
+            # A left spine (``a + b + c``, ``x.f().g()``, ``a[i][j]``)
+            # is typed bottom-up in a loop, so a flat chain of any
+            # length costs no Python stack per link; each node's
+            # inference then reads its left operand's annotation.
+            spine = []
+            while operand is not None:
+                spine.append(operand)
+                operand = _left_operand(operand)
+            for node in reversed(spine):
+                node.type = self._infer(node)
+        type_ = expr.type = self._infer(expr)
         return type_
 
     def _infer(self, expr: ast.Expr) -> irt.Type:
@@ -250,7 +262,7 @@ class Checker:
         if isinstance(expr, ast.FieldAccess):
             return self._infer_field_access(expr)
         if isinstance(expr, ast.Index):
-            arr_type = self._check_expr(expr.arr)
+            arr_type = expr.arr.type
             if not isinstance(arr_type, irt.ArrayType):
                 self._error(expr, f"indexing a non-array ({arr_type})")
             idx_type = self._check_expr(expr.idx)
@@ -316,7 +328,7 @@ class Checker:
                 expr.field_def = sig
                 return sig.type
         else:
-            obj_type = self._check_expr(expr.obj)
+            obj_type = expr.obj.type
 
         if isinstance(obj_type, irt.ArrayType):
             if expr.name != "length":
@@ -361,8 +373,7 @@ class Checker:
                 return self._infer_class_call(expr, recv.binding[1])
 
         # Instance call: expr.m(...).
-        recv_type = recv.type if recv.type is not None \
-            else self._check_expr(recv)
+        recv_type = recv.type
         if recv_type == irt.STRING:
             entry = STRING_METHODS.get(expr.method)
             if entry is None:
@@ -449,11 +460,12 @@ class Checker:
     def _infer_binary(self, expr: ast.Binary) -> irt.Type:
         op = expr.op
         if op in ("&&", "||"):
-            self._require_bool(expr.lhs)
+            if expr.lhs.type != irt.BOOL:
+                self._error(expr.lhs, "condition must be bool")
             self._require_bool(expr.rhs)
             expr.lowered = "and" if op == "&&" else "or"
             return irt.BOOL
-        lhs = self._check_expr(expr.lhs)
+        lhs = expr.lhs.type
         rhs = self._check_expr(expr.rhs)
         if op == "+":
             if lhs == irt.INT and rhs == irt.INT:
@@ -499,6 +511,31 @@ class Checker:
                 self._error(expr, f"cannot compare {lhs} with {rhs}")
             return irt.BOOL
         self._error(expr, f"unknown operator {op!r}")
+
+
+#: The node types that have a left operand (see :func:`_left_operand`).
+_POSTFIX_OR_BINARY = frozenset((ast.Binary, ast.Index, ast.FieldAccess,
+                                ast.CallExpr))
+
+
+def _left_operand(expr: ast.Expr):
+    """The operand :meth:`Checker._check_expr` types before ``expr``:
+    the left side of a binary, the array of an index, the object of a
+    field access or the receiver of a call.  ``None`` for other nodes
+    and for a bare name before ``.``, which may be a class qualifier
+    that the field-access and call rules resolve themselves."""
+    kind = type(expr)
+    if kind is ast.Binary:
+        return expr.lhs
+    if kind is ast.Index:
+        return expr.arr
+    if kind is ast.FieldAccess:
+        operand = expr.obj
+    elif kind is ast.CallExpr:
+        operand = expr.recv
+    else:
+        return None
+    return None if type(operand) is ast.Name else operand
 
 
 def _always_returns(stmt: ast.Stmt) -> bool:

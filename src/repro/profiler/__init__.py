@@ -24,11 +24,12 @@ __getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "sampling": ("DEFAULT_SPEC", "SampleCursor", "SampleSchedule",
                  "aggregate_factor", "apply_sampling_scale",
                  "parse_sample_spec"),
-    "serialize": ("SalvageReport", "content_checksum", "graph_from_dict",
-                  "graph_to_dict", "load_graph", "load_graph_with_meta",
-                  "load_profile", "read_document", "salvage_profile",
-                  "save_graph", "tracker_state_from_dict",
-                  "validate_shard", "write_document"),
+    "serialize": ("SalvageReport", "content_checksum", "fold_document",
+                  "graph_from_dict", "graph_to_dict", "load_graph",
+                  "load_graph_with_meta", "load_profile", "read_document",
+                  "salvage_profile", "save_graph",
+                  "tracker_state_from_dict", "validate_shard",
+                  "write_document"),
     "state": ("TrackerState",),
     "supervisor": ("RunReport", "ShardPolicy", "ShardResult",
                    "SupervisedProfiler", "SupervisedRun",

@@ -16,9 +16,11 @@ map-reduce profiling architecture:
   builds its program (a forked worker reuses the parent's compile, see
   :func:`compile_program`), runs VM + :class:`CostTracker`, and returns
   a compact serialized profile (format v2, graph + tracker state);
-* **reduce** — the parent deserializes and folds the shards through
-  :func:`merge_graphs`, yielding one graph/state pair it can hand
-  straight to the batched slicing engine and the report clients.
+* **reduce** — the parent folds the shard documents, in job order,
+  straight into one graph/state pair through
+  :func:`~repro.profiler.serialize.fold_document`, which applies the
+  rules of :func:`merge_graphs` to the rows; the pair goes straight to
+  the batched slicing engine and the report clients.
 
 This module holds the runner-independent pieces: the job recipe, the
 reduce operator, the merged-profile container, and the oracle.
@@ -250,13 +252,14 @@ def fold_graph(merged, src, merged_state=None, src_state=None):
     """Fold one shard graph (and optionally its state) into ``merged``,
     in place.
 
-    This is the single step of :func:`merge_graphs`, exposed so an
-    accumulator that receives shards one at a time — the resident
-    analysis daemon's per-tenant registries (:mod:`repro.service`) —
-    can grow its merged graph incrementally at O(shard) cost per fold
-    instead of re-merging the whole history.  Folding shards one by
-    one through this function is bit-for-bit identical (node numbering
-    included) to one :func:`merge_graphs` call over the same list.
+    This is the single step of :func:`merge_graphs`, for graphs
+    already in memory (the sequential oracle, tests).  Shard documents
+    — worker results, pushed shards, saved profiles — fold through
+    :func:`~repro.profiler.serialize.fold_document`, which applies the
+    same rules to the rows without building a shard graph.  Folding
+    shards one by one through this function is bit-for-bit identical
+    (node numbering included) to one :func:`merge_graphs` call over
+    the same list.
 
     ``merged_state`` and ``src_state`` must be given together;
     a slots mismatch raises
@@ -312,31 +315,11 @@ def fold_graph(merged, src, merged_state=None, src_state=None):
         merged.control_deps.setdefault(remap[nid], set()).update(
             remap[p] for p in cpreds)
     if merged_state is not None:
-        _merge_state(merged_state, src_state, remap)
-
-
-def _merge_state(dst: TrackerState, src: TrackerState, remap):
-    gs_list = dst.node_gs
-    for nid, gs in enumerate(src.node_gs):
-        if gs is None:
-            continue
-        mid = remap[nid]
-        if len(gs_list) <= mid:
-            gs_list.extend([None] * (mid + 1 - len(gs_list)))
-        if gs_list[mid] is None:
-            gs_list[mid] = set(gs)
-        else:
-            gs_list[mid].update(gs)
-    for iid, (taken, not_taken) in src.branch_outcomes.items():
-        outcomes = dst.branch_outcomes.get(iid)
-        if outcomes is None:
-            dst.branch_outcomes[iid] = [taken, not_taken]
-        else:
-            outcomes[0] += taken
-            outcomes[1] += not_taken
-    for iid, nodes in src.return_nodes.items():
-        dst.return_nodes.setdefault(iid, set()).update(
-            remap[n] for n in nodes)
+        merged_state.fold(
+            src_state.node_gs,
+            [(iid, taken, not_taken) for iid, (taken, not_taken)
+             in src_state.branch_outcomes.items()],
+            src_state.return_nodes.items(), remap)
 
 
 def canonical_form(graph, state=None):

@@ -14,6 +14,11 @@ predicate / return-cost clients run fully offline, and the parallel
 runtime's workers can ship complete profiles back to the merging
 parent.  v1 documents (graph only) are still readable.
 
+Every document is read by one decoder, :func:`fold_document`, which
+checks all of a document's rows and then folds them straight into a
+target graph and state: an empty one for a load, a tenant's or the
+supervisor's merge for a shard.
+
 Integrity
 ---------
 
@@ -32,15 +37,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
+from operator import itemgetter
 
 from .errors import (ProfileChecksumError, ProfileFormatError,
-                     ProfileTruncatedError)
+                     ProfileInputError, ProfileTruncatedError)
 from .graph import DependenceGraph
 from .state import TrackerState
 
 FORMAT_VERSION = 2
 
-#: Versions :func:`graph_from_dict` accepts.
+#: Versions :func:`fold_document` accepts.
 READABLE_VERSIONS = (1, 2)
 
 
@@ -99,30 +106,267 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
     return data
 
 
-def graph_from_dict(data: dict) -> DependenceGraph:
-    """Rebuild a graph from :func:`graph_to_dict` output (v1 or v2)."""
-    version = data.get("version")
+def _bad(section: str, problem: str) -> ProfileFormatError:
+    return ProfileFormatError(f"section {section!r} {problem}")
+
+
+def _flat(rows) -> list:
+    return list(chain.from_iterable(rows))
+
+
+def _is_table(rows, width: int) -> bool:
+    """True when ``rows`` is a list of ``width``-element lists."""
+    return (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {width})
+
+
+def _ints(values) -> bool:
+    """True when every element of the list ``values`` is an int.
+
+    ``sum`` is the cheapest whole-list proof: it raises ``TypeError``
+    on anything that is not a number and returns a float when any
+    element is one.
+    """
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
+
+
+def _node_ids(values: list, n: int) -> bool:
+    """True when every element of ``values`` is an int in ``[0, n)``."""
+    return _ints(values) and _below(values, n)
+
+
+def _below(ints: list, n: int) -> bool:
+    """True when every element of the int list ``ints`` is in
+    ``[0, n)``."""
+    return not ints or (min(ints) >= 0 and max(ints) < n)
+
+
+def _int_table(rows, width: int):
+    """The values of ``rows`` in order when ``rows`` is a list of
+    ``width``-element lists of ints, else ``None``.  A row that is a
+    string or an object flattens to strings, which :func:`_ints`
+    rejects, so the rows' own types need no separate pass."""
+    if type(rows) is not list:
+        return None
+    try:
+        if set(map(len, rows)) - {width}:
+            return None
+        values = _flat(rows)
+    except TypeError:           # a row without a length
+        return None
+    return values if _ints(values) else None
+
+
+def _check_graph(doc) -> list:
+    """The check pass of :func:`fold_document` over the graph sections.
+
+    Returns the document's node keys as ``(iid, d)`` tuples.  Each check
+    runs over a whole column at once (``set(map(type, ...))``,
+    ``min``/``max``), so a valid document costs a few C-level passes
+    per section rather than Python work per row.
+    """
+    if type(doc) is not dict:
+        raise ProfileFormatError(
+            f"profile is {type(doc).__name__}, not an object")
+    version = doc.get("version")
     if version not in READABLE_VERSIONS:
         raise ProfileFormatError(
             f"unsupported graph format version {version!r} "
             f"(readable: {READABLE_VERSIONS})")
-    graph = DependenceGraph(slots=data.get("slots", 16))
-    for (iid, d), freq, flags in zip(data["nodes"], data["freq"],
-                                     data["flags"]):
-        node = graph.node(iid, d, flags)
-        graph.freq[node] = freq
-    for src, dst in data["edges"]:
-        graph.add_edge(src, dst)
-    for node, kind, alloc_key, field in data["effects"]:
-        key = tuple(alloc_key) if alloc_key is not None else None
-        graph.effects[node] = (kind, key, field)
-    for store, alloc in data["ref_edges"]:
-        graph.add_ref_edge(store, alloc)
-    for base, field, targets in data["points_to"]:
-        for target in targets:
-            graph.add_points_to(tuple(base), field, tuple(target))
-    for node, preds in data.get("control_deps", []):
-        graph.control_deps[node] = set(preds)
+    for key in ("nodes", "freq", "flags", "edges", "effects",
+                "ref_edges", "points_to"):
+        if key not in doc:
+            raise ProfileFormatError(f"profile is missing {key!r}")
+    slots = doc.get("slots", 16)
+    if type(slots) is not int or slots < 1:
+        raise _bad("slots", f"is {slots!r}, not a positive int")
+    if type(doc.get("meta", {})) is not dict:
+        raise _bad("meta", "is not an object")
+
+    nodes = doc["nodes"]
+    if _int_table(nodes, 2) is None:
+        raise _bad("nodes", "holds a row that is not [iid, d]")
+    n = len(nodes)
+    for key in ("freq", "flags"):
+        column = doc[key]
+        if type(column) is not list or len(column) != n \
+                or not _ints(column):
+            raise _bad(key, f"is not {n} ints, one per node")
+    keys = list(map(tuple, nodes))
+    if len(set(keys)) != n:
+        raise _bad("nodes", "repeats a node key")
+
+    for key in ("edges", "ref_edges"):
+        values = _int_table(doc[key], 2)
+        if values is None or not _below(values, n):
+            raise _bad(key, f"holds a row that is not two node ids "
+                            f"in [0, {n})")
+    effects = doc["effects"]
+    if not _is_table(effects, 4):
+        raise _bad("effects", "holds a row that is not "
+                              "[node, kind, alloc, field]")
+    allocs = [alloc for alloc in map(itemgetter(2), effects)
+              if alloc is not None]
+    if not (_node_ids(list(map(itemgetter(0), effects)), n)
+            and set(map(type, map(itemgetter(1), effects))) <= {str}
+            and _int_table(allocs, 2) is not None
+            and set(map(type, map(itemgetter(3), effects)))
+            <= {str, type(None)}):
+        raise _bad("effects", f"holds a row that is not [node in "
+                              f"[0, {n}), kind, [iid, d] or null, "
+                              f"field or null]")
+    points_to = doc["points_to"]
+    if not _is_table(points_to, 3):
+        raise _bad("points_to", "holds a row that is not "
+                                "[base, field, targets]")
+    bases = list(map(itemgetter(0), points_to))
+    targets = list(map(itemgetter(2), points_to))
+    if not (_int_table(bases, 2) is not None
+            and set(map(type, map(itemgetter(1), points_to))) <= {str}
+            and set(map(type, targets)) <= {list}
+            and _int_table(_flat(targets), 2) is not None):
+        raise _bad("points_to", "holds a row that is not "
+                                "[[iid, d], field, [[iid, d], ...]]")
+    control = doc.get("control_deps", [])
+    if not _is_table(control, 2) or not (
+            _node_ids(list(map(itemgetter(0), control)), n)
+            and set(map(type, map(itemgetter(1), control))) <= {list}
+            and _node_ids(_flat(map(itemgetter(1), control)), n)):
+        raise _bad("control_deps", f"holds a row that is not [node, "
+                                   f"[nodes]] in [0, {n})")
+    return keys
+
+
+def _check_tracker(section, n: int) -> None:
+    """The check pass of :func:`fold_document` over a tracker section,
+    for a document with ``n`` nodes."""
+    if section is None:
+        raise ProfileFormatError(
+            "profile carries no tracker state (a v2 document with a "
+            "tracker section is required: a graph-only document cannot "
+            "join a merge of tracker states)")
+    if type(section) is not dict:
+        raise _bad("tracker", "is not an object")
+    node_gs = section.get("node_gs", [])
+    if type(node_gs) is not list or len(node_gs) > n:
+        raise _bad("tracker", f"node_gs is not a list of at most {n} "
+                              f"entries, one per node")
+    sets = [gs for gs in node_gs if gs is not None]
+    if not (set(map(type, sets)) <= {list} and _ints(_flat(sets))):
+        raise _bad("tracker", "node_gs holds an entry that is not "
+                              "null or a list of contexts")
+    if _int_table(section.get("branch_outcomes", []), 3) is None:
+        raise _bad("tracker", "branch_outcomes holds a row that is not "
+                              "[iid, taken, not_taken]")
+    returns = section.get("return_nodes", [])
+    if not _is_table(returns, 2) or not (
+            _ints(list(map(itemgetter(0), returns)))
+            and set(map(type, map(itemgetter(1), returns))) <= {list}
+            and _node_ids(_flat(map(itemgetter(1), returns)), n)):
+        raise _bad("tracker", f"return_nodes holds a row that is not "
+                              f"[iid, [nodes in [0, {n})]]")
+
+
+def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
+    """Fold one v1/v2 profile document into ``graph``/``state``, in
+    place: the one decoder every profile file, pushed shard, worker
+    result, checkpoint entry and spill file goes through.
+
+    Two passes.  The *check* pass reads every section the fold uses
+    before anything is touched: rows must have the right shape, node
+    keys may not repeat, ``node_gs`` may not be longer than ``nodes``,
+    and every node reference (edges, effects, reference edges, control
+    dependences, return nodes) must be an int in ``[0, len(nodes))``.
+    Any failure raises :class:`ProfileFormatError`, and a document
+    whose ``slots`` differ from ``graph.slots`` raises
+    :class:`~repro.profiler.errors.ProfileInputError`, so a rejected
+    document leaves ``graph`` and ``state`` exactly as they were.
+
+    The *fold* pass applies the rules of
+    :func:`~repro.profiler.parallel.fold_graph` straight from the rows,
+    with no intermediate shard graph: nodes match by ``(iid, d)`` and
+    new ones are numbered in document order, frequencies sum, flags
+    OR, edges and sets union, the document's effects overwrite earlier
+    ones (last shard wins), and tracker facts fold through
+    :meth:`TrackerState.fold`.  Folding a run's documents in job order
+    therefore numbers nodes exactly as
+    :func:`~repro.profiler.parallel.merge_graphs` over the decoded
+    graphs does.
+
+    With ``state`` ``None`` the tracker section is neither checked nor
+    read (a graph-only load); otherwise the document must carry one.
+    """
+    keys = _check_graph(doc)
+    if state is not None:
+        _check_tracker(doc.get("tracker"), len(keys))
+    slots = doc.get("slots", 16)
+    if slots != graph.slots:
+        raise ProfileInputError(
+            f"cannot merge graphs with different context domains "
+            f"(slots {graph.slots} vs {slots})")
+
+    ids = graph._ids
+    node_keys = graph.node_keys
+    freq = graph.freq
+    flags = graph.flags
+    preds = graph.preds
+    succs = graph.succs
+    remap = []
+    append = remap.append
+    for key, count, mask in zip(keys, doc["freq"], doc["flags"]):
+        mid = ids.get(key)
+        if mid is None:
+            mid = len(node_keys)
+            ids[key] = mid
+            node_keys.append(key)
+            freq.append(count)
+            flags.append(mask)
+            preds.append(set())
+            succs.append(set())
+        else:
+            freq[mid] += count
+            flags[mid] |= mask
+        append(mid)
+    for src, dst in doc["edges"]:
+        src = remap[src]
+        dst = remap[dst]
+        succs[src].add(dst)
+        preds[dst].add(src)
+    graph._edge_count = sum(map(len, succs))
+    effects = graph.effects
+    for node, kind, alloc_key, field in doc["effects"]:
+        effects[remap[node]] = (
+            kind, tuple(alloc_key) if alloc_key is not None else None,
+            field)
+    graph.ref_edges.update([(remap[store], remap[alloc])
+                            for store, alloc in doc["ref_edges"]])
+    # Allocation keys are (alloc_iid, context_slot) — abstract-domain
+    # values, not node ids — so points_to needs no remap.
+    points_to = graph.points_to
+    for base, field, targets in doc["points_to"]:
+        if targets:
+            points_to.setdefault(tuple(base), {}).setdefault(
+                field, set()).update(map(tuple, targets))
+    control_deps = graph.control_deps
+    for node, cpreds in doc.get("control_deps", ()):
+        control_deps.setdefault(remap[node], set()).update(
+            [remap[p] for p in cpreds])
+    if state is not None:
+        section = doc["tracker"]
+        state.fold(section.get("node_gs", ()),
+                   section.get("branch_outcomes", ()),
+                   section.get("return_nodes", ()), remap)
+
+
+def graph_from_dict(data: dict) -> DependenceGraph:
+    """Rebuild a graph from :func:`graph_to_dict` output (v1 or v2):
+    :func:`fold_document` into an empty graph."""
+    slots = data.get("slots", 16) if type(data) is dict else 16
+    graph = DependenceGraph(slots=slots)
+    fold_document(graph, None, data)
     return graph
 
 
@@ -130,20 +374,21 @@ def tracker_state_from_dict(data: dict):
     """The :class:`TrackerState` carried by a v2 document, or ``None``.
 
     v1 documents (and v2 documents written without a tracker) have no
-    tracker section; callers fall back to graph-only analyses.
+    tracker section; callers fall back to graph-only analyses.  The
+    state is numbered as the document's nodes are; its section is
+    checked as :func:`fold_document` checks it.
     """
     section = data.get("tracker")
     if section is None:
         return None
-    return TrackerState(
-        node_gs=[set(gs) if gs is not None else None
-                 for gs in section.get("node_gs", [])],
-        branch_outcomes={iid: [taken, not_taken]
-                         for iid, taken, not_taken
-                         in section.get("branch_outcomes", [])},
-        return_nodes={iid: set(nodes)
-                      for iid, nodes
-                      in section.get("return_nodes", [])})
+    nodes = data.get("nodes")
+    n = len(nodes) if type(nodes) is list else 0
+    _check_tracker(section, n)
+    state = TrackerState()
+    state.fold(section.get("node_gs", ()),
+               section.get("branch_outcomes", ()),
+               section.get("return_nodes", ()), list(range(n)))
+    return state
 
 
 # -- integrity ---------------------------------------------------------------
@@ -240,11 +485,23 @@ def load_profile(path):
 
     ``state`` is ``None`` for graph-only documents (v1, or v2 saved
     without a tracker).  Raises the errors of :func:`read_document`,
-    and :class:`ProfileFormatError` for unsupported versions.
+    and :class:`ProfileFormatError` for unsupported versions and for
+    every document :func:`fold_document` rejects.
     """
     data = read_document(path)
-    return (graph_from_dict(data), data.get("meta", {}),
-            tracker_state_from_dict(data))
+    try:
+        return _profile_from_dict(data)
+    except ProfileFormatError as error:
+        raise ProfileFormatError(f"profile {path!r}: {error}") from error
+
+
+def _profile_from_dict(data: dict):
+    """``(graph, meta, state)``: ``data`` folded into an empty graph,
+    and into an empty state when it carries a tracker section."""
+    graph = DependenceGraph(slots=data.get("slots", 16))
+    state = TrackerState() if data.get("tracker") is not None else None
+    fold_document(graph, state, data)
+    return graph, data.get("meta", {}), state
 
 
 def load_graph_with_meta(path):
@@ -365,63 +622,81 @@ def _repair_json(text: str, damage: int) -> dict:
 
 
 def _intlist(row, length):
-    return (isinstance(row, list) and len(row) == length
-            and all(isinstance(value, int) for value in row))
+    return (type(row) is list and len(row) == length
+            and all(type(value) is int for value in row))
+
+
+def _rows(data, section):
+    rows = data.get(section, [])
+    return rows if type(rows) is list else []
 
 
 def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
-    """Trim a recovered document to its internally consistent core."""
+    """Trim a recovered document to its internally consistent core:
+    the rows :func:`fold_document` accepts."""
     for section in _SECTIONS:
         if section not in data:
             report.missing.append(section)
-    nodes = [row for row in data.get("nodes", []) if _intlist(row, 2)]
-    report.drop("nodes", len(data.get("nodes", [])) - len(nodes))
-    freq = [value for value in data.get("freq", [])
-            if isinstance(value, int)]
-    flags = [value for value in data.get("flags", [])
-             if isinstance(value, int)]
+    nodes = [row for row in _rows(data, "nodes") if _intlist(row, 2)]
+    report.drop("nodes", len(_rows(data, "nodes")) - len(nodes))
+    freq = [value for value in _rows(data, "freq")
+            if type(value) is int]
+    flags = [value for value in _rows(data, "flags")
+             if type(value) is int]
     count = min(len(nodes), len(freq) if "freq" in data else len(nodes),
                 len(flags) if "flags" in data else len(nodes))
+    # A repeated node key ends the consistent prefix: the nodes after
+    # it cannot keep their ids without it.
+    seen = set()
+    for index, row in enumerate(nodes[:count]):
+        key = tuple(row)
+        if key in seen:
+            count = index
+            break
+        seen.add(key)
     report.nodes = count
+    slots = data.get("slots", 16)
     clean = {
         "version": data.get("version", FORMAT_VERSION),
         "meta": data.get("meta") if isinstance(data.get("meta"), dict)
         else {},
-        "slots": data.get("slots", 16),
+        "slots": slots if type(slots) is int and slots > 0 else 16,
         "nodes": nodes[:count],
         # Arrays lost to truncation are reconstructed neutrally: every
         # recovered node executed at least once, with no flags.
         "freq": (freq[:count] if "freq" in data else [1] * count),
         "flags": (flags[:count] if "flags" in data else [0] * count),
     }
-    if "freq" in data and len(freq) < len(nodes):
+    if count < len(nodes):
         report.drop("nodes", len(nodes) - count)
 
     def keep(section, predicate):
-        rows = data.get(section, [])
+        rows = _rows(data, section)
         kept = [row for row in rows if predicate(row)]
         report.drop(section, len(rows) - len(kept))
         return kept
 
-    in_range = lambda n: isinstance(n, int) and 0 <= n < count  # noqa: E731
+    in_range = lambda n: type(n) is int and 0 <= n < count  # noqa: E731
     clean["edges"] = keep(
         "edges", lambda row: _intlist(row, 2) and in_range(row[0])
         and in_range(row[1]))
     clean["effects"] = keep(
-        "effects", lambda row: isinstance(row, list) and len(row) == 4
-        and in_range(row[0])
-        and (row[2] is None or _intlist(row[2], 2)))
+        "effects", lambda row: type(row) is list and len(row) == 4
+        and in_range(row[0]) and type(row[1]) is str
+        and (row[2] is None or _intlist(row[2], 2))
+        and (row[3] is None or type(row[3]) is str))
     clean["ref_edges"] = keep(
         "ref_edges", lambda row: _intlist(row, 2) and in_range(row[0])
         and in_range(row[1]))
     clean["points_to"] = keep(
-        "points_to", lambda row: isinstance(row, list) and len(row) == 3
-        and _intlist(row[0], 2) and isinstance(row[2], list)
+        "points_to", lambda row: type(row) is list and len(row) == 3
+        and _intlist(row[0], 2) and type(row[1]) is str
+        and type(row[2]) is list
         and all(_intlist(t, 2) for t in row[2]))
     control = []
-    for row in data.get("control_deps", []):
-        if (isinstance(row, list) and len(row) == 2 and in_range(row[0])
-                and isinstance(row[1], list)):
+    for row in _rows(data, "control_deps"):
+        if (type(row) is list and len(row) == 2 and in_range(row[0])
+                and type(row[1]) is list):
             preds = [p for p in row[1] if in_range(p)]
             report.drop("control_deps", len(row[1]) - len(preds))
             control.append([row[0], preds])
@@ -431,19 +706,19 @@ def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
 
     tracker = data.get("tracker")
     if isinstance(tracker, dict):
-        node_gs = [gs if gs is None or (isinstance(gs, list)
-                                        and all(isinstance(g, int)
+        node_gs = [gs if gs is None or (type(gs) is list
+                                        and all(type(g) is int
                                                 for g in gs))
                    else None
-                   for gs in tracker.get("node_gs", [])[:count]]
-        outcomes = [row for row in tracker.get("branch_outcomes", [])
+                   for gs in _rows(tracker, "node_gs")[:count]]
+        outcomes = [row for row in _rows(tracker, "branch_outcomes")
                     if _intlist(row, 3)]
-        report.drop("tracker",
-                    len(tracker.get("branch_outcomes", [])) - len(outcomes))
+        report.drop("tracker", len(_rows(tracker, "branch_outcomes"))
+                    - len(outcomes))
         returns = []
-        for row in tracker.get("return_nodes", []):
-            if (isinstance(row, list) and len(row) == 2
-                    and isinstance(row[1], list)):
+        for row in _rows(tracker, "return_nodes"):
+            if (type(row) is list and len(row) == 2
+                    and type(row[0]) is int and type(row[1]) is list):
                 returns.append([row[0],
                                 [n for n in row[1] if in_range(n)]])
             else:
@@ -473,10 +748,9 @@ def salvage_profile(path):
         report.nodes = graph.num_nodes
         report.checksum_verified = True
         return graph, meta, state, report
-    except (ProfileFormatError, KeyError, IndexError, TypeError):
-        # Typed load failures, but also the raw structural errors a
-        # parseable-yet-damaged document (dangling node references,
-        # malformed rows) triggers inside graph_from_dict.
+    except ProfileFormatError:
+        # Bytes that do not parse, but also a parseable-yet-damaged
+        # document (dangling node references, malformed rows).
         pass
     with open(path, "rb") as handle:
         text = handle.read().decode("utf-8", errors="replace")
@@ -493,5 +767,4 @@ def salvage_profile(path):
             f"profile {path!r} is beyond salvage "
             f"(no decodable node section)")
     clean = _sanitize_partial(data, report)
-    return (graph_from_dict(clean), clean["meta"],
-            tracker_state_from_dict(clean), report)
+    return _profile_from_dict(clean) + (report,)

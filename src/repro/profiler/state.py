@@ -66,14 +66,53 @@ class TrackerState:
         self._cr_upto = len(node_gs)
         return average_conflict_ratio(groups)
 
+    def fold(self, node_gs, branch_outcomes, return_nodes, remap):
+        """Fold another run's tracker facts into this state, in place.
+
+        ``node_gs`` holds one entry per source node id (``None`` or an
+        iterable of contexts), ``branch_outcomes`` is ``(iid, taken,
+        not_taken)`` rows and ``return_nodes`` is ``(iid, node ids)``
+        rows; ``remap[source id]`` is the node's id in this state's
+        graph.  Context and return sets union, outcome counts sum.
+        Shared by :func:`~repro.profiler.parallel.fold_graph` (states
+        in memory) and :func:`~repro.profiler.serialize.fold_document`
+        (the rows of a document), so both apply one set of rules.
+        """
+        gs_list = self.node_gs
+        top = max(remap[:len(node_gs)], default=-1) + 1
+        if len(gs_list) < top:
+            gs_list.extend([None] * (top - len(gs_list)))
+        for mid, gs in zip(remap, node_gs):
+            if gs is not None:
+                have = gs_list[mid]
+                if have is None:
+                    gs_list[mid] = set(gs)
+                else:
+                    have.update(gs)
+        outcomes = self.branch_outcomes
+        for iid, taken, not_taken in branch_outcomes:
+            counts = outcomes.get(iid)
+            if counts is None:
+                outcomes[iid] = [taken, not_taken]
+            else:
+                counts[0] += taken
+                counts[1] += not_taken
+        returns = self.return_nodes
+        for iid, nodes in return_nodes:
+            returns.setdefault(iid, set()).update(
+                [remap[n] for n in nodes])
+        # A fold can replace context sets the cached CR regrouping
+        # references by position; refold lazily on the next query.
+        self.invalidate_cr_cache()
+
     def invalidate_cr_cache(self):
         """Drop the incremental CR regrouping; the next
         :meth:`conflict_ratio` call refolds from scratch.
 
-        Needed after a fold *into* this state
-        (:func:`~repro.profiler.parallel.fold_graph`): a fold may
-        replace a formerly-``None`` ``node_gs`` entry below the cached
-        watermark with a fresh set the grouping has no reference to.
+        Needed after a fold *into* this state (:meth:`fold` calls
+        it): a fold may replace a formerly-``None`` ``node_gs`` entry
+        below the cached watermark with a fresh set the grouping has
+        no reference to.
         """
         self._cr_groups = {}
         self._cr_upto = 0

@@ -57,9 +57,10 @@ from ..vm import compiled, interpreter  # noqa: F401
 from ..vm.errors import VMError
 from .checkpoint import jobs_fingerprint, load_checkpoint, write_checkpoint
 from .errors import ProfileInputError, ShardFailedError
-from .parallel import AggregateProfile, merge_graphs
-from .serialize import (graph_from_dict, graph_to_dict,
-                        tracker_state_from_dict, validate_shard)
+from .graph import DependenceGraph
+from .parallel import AggregateProfile
+from .serialize import fold_document, graph_to_dict, validate_shard
+from .state import TrackerState
 from .tracker import CostTracker
 
 #: Process context of every shard attempt: ``fork`` where available
@@ -627,10 +628,11 @@ class SupervisedProfiler:
             return SupervisedRun(profile=None, report=report)
         indices = sorted(done)
         with telemetry.span("supervisor.merge", shards=len(indices)):
-            graphs = [graph_from_dict(done[index]) for index in indices]
-            states = [tracker_state_from_dict(done[index])
-                      for index in indices]
-            graph, state = merge_graphs(graphs, states)
+            # Folding in index order numbers nodes as merge_graphs does.
+            graph = DependenceGraph(slots=self.slots)
+            state = TrackerState()
+            for index in indices:
+                fold_document(graph, state, done[index])
         profile = AggregateProfile(
             graph=graph, state=state,
             metas=[done[index]["meta"] for index in indices])

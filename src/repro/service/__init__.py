@@ -6,8 +6,9 @@ keeps the reduce side *resident*.  A long-lived daemon
 (:class:`AnalysisDaemon`, ``python -m repro serve``) accepts
 serialized profile shards over a framed socket protocol
 (:mod:`repro.service.protocol`), folds them incrementally into
-per-tenant merged Gcost state (:class:`TenantRegistry`, the exact
-:func:`~repro.profiler.parallel.fold_graph` operator), and answers
+per-tenant merged Gcost state (:class:`TenantRegistry`, folding each
+document with :func:`~repro.profiler.serialize.fold_document`, the
+exact merge operator applied to its rows), and answers
 report/RAC/RAB/bloat/summary/trace queries from the live graphs.
 :class:`ServiceClient` / :class:`ShardPusher` are the blocking client
 side (``client`` CLI subcommand, ``profile --push``).

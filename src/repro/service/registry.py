@@ -8,13 +8,13 @@ graph small — the premise the service layer is built on) and answers
 queries from the live merged state, so no graph is ever re-loaded per
 request.
 
-Ingest is the exact reduce operator of the parallel runtime: each
-accepted shard is folded through
-:func:`~repro.profiler.parallel.fold_graph`, so a tenant that received
-a sharded run's shards in job order holds a graph bit-for-bit
-identical — node numbering included — to the batch
+Ingest is the exact reduce operator of the parallel runtime, applied
+straight to the pushed document: each accepted shard is folded by
+:func:`~repro.profiler.serialize.fold_document`, so a tenant that
+received a sharded run's shards in job order holds a graph
+bit-for-bit identical — node numbering included — to the batch
 :func:`~repro.profiler.parallel.merge_graphs` over the same list.
-A shard is deserialized and validated *before* any tenant state is
+Every section of a shard is checked *before* any tenant state is
 touched; a bad shard (or a client that dies mid-frame, which never
 reaches the registry at all) leaves the tenant exactly as it was.
 
@@ -41,9 +41,10 @@ from ..observability.telemetry import current as _current_telemetry
 from ..profiler.checkpoint import (CheckpointError, load_checkpoint,
                                    write_checkpoint)
 from ..profiler.errors import ProfileFormatError, ProfileInputError
-from ..profiler.parallel import fold_graph
-from ..profiler.serialize import (graph_from_dict, graph_to_dict,
-                                  tracker_state_from_dict, validate_shard)
+from ..profiler.graph import DependenceGraph
+from ..profiler.serialize import (fold_document, graph_to_dict,
+                                  validate_shard)
+from ..profiler.state import TrackerState
 from .protocol import (E_BAD_MESSAGE, E_BAD_SHARD, E_NO_TENANT,
                        E_SLOTS_MISMATCH, E_SPILL, ServiceError)
 
@@ -130,9 +131,12 @@ class TenantState:
     def fold(self, shard: dict) -> None:
         """Validate and fold one serialized shard into the tenant.
 
-        All-or-nothing: the shard is checked and fully deserialized
-        first, so every :class:`~repro.service.protocol.ServiceError`
-        path leaves the tenant untouched.
+        All-or-nothing: :func:`~repro.profiler.serialize.fold_document`
+        checks every section of the shard before it touches the
+        tenant, and the meta fields the tenant records are read before
+        the fold, so every :class:`~repro.service.protocol.ServiceError`
+        path leaves the tenant untouched.  The first shard folds into a
+        fresh graph/state the tenant then adopts.
         """
         problem = validate_shard(shard)
         if problem is not None:
@@ -143,40 +147,38 @@ class TenantState:
                 f"shard has slots={shard['slots']} but tenant "
                 f"{self.name!r} was built at slots={self.slots}")
         try:
-            graph = graph_from_dict(shard)
-            state = tracker_state_from_dict(shard)
-        except (ProfileFormatError, ProfileInputError, KeyError,
-                IndexError, TypeError, ValueError) as error:
+            meta = shard["meta"] or {}
+            runs = int(meta.get("runs") or 1)
+            instructions = int(meta.get("instructions") or 0)
+        except (AttributeError, TypeError, ValueError,
+                OverflowError) as error:
+            raise ServiceError(E_BAD_SHARD,
+                               f"shard meta is malformed: {error}") \
+                from error
+        if self.graph is None:
+            graph = DependenceGraph(slots=shard["slots"])
+            state = TrackerState()
+        else:
+            graph, state = self.graph, self.state
+        try:
+            fold_document(graph, state, shard)
+        except (ProfileFormatError, ProfileInputError) as error:
             raise ServiceError(E_BAD_SHARD,
                                f"shard does not deserialize: {error}") \
                 from error
-        if state is None:
-            raise ServiceError(
-                E_BAD_SHARD,
-                "shard carries no tracker state (v2 with tracker "
-                "section required; graph-only documents cannot join "
-                "a served merge)")
         if self.graph is None:
-            # First shard: adopt it directly — identical numbering to
-            # merge_graphs([first]) without the copy.
             self.slots = shard["slots"]
             self.graph, self.state = graph, state
-        else:
-            fold_graph(self.graph, graph, self.state, state)
-            # A fold can replace context sets the cached CR regrouping
-            # references by position; refold lazily on next query.
-            self.state.invalidate_cr_cache()
-        meta = shard.get("meta") or {}
         self.shards += 1
         self.last_ingest_unix = round(time.time(), 6)
-        self.runs += int(meta.get("runs") or 1)
-        self.instructions += int(meta.get("instructions") or 0)
+        self.runs += runs
+        self.instructions += instructions
         if self.output is None:
             self.output = meta.get("output")
         if self.exec_mode is None:
             self.exec_mode = meta.get("exec_mode")
         trace = meta.get("trace")
-        if trace and len(self.traces) < MAX_TRACES:
+        if isinstance(trace, dict) and len(self.traces) < MAX_TRACES:
             record = {"label": meta.get("label", "")}
             record.update(trace)
             self.traces.append(record)
@@ -237,13 +239,12 @@ class TenantState:
 
     @classmethod
     def from_profile_dict(cls, name: str, doc: dict) -> "TenantState":
+        """The tenant a spill document holds; raises what
+        :func:`~repro.profiler.serialize.fold_document` raises."""
         tenant = cls(name)
-        tenant.graph = graph_from_dict(doc)
-        tenant.state = tracker_state_from_dict(doc)
-        if tenant.state is None:
-            raise ServiceError(E_SPILL,
-                               f"spill document for tenant {name!r} "
-                               f"lost its tracker state")
+        tenant.graph = DependenceGraph(slots=doc.get("slots", 16))
+        tenant.state = TrackerState()
+        fold_document(tenant.graph, tenant.state, doc)
         meta = doc.get("meta") or {}
         service = meta.get("service") or {}
         tenant.slots = doc.get("slots")
@@ -383,8 +384,9 @@ class TenantRegistry:
         try:
             shards = load_checkpoint(path, _tenant_fingerprint(name))
             tenant = TenantState.from_profile_dict(name, shards[0])
-        except (CheckpointError, ProfileFormatError, KeyError,
-                OSError) as error:
+        except (CheckpointError, KeyError, OSError, AttributeError,
+                TypeError, ValueError) as error:
+            # ValueError covers ProfileFormatError and ProfileInputError.
             raise ServiceError(E_SPILL,
                                f"cannot reload tenant {name!r} from "
                                f"{path!r}: {error}") from error

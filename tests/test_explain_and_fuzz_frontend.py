@@ -144,6 +144,25 @@ class TestFrontendTotality:
         vm.run()
         assert vm.stdout() == "201"
 
+    @pytest.mark.parametrize("expr, expected", [
+        ("1" + " + 1" * 400, "401"),
+        ("n" + ".next" * 400 + ".v", "7"),
+        ("n" + ".self()" * 400 + ".v", "7"),
+        ("n" + ".self().next" * 200 + ".a[1]", "1"),
+    ], ids=["binary", "fields", "calls", "mixed"])
+    def test_long_flat_chain_runs(self, expr, expected):
+        """A left spine is not nesting: a 400-link chain parses, and the
+        checker and code generator walk it without a frame per link."""
+        source = ("class Node { Node next; int v; int[] a; "
+                  "Node self() { return this; } } "
+                  "class Main { static void main() { Node n = new Node(); "
+                  "n.next = n; n.v = 7; n.a = new int[2]; n.a[1] = 1; "
+                  f"Sys.printInt({expr}); }} }}")
+        from repro.vm import VM
+        vm = VM(compile_source(source))
+        vm.run()
+        assert vm.stdout() == expected
+
     def test_deeply_nested_parens(self):
         expr = "(" * 50 + "7" + ")" * 50
         source = (f"class Main {{ static void main() "

@@ -20,14 +20,18 @@ one program in a few thousand runs for minutes.
   allocations, field and array loads and stores, reference edges,
   points-to, receiver contexts, calls and returns -- so the compiled
   tier's tracked template is checked against the interpreter on
-  programs no one wrote by hand.
+  programs no one wrote by hand.  The same programs' shard documents
+  check that :func:`~repro.profiler.serialize.fold_document` merges
+  exactly as :func:`~repro.profiler.parallel.merge_graphs` does.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang import compile_source, format_source
-from repro.profiler import CostTracker, canonical_form
+from repro.profiler import (CostTracker, DependenceGraph, TrackerState,
+                            canonical_form, fold_document, graph_to_dict,
+                            merge_graphs)
 from repro.vm import VM
 
 N_VARS = 3
@@ -309,3 +313,49 @@ def test_compiled_tracked_equals_interpreted(source, params):
     assert compiled.instr_count == interp.instr_count
     assert canonical_form(compiled.tracer.graph, compiled.tracer.state()) \
         == canonical_form(interp.tracer.graph, interp.tracer.state())
+
+
+def _shard(source, params):
+    """A tracked run of ``source``: its in-memory graph and state, and
+    the shard document a worker would ship."""
+    tracker = _tracked(source, "compiled", params).tracer
+    return (tracker.graph, tracker.state(),
+            graph_to_dict(tracker.graph, tracker=tracker))
+
+
+def _fold_all(docs, slots):
+    graph, state = DependenceGraph(slots=slots), TrackerState()
+    for doc in docs:
+        fold_document(graph, state, doc)
+    return graph, state
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from(_TRACKER_PARAMS), st.data())
+@settings(max_examples=15, deadline=None)
+def test_document_fold_equals_merge_over_any_grouping(sources, params,
+                                                      data):
+    """Folding shard documents in job order, over any contiguous
+    grouping, is ``merge_graphs`` over the runs' in-memory graphs:
+    node numbering included.  Distinct programs share iids with
+    different shapes, and the repeated first shard folds into nodes
+    that already exist."""
+    shards = [_shard(source, params) for source in sources]
+    shards.append(shards[0])
+    slots = params["slots"]
+    oracle_graph, oracle_state = merge_graphs(
+        [graph for graph, _, _ in shards],
+        [state for _, state, _ in shards])
+    docs = [doc for _, _, doc in shards]
+    for doc in docs:            # into an empty graph: a round trip
+        graph, state = _fold_all([doc], slots)
+        assert graph_to_dict(graph, tracker=state) == doc
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(docs) - 1))))
+    bounds = list(zip([0] + cuts, cuts + [len(docs)]))
+    grouped = [graph_to_dict(graph, tracker=state) for graph, state
+               in (_fold_all(docs[start:end], slots)
+                   for start, end in bounds)]
+    graph, state = _fold_all(grouped, slots)
+    assert graph.node_keys == oracle_graph.node_keys
+    assert canonical_form(graph, state) == \
+        canonical_form(oracle_graph, oracle_state)

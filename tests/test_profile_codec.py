@@ -3,9 +3,10 @@
 Every profile, checkpoint and spill file is written by
 ``write_document`` and read by ``read_document``.  These tests pin what
 that pair promises beyond the format itself: a save that fails leaves
-the previous file byte-for-byte intact, and bytes that do not decode
-get a typed error on every path that reads a file — ``report``,
-``analyze --salvage``, ``client push`` and checkpoint resume.
+the previous file byte-for-byte intact, bytes that do not decode get a
+typed error on every path that reads a file — ``report``, ``analyze
+--salvage``, ``client push`` and checkpoint resume — and so do rows
+that point outside the node list, even under a valid checksum.
 """
 
 import os
@@ -109,6 +110,52 @@ class TestUndecodableBytes:
         flip_byte(ckpt, 40)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(ckpt))
+
+
+#: Row damage a checksum cannot catch (the file is re-stamped after
+#: it): ``(section, column of the section's first row, new value)``,
+#: where ``None`` stands for the node count, one past the last node.
+DAMAGED_ROWS = {
+    "edge-past-node-list": ("edges", 1, None),
+    "negative-edge": ("edges", 0, -1),
+    "negative-effect-node": ("effects", 0, -1),
+}
+
+
+@pytest.fixture(params=sorted(DAMAGED_ROWS))
+def damaged_rows(request, saved, tmp_path):
+    """``(path, source, section)``: the saved profile with one row
+    pointing outside the node list, written with a valid checksum."""
+    profile, source = saved
+    section, column, value = DAMAGED_ROWS[request.param]
+    doc = read_document(str(profile))
+    doc[section][0][column] = len(doc["nodes"]) if value is None else value
+    bad = tmp_path / "rows.gcost.json"
+    write_document(str(bad), doc)
+    return bad, source, section
+
+
+class TestDamagedRows:
+
+    def test_load_is_a_format_error(self, damaged_rows):
+        bad, _, section = damaged_rows
+        with pytest.raises(ProfileFormatError, match=section):
+            load_profile(str(bad))
+
+    def test_report_is_bad_input(self, damaged_rows, capsys):
+        bad, source, section = damaged_rows
+        assert main(["report", str(bad), str(source),
+                     "--no-stdlib"]) == EXIT_BAD_INPUT
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro:")
+        assert section in lines[0]
+
+    def test_salvage_drops_the_row(self, damaged_rows, saved):
+        bad, _, section = damaged_rows
+        graph, _, state, report = salvage_profile(str(bad))
+        assert report.dropped == {section: 1}
+        full_graph, _, _ = load_profile(str(saved[0]))
+        assert graph.node_keys == full_graph.node_keys
 
 
 class TestAtomicSave:

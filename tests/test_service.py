@@ -94,6 +94,40 @@ def offline_merge(shards):
     return merge_graphs(graphs, states)
 
 
+#: Damage a checksum cannot catch: the shard is re-stamped after it.
+HOSTILE_SHARD_DEFECTS = ("edge-past-end", "negative-edge",
+                         "effect-node-past-end", "negative-effect-node",
+                         "ref-edge-past-end", "control-dep-past-end",
+                         "return-node-past-end", "node-gs-past-end")
+
+
+def hostile_shard(defect):
+    """A valid shard with one node reference out of range, checksummed
+    after the damage."""
+    from repro.profiler import content_checksum
+    shard = make_shard("hostile")
+    n = len(shard["nodes"])
+    if defect == "edge-past-end":
+        shard["edges"][0][1] = n
+    elif defect == "negative-edge":
+        shard["edges"][0][0] = -1
+    elif defect == "effect-node-past-end":
+        shard["effects"][0][0] = n
+    elif defect == "negative-effect-node":
+        shard["effects"][0][0] = -1
+    elif defect == "ref-edge-past-end":
+        shard["ref_edges"][0][1] = n
+    elif defect == "control-dep-past-end":
+        shard["control_deps"].append([0, [n]])
+    elif defect == "return-node-past-end":
+        shard["tracker"]["return_nodes"].append([0, [n]])
+    else:
+        gs = shard["tracker"]["node_gs"]
+        gs.extend([[0]] * (n + 1 - len(gs)))
+    shard["checksum"] = content_checksum(shard)
+    return shard
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol
 
@@ -528,6 +562,28 @@ class TestDaemon:
                 client.push("app", make_shard("b"))
                 assert client.query("app",
                                     "summary")["result"]["shards"] == 2
+
+    @pytest.mark.parametrize("defect", HOSTILE_SHARD_DEFECTS)
+    def test_hostile_push_is_bad_shard_and_changes_nothing(self, tmp_path,
+                                                           defect):
+        """A checksummed shard whose rows reference nodes it does not
+        hold is refused as a whole: the tenant keeps its graph, state
+        and shard count, and still answers ``report``."""
+        program = {"source": SOURCE, "use_stdlib": False}
+        with DaemonHarness(tmp_path) as harness:
+            with harness.client() as client:
+                client.push("app", make_shard("ok"))
+                tenant = harness.registry.tenant("app")
+                before = canonical_form(tenant.graph, tenant.state)
+                with pytest.raises(ServiceError) as err:
+                    client.push("app", hostile_shard(defect))
+                assert err.value.code == protocol.E_BAD_SHARD
+                assert client.status("app")["status"]["shards"] == 1
+                assert canonical_form(tenant.graph, tenant.state) == before
+                report = client.query("app", "report", program=program,
+                                      top=10)["result"]
+                assert report["summary"]["nodes"] == \
+                    tenant.graph.num_nodes
 
     def test_garbage_bytes_get_error_frame_and_close(self, tmp_path):
         with DaemonHarness(tmp_path) as harness:
