@@ -15,7 +15,7 @@ map-reduce profiling architecture:
   runs each :class:`ProfileJob` in its own worker process; the worker
   builds its program (a forked worker reuses the parent's compile, see
   :func:`compile_program`), runs VM + :class:`CostTracker`, and returns
-  a compact serialized profile (format v2, graph + tracker state);
+  a compact serialized profile (format v3, graph + tracker state);
 * **reduce** — the parent folds the shard documents, in job order,
   straight into one graph/state pair through
   :func:`~repro.profiler.serialize.fold_document`, which applies the

@@ -6,18 +6,28 @@ storage."  These helpers round-trip a :class:`DependenceGraph` through
 a JSON document so a profiled run can be analyzed later (or elsewhere)
 without re-executing the program.
 
-Format v2 additionally carries the tracker-side state
+Format v2 added the tracker-side state
 (:class:`~repro.profiler.state.TrackerState`): the per-node context
 sets behind the conflict ratio, the branch outcome counters, and the
 return-value node sets.  With them on disk the CR statistic and the
 predicate / return-cost clients run fully offline, and the parallel
 runtime's workers can ship complete profiles back to the merging
-parent.  v1 documents (graph only) are still readable.
+parent.
+
+Format v3, the one written, stores the three large integer tables as
+flat int columns rather than lists of pairs: ``nodes`` is ``[iid0, d0,
+iid1, d1, ...]`` and ``edges`` and ``ref_edges`` are ``[a0, b0, a1, b1,
+...]``.  Node ``i``'s key is ``(nodes[2i], nodes[2i + 1])``.  Every
+other section is laid out as in v2.  The columns make a document about
+a third cheaper to encode, parse and fold, and to pickle between
+processes.  v1 (graph only) and v2 documents, whose tables are lists of
+``[a, b]`` rows, are still readable.
 
 Every document is read by one decoder, :func:`fold_document`, which
-checks all of a document's rows and then folds them straight into a
-target graph and state: an empty one for a load, a tenant's or the
-supervisor's merge for a shard.
+checks all of a document's sections and then folds them straight into
+a target graph and state: an empty one for a load, a tenant's or the
+supervisor's merge for a shard.  Its check flattens v1/v2 rows into
+the v3 columns, so both layouts take the same fold.
 
 Integrity
 ---------
@@ -37,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import itemgetter
 
 from .errors import (ProfileChecksumError, ProfileFormatError,
@@ -45,10 +55,14 @@ from .errors import (ProfileChecksumError, ProfileFormatError,
 from .graph import DependenceGraph
 from .state import TrackerState
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Versions :func:`fold_document` accepts.
-READABLE_VERSIONS = (1, 2)
+READABLE_VERSIONS = (1, 2, 3)
+
+#: The first version whose ``nodes``/``edges``/``ref_edges`` are flat
+#: int columns rather than lists of pairs.
+FLAT_VERSION = 3
 
 
 def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
@@ -69,18 +83,15 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
         "version": FORMAT_VERSION,
         "meta": dict(meta) if meta else {},
         "slots": graph.slots,
-        "nodes": [list(key) for key in graph.node_keys],
+        "nodes": list(chain.from_iterable(graph.node_keys)),
         "freq": list(graph.freq),
         "flags": list(graph.flags),
-        "edges": [[src, dst]
-                  for src, succs in enumerate(graph.succs)
-                  for dst in sorted(succs)],
+        "edges": _edge_column(graph.succs),
         "effects": [[node, kind, list(alloc_key) if alloc_key else None,
                      field]
                     for node, (kind, alloc_key, field)
                     in sorted(graph.effects.items())],
-        "ref_edges": sorted([store, alloc]
-                            for store, alloc in graph.ref_edges),
+        "ref_edges": list(chain.from_iterable(sorted(graph.ref_edges))),
         "points_to": [[list(base), field,
                        sorted(list(t) for t in targets)]
                       for base, fields in sorted(graph.points_to.items())
@@ -104,6 +115,19 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
                              in sorted(state.return_nodes.items())],
         }
     return data
+
+
+def _edge_column(succs) -> list:
+    """The flat ``[src, dst, ...]`` column of ``succs``, sources in
+    order and each source's targets sorted."""
+    column = []
+    extend = column.extend
+    for src, dsts in enumerate(succs):
+        if dsts:
+            pairs = [src] * (2 * len(dsts))
+            pairs[1::2] = sorted(dsts)
+            extend(pairs)
+    return column
 
 
 def _bad(section: str, problem: str) -> ProfileFormatError:
@@ -160,13 +184,27 @@ def _int_table(rows, width: int):
     return values if _ints(values) else None
 
 
-def _check_graph(doc) -> list:
+def _pair_column(values, version):
+    """The int pairs of a ``nodes``/``edges``/``ref_edges`` section as
+    one flat ``[a0, b0, a1, b1, ...]`` list, else ``None``: a v3 column
+    must be an even-length list of ints, and v1/v2 ``[a, b]`` rows are
+    flattened by :func:`_int_table`."""
+    if version < FLAT_VERSION:
+        return _int_table(values, 2)
+    if type(values) is list and not len(values) % 2 and _ints(values):
+        return values
+    return None
+
+
+def _check_graph(doc) -> tuple:
     """The check pass of :func:`fold_document` over the graph sections.
 
-    Returns the document's node keys as ``(iid, d)`` tuples.  Each check
-    runs over a whole column at once (``set(map(type, ...))``,
-    ``min``/``max``), so a valid document costs a few C-level passes
-    per section rather than Python work per row.
+    Returns ``(keys, edges, ref_edges)``: the document's node keys as
+    ``(iid, d)`` tuples and its two edge sections as flat int columns,
+    whatever the document's layout.  Each check runs over a whole
+    column at once (``set(map(type, ...))``, ``sum``, ``min``/``max``),
+    so a valid document costs a few C-level passes per section rather
+    than Python work per row.
     """
     if type(doc) is not dict:
         raise ProfileFormatError(
@@ -186,24 +224,27 @@ def _check_graph(doc) -> list:
     if type(doc.get("meta", {})) is not dict:
         raise _bad("meta", "is not an object")
 
-    nodes = doc["nodes"]
-    if _int_table(nodes, 2) is None:
-        raise _bad("nodes", "holds a row that is not [iid, d]")
-    n = len(nodes)
+    nodes = _pair_column(doc["nodes"], version)
+    if nodes is None:
+        raise _bad("nodes", "is not a list of (iid, d) int pairs")
+    n = len(nodes) // 2
     for key in ("freq", "flags"):
         column = doc[key]
         if type(column) is not list or len(column) != n \
                 or not _ints(column):
             raise _bad(key, f"is not {n} ints, one per node")
-    keys = list(map(tuple, nodes))
+    pairs = iter(nodes)
+    keys = list(zip(pairs, pairs))
     if len(set(keys)) != n:
         raise _bad("nodes", "repeats a node key")
 
+    edges = []
     for key in ("edges", "ref_edges"):
-        values = _int_table(doc[key], 2)
+        values = _pair_column(doc[key], version)
         if values is None or not _below(values, n):
-            raise _bad(key, f"holds a row that is not two node ids "
-                            f"in [0, {n})")
+            raise _bad(key, f"is not a list of node-id pairs in "
+                            f"[0, {n})")
+        edges.append(values)
     effects = doc["effects"]
     if not _is_table(effects, 4):
         raise _bad("effects", "holds a row that is not "
@@ -237,7 +278,7 @@ def _check_graph(doc) -> list:
             and _node_ids(_flat(map(itemgetter(1), control)), n)):
         raise _bad("control_deps", f"holds a row that is not [node, "
                                    f"[nodes]] in [0, {n})")
-    return keys
+    return keys, edges[0], edges[1]
 
 
 def _check_tracker(section, n: int) -> None:
@@ -245,7 +286,7 @@ def _check_tracker(section, n: int) -> None:
     for a document with ``n`` nodes."""
     if section is None:
         raise ProfileFormatError(
-            "profile carries no tracker state (a v2 document with a "
+            "profile carries no tracker state (a v2/v3 document with a "
             "tracker section is required: a graph-only document cannot "
             "join a merge of tracker states)")
     if type(section) is not dict:
@@ -271,15 +312,18 @@ def _check_tracker(section, n: int) -> None:
 
 
 def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
-    """Fold one v1/v2 profile document into ``graph``/``state``, in
+    """Fold one v1/v2/v3 profile document into ``graph``/``state``, in
     place: the one decoder every profile file, pushed shard, worker
     result, checkpoint entry and spill file goes through.
 
     Two passes.  The *check* pass reads every section the fold uses
-    before anything is touched: rows must have the right shape, node
-    keys may not repeat, ``node_gs`` may not be longer than ``nodes``,
-    and every node reference (edges, effects, reference edges, control
-    dependences, return nodes) must be an int in ``[0, len(nodes))``.
+    before anything is touched: rows must have the right shape, a flat
+    column an even number of ints (v1/v2 rows are flattened into the
+    same columns, so the fold reads one layout), node keys may not
+    repeat, ``node_gs`` may not hold more entries than there are
+    nodes, and every node reference (edges, effects, reference edges,
+    control dependences, return nodes) must be an int in ``[0, n)``
+    for ``n`` nodes.
     Any failure raises :class:`ProfileFormatError`, and a document
     whose ``slots`` differ from ``graph.slots`` raises
     :class:`~repro.profiler.errors.ProfileInputError`, so a rejected
@@ -299,7 +343,7 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
     With ``state`` ``None`` the tracker section is neither checked nor
     read (a graph-only load); otherwise the document must carry one.
     """
-    keys = _check_graph(doc)
+    keys, edges, ref_edges = _check_graph(doc)
     if state is not None:
         _check_tracker(doc.get("tracker"), len(keys))
     slots = doc.get("slots", 16)
@@ -330,9 +374,8 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
             freq[mid] += count
             flags[mid] |= mask
         append(mid)
-    for src, dst in doc["edges"]:
-        src = remap[src]
-        dst = remap[dst]
+    ends = map(remap.__getitem__, edges)
+    for src, dst in zip(ends, ends):
         succs[src].add(dst)
         preds[dst].add(src)
     graph._edge_count = sum(map(len, succs))
@@ -341,8 +384,8 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
         effects[remap[node]] = (
             kind, tuple(alloc_key) if alloc_key is not None else None,
             field)
-    graph.ref_edges.update([(remap[store], remap[alloc])
-                            for store, alloc in doc["ref_edges"]])
+    ends = map(remap.__getitem__, ref_edges)
+    graph.ref_edges.update(zip(ends, ends))
     # Allocation keys are (alloc_iid, context_slot) — abstract-domain
     # values, not node ids — so points_to needs no remap.
     points_to = graph.points_to
@@ -370,10 +413,21 @@ def graph_from_dict(data: dict) -> DependenceGraph:
     return graph
 
 
-def tracker_state_from_dict(data: dict):
-    """The :class:`TrackerState` carried by a v2 document, or ``None``.
+def _node_count(doc: dict) -> int:
+    """How many nodes ``doc`` holds: a v3 ``nodes`` column has two
+    values per node, a v1/v2 one a row per node."""
+    nodes = doc.get("nodes")
+    if type(nodes) is not list:
+        return 0
+    return len(nodes) // 2 if doc.get("version") == FLAT_VERSION \
+        else len(nodes)
 
-    v1 documents (and v2 documents written without a tracker) have no
+
+def tracker_state_from_dict(data: dict):
+    """The :class:`TrackerState` carried by a v2/v3 document, or
+    ``None``.
+
+    v1 documents (and later ones written without a tracker) have no
     tracker section; callers fall back to graph-only analyses.  The
     state is numbered as the document's nodes are; its section is
     checked as :func:`fold_document` checks it.
@@ -381,8 +435,7 @@ def tracker_state_from_dict(data: dict):
     section = data.get("tracker")
     if section is None:
         return None
-    nodes = data.get("nodes")
-    n = len(nodes) if type(nodes) is list else 0
+    n = _node_count(data)
     _check_tracker(section, n)
     state = TrackerState()
     state.fold(section.get("node_gs", ()),
@@ -399,7 +452,8 @@ def content_checksum(data: dict) -> str:
     payload = {key: value for key, value in data.items()
                if key != "checksum"}
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        json.dumps(payload, sort_keys=True,
+                   check_circular=False).encode()).hexdigest()
 
 
 def write_document(path, data: dict) -> None:
@@ -410,7 +464,7 @@ def write_document(path, data: dict) -> None:
     keeps its bytes and no tmp file remains.
     """
     data["checksum"] = content_checksum(data)
-    text = json.dumps(data)
+    text = json.dumps(data, check_circular=False)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as handle:
@@ -461,10 +515,9 @@ def validate_shard(shard) -> str:
                 "edges"):
         if key not in shard:
             return f"shard is missing {key!r}"
-    if not (len(shard["nodes"]) == len(shard["freq"])
-            == len(shard["flags"])):
-        return (f"shard node arrays misaligned "
-                f"({len(shard['nodes'])} nodes / "
+    n = _node_count(shard)
+    if not (n == len(shard["freq"]) == len(shard["flags"])):
+        return (f"shard node arrays misaligned ({n} nodes / "
                 f"{len(shard['freq'])} freq / "
                 f"{len(shard['flags'])} flags)")
     if "checksum" in shard and \
@@ -631,12 +684,39 @@ def _rows(data, section):
     return rows if type(rows) is list else []
 
 
+#: The sections v3 stores as flat int columns of pairs.
+_PAIR_SECTIONS = ("nodes", "edges", "ref_edges")
+
+
+def _is_flat(data: dict) -> bool:
+    """True when ``data``'s pair sections are v3 columns.  A version
+    lost to the damage is told from the first ``nodes`` value."""
+    if "version" in data:
+        return data["version"] == FLAT_VERSION
+    nodes = _rows(data, "nodes")
+    return not nodes or type(nodes[0]) is not list
+
+
+def _cut_pairs(column: list) -> list:
+    """A flat column as ``[a, b]`` rows.  An odd trailing value, left by
+    a column cut short, becomes the row ``[a, None]``, which salvage
+    drops and counts as one pair, as it does a cut v2 row."""
+    values = iter(column)
+    return [[a, b] for a, b in zip_longest(values, values)]
+
+
 def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
     """Trim a recovered document to its internally consistent core:
-    the rows :func:`fold_document` accepts."""
+    the rows :func:`fold_document` accepts, as a v3 document.  v3
+    columns are cut into pairs first, so both layouts are trimmed by
+    the same rules and ``dropped`` counts pairs."""
     for section in _SECTIONS:
         if section not in data:
             report.missing.append(section)
+    if _is_flat(data):
+        data = dict(data)
+        for section in _PAIR_SECTIONS:
+            data[section] = _cut_pairs(_rows(data, section))
     nodes = [row for row in _rows(data, "nodes") if _intlist(row, 2)]
     report.drop("nodes", len(_rows(data, "nodes")) - len(nodes))
     freq = [value for value in _rows(data, "freq")
@@ -656,12 +736,15 @@ def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
         seen.add(key)
     report.nodes = count
     slots = data.get("slots", 16)
+    version = data.get("version", FORMAT_VERSION)
     clean = {
-        "version": data.get("version", FORMAT_VERSION),
+        # An unknown version stays, for fold_document to refuse.
+        "version": (FORMAT_VERSION if version in READABLE_VERSIONS
+                    else version),
         "meta": data.get("meta") if isinstance(data.get("meta"), dict)
         else {},
         "slots": slots if type(slots) is int and slots > 0 else 16,
-        "nodes": nodes[:count],
+        "nodes": _flat(nodes[:count]),
         # Arrays lost to truncation are reconstructed neutrally: every
         # recovered node executed at least once, with no flags.
         "freq": (freq[:count] if "freq" in data else [1] * count),
@@ -677,17 +760,17 @@ def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
         return kept
 
     in_range = lambda n: type(n) is int and 0 <= n < count  # noqa: E731
-    clean["edges"] = keep(
+    clean["edges"] = _flat(keep(
         "edges", lambda row: _intlist(row, 2) and in_range(row[0])
-        and in_range(row[1]))
+        and in_range(row[1])))
     clean["effects"] = keep(
         "effects", lambda row: type(row) is list and len(row) == 4
         and in_range(row[0]) and type(row[1]) is str
         and (row[2] is None or _intlist(row[2], 2))
         and (row[3] is None or type(row[3]) is str))
-    clean["ref_edges"] = keep(
+    clean["ref_edges"] = _flat(keep(
         "ref_edges", lambda row: _intlist(row, 2) and in_range(row[0])
-        and in_range(row[1]))
+        and in_range(row[1])))
     clean["points_to"] = keep(
         "points_to", lambda row: type(row) is list and len(row) == 3
         and _intlist(row[0], 2) and type(row[1]) is str

@@ -64,6 +64,8 @@ class AnalysisDaemon:
         self.connections = 0
         self.frame_errors = 0
         self._programs = {}
+        #: Each open connection's handler task and its writer.
+        self._open = {}
         self._loop = None
         self._shutdown = None
 
@@ -93,6 +95,8 @@ class AnalysisDaemon:
         finally:
             for server in servers:
                 server.close()
+            await self._hang_up()
+            for server in servers:
                 await server.wait_closed()
             if self.socket_path and os.path.exists(self.socket_path):
                 os.unlink(self.socket_path)
@@ -117,8 +121,23 @@ class AnalysisDaemon:
 
     # -- connections ---------------------------------------------------------
 
+    async def _hang_up(self) -> None:
+        """Close every open connection and let its handler return.
+
+        A handler still waiting for a frame when the event loop closes
+        would be cancelled instead, and asyncio's stream callback logs a
+        ``CancelledError`` traceback for each cancelled handler.  Closed
+        by the daemon, the handler reads end-of-stream and returns.
+        """
+        if self._open:
+            for writer in self._open.values():
+                writer.close()
+            await asyncio.wait(list(self._open), timeout=5.0)
+
     async def _serve_connection(self, reader, writer) -> None:
         self.connections += 1
+        task = asyncio.current_task()
+        self._open[task] = writer
         try:
             while not self._shutdown.is_set():
                 try:
@@ -158,6 +177,7 @@ class AnalysisDaemon:
                     self.request_shutdown()
                     break
         finally:
+            del self._open[task]
             writer.close()
             try:
                 await writer.wait_closed()

@@ -115,7 +115,7 @@ class FrameError(ServiceError):
 
 def encode_frame(message: dict) -> bytes:
     """Serialize one message into a framed byte string."""
-    payload = json.dumps(message).encode("utf-8")
+    payload = json.dumps(message, check_circular=False).encode("utf-8")
     return HEADER.pack(MAGIC, len(payload),
                        hashlib.sha256(payload).digest()) + payload
 

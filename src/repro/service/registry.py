@@ -227,7 +227,7 @@ class TenantState:
     # -- spill round-trip ----------------------------------------------------
 
     def to_profile_dict(self) -> dict:
-        """The tenant as one v2 profile document (the spill payload)."""
+        """The tenant as one profile document (the spill payload)."""
         meta = self.report_meta()
         meta["service"] = {"tenant": self.name, "shards": self.shards,
                            "runs": self.runs, "queries": self.queries,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import subprocess
@@ -41,6 +42,40 @@ def out_of(body: str, extra: str = "") -> str:
 @pytest.fixture
 def compile_run():
     return run_source
+
+
+#: The sections a v3 profile document stores as flat int columns.
+PAIR_SECTIONS = ("nodes", "edges", "ref_edges")
+
+
+def as_v2_rows(doc: dict) -> dict:
+    """A copy of the v3 profile document ``doc`` in the v2 layout: its
+    flat ``nodes``/``edges``/``ref_edges`` columns cut into ``[a, b]``
+    rows, every other section copied as it is.  Damage planted in the
+    columns lands in the matching rows, so a test can check that both
+    layouts are refused (or salvaged) the same way.  A ``checksum`` is
+    dropped: the caller re-stamps the rendering if it wants one."""
+    rows = copy.deepcopy(doc)
+    rows.pop("checksum", None)
+    rows["version"] = 2
+    for section in PAIR_SECTIONS:
+        values = iter(doc[section])
+        rows[section] = [list(pair) for pair in zip(values, values)]
+    return rows
+
+
+def in_layout(doc: dict, layout: str) -> dict:
+    """``doc`` as it is (``"v3"``) or rendered by :func:`as_v2_rows`
+    (``"v2rows"``)."""
+    return doc if layout == "v3" else as_v2_rows(doc)
+
+
+def layout_params(names) -> list:
+    """``(name, layout)`` pairs as parameters over both layouts: a v3
+    case keeps the id ``name``, its v2-rows twin is ``v2rows-<name>``."""
+    return ([pytest.param((name, "v3"), id=name) for name in names]
+            + [pytest.param((name, "v2rows"), id=f"v2rows-{name}")
+               for name in names])
 
 
 def _checkout_status():

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from conftest import PAIR_SECTIONS, in_layout, layout_params
 from repro.cli import EXIT_BAD_INPUT, main
 from repro.profiler import (CheckpointError, ProfileChecksumError,
                             ProfileFormatError, ProfileTruncatedError,
@@ -115,6 +116,7 @@ class TestUndecodableBytes:
 #: Row damage a checksum cannot catch (the file is re-stamped after
 #: it): ``(section, column of the section's first row, new value)``,
 #: where ``None`` stands for the node count, one past the last node.
+#: In a v3 column of pairs the first row is the first two values.
 DAMAGED_ROWS = {
     "edge-past-node-list": ("edges", 1, None),
     "negative-edge": ("edges", 0, -1),
@@ -122,16 +124,22 @@ DAMAGED_ROWS = {
 }
 
 
-@pytest.fixture(params=sorted(DAMAGED_ROWS))
+@pytest.fixture(params=layout_params(sorted(DAMAGED_ROWS)))
 def damaged_rows(request, saved, tmp_path):
     """``(path, source, section)``: the saved profile with one row
-    pointing outside the node list, written with a valid checksum."""
+    pointing outside the node list, in the v3 layout or rendered as v2
+    rows, written with a valid checksum."""
     profile, source = saved
-    section, column, value = DAMAGED_ROWS[request.param]
+    name, layout = request.param
+    section, column, value = DAMAGED_ROWS[name]
     doc = read_document(str(profile))
-    doc[section][0][column] = len(doc["nodes"]) if value is None else value
+    value = len(doc["nodes"]) // 2 if value is None else value
+    if section in PAIR_SECTIONS:
+        doc[section][column] = value
+    else:
+        doc[section][0][column] = value
     bad = tmp_path / "rows.gcost.json"
-    write_document(str(bad), doc)
+    write_document(str(bad), in_layout(doc, layout))
     return bad, source, section
 
 

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from conftest import in_layout
 from repro.profiler import (CostTracker, ProfileChecksumError,
                             ProfileFormatError, ProfileTruncatedError,
                             canonical_form, content_checksum,
@@ -123,17 +124,42 @@ class TestSalvage:
         assert "nodes recovered" in report.format()
 
     def test_internal_damage_dropped_not_fatal(self, profile_path,
-                                               tmp_path):
+                                               tmp_path, layout="v3"):
         data = json.loads(open(profile_path).read())
-        data["edges"].append([999999, 0])      # dangling edge
-        data["edges"].append("garbage")        # malformed row
+        data["edges"] += [999999, 0]           # dangling edge
+        data["edges"] += ["garbage", 0]        # malformed pair
         del data["checksum"]                   # plain internal damage
         bad = tmp_path / "damaged.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(in_layout(data, layout)))
         graph, meta, state, report = salvage_profile(str(bad))
         assert report.dropped.get("edges") == 2
         full_graph, _, _ = load_profile(profile_path)
         assert graph.num_edges == full_graph.num_edges
+
+    def test_internal_damage_dropped_not_fatal_in_v2_rows(self,
+                                                          profile_path,
+                                                          tmp_path):
+        self.test_internal_damage_dropped_not_fatal(profile_path, tmp_path,
+                                                    layout="v2rows")
+
+    @pytest.mark.parametrize("layout", ["v3", "v2rows"])
+    def test_cut_column_drops_its_odd_value(self, profile_path, tmp_path,
+                                            layout):
+        """A column cut inside a pair loses that pair and counts it,
+        as a v2 rows table cut inside a row does."""
+        doc = in_layout(json.loads(open(profile_path).read()), layout)
+        text = json.dumps(doc)
+        # In both layouts the fifth ", " of the edge section follows
+        # the first value of the third pair: cut just after it.
+        cut = text.index('"edges": [')
+        for _ in range(5):
+            cut = text.index(", ", cut) + 2
+        damaged = tmp_path / "cut.json"
+        damaged.write_text(text[:cut])
+        graph, meta, state, report = salvage_profile(str(damaged))
+        assert report.repaired
+        assert report.dropped.get("edges") == 1
+        assert graph.num_edges == 2
 
     def test_hopeless_truncation_raises(self, tmp_path):
         stub = tmp_path / "stub.json"

@@ -8,6 +8,7 @@ analyzed offline or merged by the parallel runtime without loss.
 
 import pytest
 
+from conftest import in_layout
 from repro.profiler import (CostTracker, graph_from_dict, graph_to_dict,
                             load_profile, save_graph,
                             tracker_state_from_dict)
@@ -75,10 +76,15 @@ def test_file_roundtrip_with_state(profiled, tmp_path):
     assert state.branch_outcomes == tracker.branch_outcomes
 
 
-def test_v1_documents_still_load(profiled):
+def test_v1_documents_still_load(profiled, layout="v2rows"):
     _, tracker = profiled[WORKLOADS[0]]
-    data = graph_to_dict(tracker.graph)
-    data["version"] = 1          # a pre-PR-2 document: graph only
+    data = in_layout(graph_to_dict(tracker.graph), layout)
+    if layout == "v2rows":
+        data["version"] = 1      # a pre-PR-2 document: graph only
     clone = graph_from_dict(data)
     assert clone.node_keys == tracker.graph.node_keys
     assert tracker_state_from_dict(data) is None
+
+
+def test_graph_only_v3_documents_load(profiled):
+    test_v1_documents_still_load(profiled, layout="v3")

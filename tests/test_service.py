@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from conftest import in_layout, layout_params
 from repro import compile_source
 from repro.profiler import (CostTracker, canonical_form, graph_from_dict,
                             graph_to_dict, merge_graphs,
@@ -101,22 +102,23 @@ HOSTILE_SHARD_DEFECTS = ("edge-past-end", "negative-edge",
                          "return-node-past-end", "node-gs-past-end")
 
 
-def hostile_shard(defect):
-    """A valid shard with one node reference out of range, checksummed
-    after the damage."""
+def hostile_shard(defect, layout="v3"):
+    """A valid shard with one node reference out of range, in
+    ``layout`` (``"v3"`` columns or ``"v2rows"``), checksummed after
+    the damage."""
     from repro.profiler import content_checksum
     shard = make_shard("hostile")
-    n = len(shard["nodes"])
+    n = len(shard["nodes"]) // 2
     if defect == "edge-past-end":
-        shard["edges"][0][1] = n
+        shard["edges"][1] = n
     elif defect == "negative-edge":
-        shard["edges"][0][0] = -1
+        shard["edges"][0] = -1
     elif defect == "effect-node-past-end":
         shard["effects"][0][0] = n
     elif defect == "negative-effect-node":
         shard["effects"][0][0] = -1
     elif defect == "ref-edge-past-end":
-        shard["ref_edges"][0][1] = n
+        shard["ref_edges"][1] = n
     elif defect == "control-dep-past-end":
         shard["control_deps"].append([0, [n]])
     elif defect == "return-node-past-end":
@@ -124,6 +126,7 @@ def hostile_shard(defect):
     else:
         gs = shard["tracker"]["node_gs"]
         gs.extend([[0]] * (n + 1 - len(gs)))
+    shard = in_layout(shard, layout)
     shard["checksum"] = content_checksum(shard)
     return shard
 
@@ -442,6 +445,23 @@ class DaemonHarness:
 
 
 class TestDaemon:
+    def test_shutdown_with_open_connection_is_silent(self, tmp_path,
+                                                     caplog, capfd):
+        """Stopping the daemon while a client is still connected hangs
+        the connection up: nothing is logged and no traceback reaches
+        stderr."""
+        with DaemonHarness(tmp_path) as harness:
+            client = harness.client()
+            client.ping()
+        try:
+            assert not harness.thread.is_alive()
+            with pytest.raises(OSError):
+                client.ping()
+        finally:
+            client.close()
+        assert caplog.records == []
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_push_then_query_lifecycle(self, tmp_path):
         shards = [make_shard(f"s{i}") for i in range(3)]
         with DaemonHarness(tmp_path) as harness:
@@ -563,12 +583,13 @@ class TestDaemon:
                 assert client.query("app",
                                     "summary")["result"]["shards"] == 2
 
-    @pytest.mark.parametrize("defect", HOSTILE_SHARD_DEFECTS)
+    @pytest.mark.parametrize("case", layout_params(HOSTILE_SHARD_DEFECTS))
     def test_hostile_push_is_bad_shard_and_changes_nothing(self, tmp_path,
-                                                           defect):
+                                                           case):
         """A checksummed shard whose rows reference nodes it does not
-        hold is refused as a whole: the tenant keeps its graph, state
-        and shard count, and still answers ``report``."""
+        hold is refused as a whole, in either layout: the tenant keeps
+        its graph, state and shard count, and still answers
+        ``report``."""
         program = {"source": SOURCE, "use_stdlib": False}
         with DaemonHarness(tmp_path) as harness:
             with harness.client() as client:
@@ -576,7 +597,7 @@ class TestDaemon:
                 tenant = harness.registry.tenant("app")
                 before = canonical_form(tenant.graph, tenant.state)
                 with pytest.raises(ServiceError) as err:
-                    client.push("app", hostile_shard(defect))
+                    client.push("app", hostile_shard(*case))
                 assert err.value.code == protocol.E_BAD_SHARD
                 assert client.status("app")["status"]["shards"] == 1
                 assert canonical_form(tenant.graph, tenant.state) == before
