@@ -498,7 +498,7 @@ def _cmd_analyze(args):
     line = (f"loaded graph: {graph.num_nodes} nodes / "
             f"{graph.num_edges} edges")
     if state is not None:
-        # v2 profiles carry the tracker state, so the conflict ratio
+        # v2+ profiles carry the tracker state, so the conflict ratio
         # (and the predicate / return-cost clients) work offline.
         line += f"; CR: {state.conflict_ratio(graph):.3f}"
     print(line)

@@ -14,7 +14,7 @@ Document layout (version 1)::
     {"version": 1,
      "fingerprint": "<sha256 of the job list + profiler config>",
      "slots": 16, "total": 8,
-     "shards": {"0": <v3 profile dict>, "3": ...},
+     "shards": {"0": <v4 profile dict>, "3": ...},
      "checksum": "<sha256 of every other key>"}
 
 Checkpoints go through :func:`~repro.profiler.serialize.write_document`

@@ -15,7 +15,7 @@ map-reduce profiling architecture:
   runs each :class:`ProfileJob` in its own worker process; the worker
   builds its program (a forked worker reuses the parent's compile, see
   :func:`compile_program`), runs VM + :class:`CostTracker`, and returns
-  a compact serialized profile (format v3, graph + tracker state);
+  a compact serialized profile (format v4, graph + tracker state);
 * **reduce** — the parent folds the shard documents, in job order,
   straight into one graph/state pair through
   :func:`~repro.profiler.serialize.fold_document`, which applies the
@@ -36,6 +36,7 @@ normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ProfileInputError
 from .graph import DependenceGraph
@@ -315,8 +316,10 @@ def fold_graph(merged, src, merged_state=None, src_state=None):
         merged.control_deps.setdefault(remap[nid], set()).update(
             remap[p] for p in cpreds)
     if merged_state is not None:
+        node_gs = src_state.node_gs
         merged_state.fold(
-            src_state.node_gs,
+            [len(gs) if gs else 0 for gs in node_gs],
+            list(chain.from_iterable(filter(None, node_gs))),
             [(iid, taken, not_taken) for iid, (taken, not_taken)
              in src_state.branch_outcomes.items()],
             src_state.return_nodes.items(), remap)

@@ -14,20 +14,32 @@ predicate / return-cost clients run fully offline, and the parallel
 runtime's workers can ship complete profiles back to the merging
 parent.
 
-Format v3, the one written, stores the three large integer tables as
-flat int columns rather than lists of pairs: ``nodes`` is ``[iid0, d0,
-iid1, d1, ...]`` and ``edges`` and ``ref_edges`` are ``[a0, b0, a1, b1,
-...]``.  Node ``i``'s key is ``(nodes[2i], nodes[2i + 1])``.  Every
-other section is laid out as in v2.  The columns make a document about
-a third cheaper to encode, parse and fold, and to pickle between
-processes.  v1 (graph only) and v2 documents, whose tables are lists of
-``[a, b]`` rows, are still readable.
+Format v3 stored the three large integer tables as flat int columns
+rather than lists of pairs: ``nodes`` is ``[iid0, d0, iid1, d1, ...]``
+and ``edges`` and ``ref_edges`` are ``[a0, b0, a1, b1, ...]``.  Node
+``i``'s key is ``(nodes[2i], nodes[2i + 1])``.
+
+Format v4, the one written, keeps v3's layout but writes every int
+column -- ``nodes``, ``freq``, ``flags``, ``edges``, ``ref_edges`` and
+the tracker's context sets -- as a *packed column*: a JSON string
+``"i<w>:<base64>"`` holding the values as ``w``-byte signed
+little-endian ints, ``w`` being the smallest of 1, 2, 4 and 8 that
+holds the column's minimum and maximum (:func:`pack_column`).  A column
+with a value outside int64 stays a v3 JSON int list.  The context sets
+become two columns: ``context_counts``, one count per node (0 for
+none), and ``contexts``, each node's sorted contexts in node order.  A
+string encodes and parses several times cheaper than a list of
+numbers, so a document is about half the bytes and a fraction of the
+JSON work of v3.  v1 (graph only), v2 (tables as ``[a, b]`` rows) and
+v3 documents are still readable.
 
 Every document is read by one decoder, :func:`fold_document`, which
 checks all of a document's sections and then folds them straight into
 a target graph and state: an empty one for a load, a tenant's or the
-supervisor's merge for a shard.  Its check flattens v1/v2 rows into
-the v3 columns, so both layouts take the same fold.
+supervisor's merge for a shard.  Its check reads every column, in
+either form, into one typed int sequence (:func:`unpack_column`) and
+flattens v1/v2 rows into the same columns, so every version takes the
+same fold.
 
 Integrity
 ---------
@@ -47,6 +59,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
 from itertools import chain, zip_longest
 from operator import itemgetter
 
@@ -55,14 +71,32 @@ from .errors import (ProfileChecksumError, ProfileFormatError,
 from .graph import DependenceGraph
 from .state import TrackerState
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Versions :func:`fold_document` accepts.
-READABLE_VERSIONS = (1, 2, 3)
+READABLE_VERSIONS = (1, 2, 3, 4)
 
-#: The first version whose ``nodes``/``edges``/``ref_edges`` are flat
-#: int columns rather than lists of pairs.
+#: The versions whose ``nodes``/``edges``/``ref_edges`` are lists of
+#: ``[a, b]`` rows; later ones store them as flat int columns.
+ROW_VERSIONS = (1, 2)
+
+#: The version of the documents salvage rebuilds: flat JSON int
+#: columns and ``node_gs`` rows.
 FLAT_VERSION = 3
+
+#: The first version whose tracker context sets are the two columns
+#: ``context_counts`` and ``contexts`` rather than ``node_gs`` rows.
+PACKED_VERSION = 4
+
+#: The packed-column widths in bytes, each with the ``array`` typecode
+#: of a signed int that wide.
+_WIDTHS = ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+
+#: A packed column's tag (``"i2"``) -> ``(width, typecode)``.
+_TAGS = {f"i{width}": (width, code) for width, code in _WIDTHS}
+
+#: Packed values are little-endian; arrays use the host's order.
+_SWAP = sys.byteorder == "big"
 
 
 def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
@@ -83,15 +117,16 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
         "version": FORMAT_VERSION,
         "meta": dict(meta) if meta else {},
         "slots": graph.slots,
-        "nodes": list(chain.from_iterable(graph.node_keys)),
-        "freq": list(graph.freq),
-        "flags": list(graph.flags),
-        "edges": _edge_column(graph.succs),
+        "nodes": pack_column(list(chain.from_iterable(graph.node_keys))),
+        "freq": pack_column(graph.freq),
+        "flags": pack_column(graph.flags),
+        "edges": pack_column(_edge_column(graph.succs)),
         "effects": [[node, kind, list(alloc_key) if alloc_key else None,
                      field]
                     for node, (kind, alloc_key, field)
                     in sorted(graph.effects.items())],
-        "ref_edges": list(chain.from_iterable(sorted(graph.ref_edges))),
+        "ref_edges": pack_column(
+            list(chain.from_iterable(sorted(graph.ref_edges)))),
         "points_to": [[list(base), field,
                        sorted(list(t) for t in targets)]
                       for base, fields in sorted(graph.points_to.items())
@@ -104,9 +139,13 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
         data["meta"]["trace"] = dict(trace)
     if tracker is not None:
         state = tracker.state() if hasattr(tracker, "state") else tracker
+        node_gs = state.node_gs
         data["tracker"] = {
-            "node_gs": [sorted(gs) if gs else None
-                        for gs in state.node_gs],
+            "context_counts": pack_column(
+                [len(gs) if gs else 0 for gs in node_gs]),
+            "contexts": pack_column(
+                list(chain.from_iterable(map(sorted, filter(None,
+                                                            node_gs))))),
             "branch_outcomes": [[iid, taken, not_taken]
                                 for iid, (taken, not_taken)
                                 in sorted(state.branch_outcomes.items())],
@@ -128,6 +167,90 @@ def _edge_column(succs) -> list:
             pairs[1::2] = sorted(dsts)
             extend(pairs)
     return column
+
+
+def pack_column(values):
+    """The int list ``values`` as a packed column, ``"i<w>:<base64>"``:
+    the values as ``w``-byte signed little-endian ints, for the
+    smallest ``w`` of 1, 2, 4 and 8 that holds them all.  A list
+    holding a value outside int64 is returned as a copy, to be written
+    as a JSON int list.
+
+    Each width is tried in turn: ``array`` refuses an out-of-range
+    value in C, usually within the first few, which costs less than a
+    ``min`` and a ``max`` pass over the whole column.
+    """
+    for width, code in _WIDTHS:
+        try:
+            packed = array(code, values)
+        except OverflowError:
+            continue
+        if _SWAP:
+            packed.byteswap()
+        return f"i{width}:" + b2a_base64(
+            packed.tobytes(), newline=False).decode("ascii")
+    return list(values)
+
+
+def unpack_column(column, section: str = "column") -> list:
+    """The ints of a column in either form as a list: a packed column
+    decoded (through an ``array``), a JSON int list as it is.
+
+    Raises :class:`ProfileFormatError` naming ``section`` for anything
+    else: an unknown width tag, a payload that is not canonical base64
+    (checked by re-encoding it, which works on every Python 3, with or
+    without ``binascii``'s ``strict_mode``), a byte count that is not
+    a whole number of values, or a list holding a non-int.
+    """
+    if type(column) is list:
+        if _ints(column):
+            return column
+        raise _bad(section, "is not a list of ints")
+    if type(column) is not str:
+        raise _bad(section, f"is {type(column).__name__}, not an int "
+                            f"column")
+    spec, payload = _split_packed(column)
+    if spec is None:
+        raise _bad(section, f"is a packed column with unknown width tag "
+                            f"{column.partition(':')[0][:8]!r}")
+    width, code = spec
+    try:
+        raw = a2b_base64(payload)
+        canonical = b2a_base64(raw, newline=False) == payload.encode()
+    except ValueError:          # binascii.Error, or non-ASCII text
+        canonical = False
+    if not canonical:
+        raise _bad(section, "is a packed column whose payload is not "
+                            "base64")
+    if len(raw) % width:
+        raise _bad(section, f"is a packed column of {len(raw)} bytes, "
+                            f"not a whole number of {width}-byte values")
+    values = array(code)
+    values.frombytes(raw)
+    if _SWAP:
+        values.byteswap()
+    return values.tolist()
+
+
+def _column_length(column) -> int:
+    """How many values a column holds, without decoding it: a packed
+    column's count follows from its payload's length and its width.
+    -1 for a value that is neither form."""
+    if type(column) is list:
+        return len(column)
+    if type(column) is str:
+        spec, payload = _split_packed(column)
+        if spec is not None:
+            size = len(payload) * 3 // 4 - payload.count("=", -2)
+            return size // spec[0]
+    return -1
+
+
+def _split_packed(column: str) -> tuple:
+    """``((width, typecode), payload)`` of a packed column, with
+    ``None`` for the pair when its tag is not one of ``_TAGS``."""
+    tag, colon, payload = column.partition(":")
+    return (_TAGS.get(tag) if colon else None), payload
 
 
 def _bad(section: str, problem: str) -> ProfileFormatError:
@@ -184,27 +307,33 @@ def _int_table(rows, width: int):
     return values if _ints(values) else None
 
 
-def _pair_column(values, version):
+def _pair_column(doc, section: str) -> list:
     """The int pairs of a ``nodes``/``edges``/``ref_edges`` section as
-    one flat ``[a0, b0, a1, b1, ...]`` list, else ``None``: a v3 column
-    must be an even-length list of ints, and v1/v2 ``[a, b]`` rows are
-    flattened by :func:`_int_table`."""
-    if version < FLAT_VERSION:
-        return _int_table(values, 2)
-    if type(values) is list and not len(values) % 2 and _ints(values):
-        return values
-    return None
+    one flat ``[a0, b0, a1, b1, ...]`` sequence: a v3/v4 column in
+    either form (:func:`unpack_column`) with an even number of values,
+    or v1/v2 ``[a, b]`` rows flattened by :func:`_int_table`."""
+    if doc["version"] in ROW_VERSIONS:
+        values = _int_table(doc[section], 2)
+    else:
+        values = unpack_column(doc[section], section)
+        if len(values) % 2:
+            values = None
+    if values is None:
+        raise _bad(section, "is not a list of int pairs")
+    return values
 
 
 def _check_graph(doc) -> tuple:
     """The check pass of :func:`fold_document` over the graph sections.
 
-    Returns ``(keys, edges, ref_edges)``: the document's node keys as
-    ``(iid, d)`` tuples and its two edge sections as flat int columns,
-    whatever the document's layout.  Each check runs over a whole
-    column at once (``set(map(type, ...))``, ``sum``, ``min``/``max``),
-    so a valid document costs a few C-level passes per section rather
-    than Python work per row.
+    Returns ``(keys, freq, flags, edges, ref_edges)``: the document's
+    node keys as ``(iid, d)`` tuples, its ``freq``/``flags`` columns
+    and its two edge sections as flat int sequences, whatever the
+    document's version and whichever form each column takes.  Each
+    check runs over a whole column at once (``set(map(type, ...))``,
+    ``sum``, ``min``/``max``, a packed column's one decode), so a valid
+    document costs a few C-level passes per section rather than Python
+    work per row.
     """
     if type(doc) is not dict:
         raise ProfileFormatError(
@@ -224,27 +353,25 @@ def _check_graph(doc) -> tuple:
     if type(doc.get("meta", {})) is not dict:
         raise _bad("meta", "is not an object")
 
-    nodes = _pair_column(doc["nodes"], version)
-    if nodes is None:
-        raise _bad("nodes", "is not a list of (iid, d) int pairs")
+    nodes = _pair_column(doc, "nodes")
     n = len(nodes) // 2
+    columns = []
     for key in ("freq", "flags"):
-        column = doc[key]
-        if type(column) is not list or len(column) != n \
-                or not _ints(column):
+        column = unpack_column(doc[key], key)
+        if len(column) != n:
             raise _bad(key, f"is not {n} ints, one per node")
+        columns.append(column)
     pairs = iter(nodes)
     keys = list(zip(pairs, pairs))
     if len(set(keys)) != n:
         raise _bad("nodes", "repeats a node key")
 
-    edges = []
     for key in ("edges", "ref_edges"):
-        values = _pair_column(doc[key], version)
-        if values is None or not _below(values, n):
+        values = _pair_column(doc, key)
+        if not _below(values, n):
             raise _bad(key, f"is not a list of node-id pairs in "
                             f"[0, {n})")
-        edges.append(values)
+        columns.append(values)
     effects = doc["effects"]
     if not _is_table(effects, 4):
         raise _bad("effects", "holds a row that is not "
@@ -278,27 +405,51 @@ def _check_graph(doc) -> tuple:
             and _node_ids(_flat(map(itemgetter(1), control)), n)):
         raise _bad("control_deps", f"holds a row that is not [node, "
                                    f"[nodes]] in [0, {n})")
-    return keys, edges[0], edges[1]
+    return (keys, *columns)
 
 
-def _check_tracker(section, n: int) -> None:
+def _check_tracker(section, n: int, version) -> tuple:
     """The check pass of :func:`fold_document` over a tracker section,
-    for a document with ``n`` nodes."""
+    for a document of ``version`` with ``n`` nodes.
+
+    Returns the context sets as the two int columns
+    :meth:`TrackerState.fold` reads, ``(counts, contexts)``: a v4
+    document's ``context_counts``/``contexts`` decoded, or an earlier
+    one's ``node_gs`` rows flattened into them, as the pair rows of
+    v1/v2 are flattened into columns.  The counts must be at most
+    ``n`` non-negative ints that add up to the length of ``contexts``.
+    """
     if section is None:
         raise ProfileFormatError(
-            "profile carries no tracker state (a v2/v3 document with a "
+            "profile carries no tracker state (a v2+ document with a "
             "tracker section is required: a graph-only document cannot "
             "join a merge of tracker states)")
     if type(section) is not dict:
         raise _bad("tracker", "is not an object")
-    node_gs = section.get("node_gs", [])
-    if type(node_gs) is not list or len(node_gs) > n:
-        raise _bad("tracker", f"node_gs is not a list of at most {n} "
-                              f"entries, one per node")
-    sets = [gs for gs in node_gs if gs is not None]
-    if not (set(map(type, sets)) <= {list} and _ints(_flat(sets))):
-        raise _bad("tracker", "node_gs holds an entry that is not "
-                              "null or a list of contexts")
+    if version == PACKED_VERSION:
+        counts = unpack_column(section.get("context_counts", []),
+                               "tracker.context_counts")
+        contexts = unpack_column(section.get("contexts", []),
+                                 "tracker.contexts")
+        if len(counts) > n or (counts and min(counts) < 0):
+            raise _bad("tracker.context_counts",
+                       f"is not at most {n} counts, one per node")
+        total = sum(counts)
+        if total != len(contexts):
+            raise _bad("tracker.context_counts",
+                       f"adds up to {total} contexts, but the contexts "
+                       f"column holds {len(contexts)}")
+    else:
+        node_gs = section.get("node_gs", [])
+        if type(node_gs) is not list or len(node_gs) > n:
+            raise _bad("tracker", f"node_gs is not a list of at most {n} "
+                                  f"entries, one per node")
+        sets = [gs for gs in node_gs if gs is not None]
+        contexts = _flat(sets) if set(map(type, sets)) <= {list} else None
+        if contexts is None or not _ints(contexts):
+            raise _bad("tracker", "node_gs holds an entry that is not "
+                                  "null or a list of contexts")
+        counts = [len(gs) if gs else 0 for gs in node_gs]
     if _int_table(section.get("branch_outcomes", []), 3) is None:
         raise _bad("tracker", "branch_outcomes holds a row that is not "
                               "[iid, taken, not_taken]")
@@ -309,19 +460,21 @@ def _check_tracker(section, n: int) -> None:
             and _node_ids(_flat(map(itemgetter(1), returns)), n)):
         raise _bad("tracker", f"return_nodes holds a row that is not "
                               f"[iid, [nodes in [0, {n})]]")
+    return counts, contexts
 
 
 def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
-    """Fold one v1/v2/v3 profile document into ``graph``/``state``, in
+    """Fold one v1-v4 profile document into ``graph``/``state``, in
     place: the one decoder every profile file, pushed shard, worker
     result, checkpoint entry and spill file goes through.
 
     Two passes.  The *check* pass reads every section the fold uses
-    before anything is touched: rows must have the right shape, a flat
-    column an even number of ints (v1/v2 rows are flattened into the
+    before anything is touched: rows must have the right shape, a
+    column must decode (:func:`unpack_column`) and a column of pairs
+    hold an even number of values (v1/v2 rows are flattened into the
     same columns, so the fold reads one layout), node keys may not
-    repeat, ``node_gs`` may not hold more entries than there are
-    nodes, and every node reference (edges, effects, reference edges,
+    repeat, the context sets may not cover more nodes than there are,
+    and every node reference (edges, effects, reference edges,
     control dependences, return nodes) must be an int in ``[0, n)``
     for ``n`` nodes.
     Any failure raises :class:`ProfileFormatError`, and a document
@@ -330,22 +483,23 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
     document leaves ``graph`` and ``state`` exactly as they were.
 
     The *fold* pass applies the rules of
-    :func:`~repro.profiler.parallel.fold_graph` straight from the rows,
-    with no intermediate shard graph: nodes match by ``(iid, d)`` and
-    new ones are numbered in document order, frequencies sum, flags
-    OR, edges and sets union, the document's effects overwrite earlier
-    ones (last shard wins), and tracker facts fold through
-    :meth:`TrackerState.fold`.  Folding a run's documents in job order
-    therefore numbers nodes exactly as
+    :func:`~repro.profiler.parallel.fold_graph` straight from the
+    checked columns, with no intermediate shard graph: nodes match by
+    ``(iid, d)`` and new ones are numbered in document order,
+    frequencies sum, flags OR, edges and sets union, the document's
+    effects overwrite earlier ones (last shard wins), and tracker
+    facts fold through :meth:`TrackerState.fold`.  Folding a run's
+    documents in job order therefore numbers nodes exactly as
     :func:`~repro.profiler.parallel.merge_graphs` over the decoded
     graphs does.
 
     With ``state`` ``None`` the tracker section is neither checked nor
     read (a graph-only load); otherwise the document must carry one.
     """
-    keys, edges, ref_edges = _check_graph(doc)
+    keys, doc_freq, doc_flags, edges, ref_edges = _check_graph(doc)
     if state is not None:
-        _check_tracker(doc.get("tracker"), len(keys))
+        counts, contexts = _check_tracker(doc.get("tracker"), len(keys),
+                                          doc["version"])
     slots = doc.get("slots", 16)
     if slots != graph.slots:
         raise ProfileInputError(
@@ -360,7 +514,7 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
     succs = graph.succs
     remap = []
     append = remap.append
-    for key, count, mask in zip(keys, doc["freq"], doc["flags"]):
+    for key, count, mask in zip(keys, doc_freq, doc_flags):
         mid = ids.get(key)
         if mid is None:
             mid = len(node_keys)
@@ -399,14 +553,13 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
             [remap[p] for p in cpreds])
     if state is not None:
         section = doc["tracker"]
-        state.fold(section.get("node_gs", ()),
-                   section.get("branch_outcomes", ()),
+        state.fold(counts, contexts, section.get("branch_outcomes", ()),
                    section.get("return_nodes", ()), remap)
 
 
 def graph_from_dict(data: dict) -> DependenceGraph:
-    """Rebuild a graph from :func:`graph_to_dict` output (v1 or v2):
-    :func:`fold_document` into an empty graph."""
+    """Rebuild a graph from a :func:`graph_to_dict` document of any
+    readable version: :func:`fold_document` into an empty graph."""
     slots = data.get("slots", 16) if type(data) is dict else 16
     graph = DependenceGraph(slots=slots)
     fold_document(graph, None, data)
@@ -414,17 +567,17 @@ def graph_from_dict(data: dict) -> DependenceGraph:
 
 
 def _node_count(doc: dict) -> int:
-    """How many nodes ``doc`` holds: a v3 ``nodes`` column has two
-    values per node, a v1/v2 one a row per node."""
+    """How many nodes ``doc`` holds, without decoding it: a v1/v2
+    ``nodes`` section has a row per node, a later one two values per
+    node (:func:`_column_length`)."""
     nodes = doc.get("nodes")
-    if type(nodes) is not list:
-        return 0
-    return len(nodes) // 2 if doc.get("version") == FLAT_VERSION \
-        else len(nodes)
+    if doc.get("version") in ROW_VERSIONS:
+        return len(nodes) if type(nodes) is list else 0
+    return max(_column_length(nodes), 0) // 2
 
 
 def tracker_state_from_dict(data: dict):
-    """The :class:`TrackerState` carried by a v2/v3 document, or
+    """The :class:`TrackerState` carried by a v2+ document, or
     ``None``.
 
     v1 documents (and later ones written without a tracker) have no
@@ -436,10 +589,9 @@ def tracker_state_from_dict(data: dict):
     if section is None:
         return None
     n = _node_count(data)
-    _check_tracker(section, n)
+    counts, contexts = _check_tracker(section, n, data.get("version"))
     state = TrackerState()
-    state.fold(section.get("node_gs", ()),
-               section.get("branch_outcomes", ()),
+    state.fold(counts, contexts, section.get("branch_outcomes", ()),
                section.get("return_nodes", ()), list(range(n)))
     return state
 
@@ -507,7 +659,8 @@ def validate_shard(shard) -> str:
 
     Returns an error description, or ``None`` when the required
     sections are present, the node arrays align, and a recorded
-    checksum matches.
+    checksum matches.  Packed columns are counted from their length,
+    not decoded: :func:`fold_document` decodes and checks them.
     """
     if not isinstance(shard, dict):
         return f"shard payload is {type(shard).__name__}, not dict"
@@ -516,10 +669,11 @@ def validate_shard(shard) -> str:
         if key not in shard:
             return f"shard is missing {key!r}"
     n = _node_count(shard)
-    if not (n == len(shard["freq"]) == len(shard["flags"])):
+    freq = _column_length(shard["freq"])
+    flags = _column_length(shard["flags"])
+    if not n == freq == flags:
         return (f"shard node arrays misaligned ({n} nodes / "
-                f"{len(shard['freq'])} freq / "
-                f"{len(shard['flags'])} flags)")
+                f"{freq} freq / {flags} flags)")
     if "checksum" in shard and \
             content_checksum(shard) != shard["checksum"]:
         return "shard failed its content checksum"
@@ -627,7 +781,9 @@ def _repair_json(text: str, damage: int) -> dict:
     tried newest-first by cutting the text and appending the closers.
     Each section that starts after the damage is then found by its key
     and decoded on its own, so damage costs only the section it lands
-    in, from the damage on.
+    in, from the damage on.  A packed column the damage cuts (its
+    string never closes, or holds a byte JSON refuses) keeps the text
+    it has, for :func:`_salvage_column` to read the whole values of.
     """
     candidates = []
     stack = []
@@ -671,6 +827,16 @@ def _repair_json(text: str, damage: int) -> dict:
             data[key] = decoder.raw_decode(text, start + len(marker))[0]
         except json.JSONDecodeError:
             pass
+    if text.startswith('"', damage):
+        end = text.find('"', damage + 1)
+        cut = text[damage + 1:end if end > 0 else len(text)]
+        for key in _COLUMNS + _CONTEXT_COLUMNS:
+            if text.endswith(f'"{key}": ', 0, damage):
+                owner = (data if key in _COLUMNS
+                         else data.setdefault("tracker", {}))
+                if isinstance(owner, dict):
+                    owner.setdefault(key, cut)
+                break
     return data
 
 
@@ -684,15 +850,47 @@ def _rows(data, section):
     return rows if type(rows) is list else []
 
 
-#: The sections v3 stores as flat int columns of pairs.
+#: The sections v3 and v4 store as flat int columns of pairs.
 _PAIR_SECTIONS = ("nodes", "edges", "ref_edges")
+
+#: Every int column of the graph sections, and of a v4 tracker.
+_COLUMNS = ("nodes", "freq", "flags", "edges", "ref_edges")
+_CONTEXT_COLUMNS = ("context_counts", "contexts")
+
+#: The base64 alphabet's longest prefix of a string.
+_BASE64_PREFIX = re.compile("[A-Za-z0-9+/]*")
+
+
+def _salvage_column(column):
+    """The whole values a packed column still holds, as a list: its
+    payload read up to the first character outside the base64
+    alphabet (the end of the text of a cut column), and the decoded
+    bytes up to the last whole value.  A column in any other form is
+    returned as it is, and an unknown tag reads as no values."""
+    if type(column) is not str:
+        return column
+    spec, payload = _split_packed(column)
+    if spec is None:
+        return []
+    width, code = spec
+    chars = _BASE64_PREFIX.match(payload).group()
+    chars = chars[:len(chars) - (len(chars) % 4 == 1)]
+    raw = a2b_base64(chars + "=" * (-len(chars) % 4))
+    values = array(code)
+    values.frombytes(raw[:len(raw) - len(raw) % width])
+    if _SWAP:
+        values.byteswap()
+    return values.tolist()
 
 
 def _is_flat(data: dict) -> bool:
-    """True when ``data``'s pair sections are v3 columns.  A version
+    """True when ``data``'s pair sections are v3/v4 columns.  A version
     lost to the damage is told from the first ``nodes`` value."""
     if "version" in data:
-        return data["version"] == FLAT_VERSION
+        return data["version"] not in ROW_VERSIONS
+    nodes = data.get("nodes")
+    if type(nodes) is str:
+        return True
     nodes = _rows(data, "nodes")
     return not nodes or type(nodes[0]) is not list
 
@@ -705,16 +903,39 @@ def _cut_pairs(column: list) -> list:
     return [[a, b] for a, b in zip_longest(values, values)]
 
 
+def _salvage_context_sets(tracker: dict) -> list:
+    """A v4 tracker's context columns as ``node_gs`` rows, up to the
+    first node whose count is not a non-negative int or whose
+    contexts the (possibly cut) ``contexts`` column no longer holds."""
+    counts = _salvage_column(tracker.get("context_counts", []))
+    contexts = _salvage_column(tracker.get("contexts", []))
+    counts = counts if type(counts) is list else []
+    contexts = contexts if type(contexts) is list else []
+    node_gs = []
+    start = 0
+    for count in counts:
+        if type(count) is not int or count < 0 \
+                or start + count > len(contexts):
+            break
+        node_gs.append(contexts[start:start + count] or None)
+        start += count
+    return node_gs
+
+
 def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
     """Trim a recovered document to its internally consistent core:
-    the rows :func:`fold_document` accepts, as a v3 document.  v3
-    columns are cut into pairs first, so both layouts are trimmed by
-    the same rules and ``dropped`` counts pairs."""
+    the rows :func:`fold_document` accepts, as a v3 document.  Packed
+    columns are read to their last whole value and v3/v4 columns are
+    cut into pairs first, so every layout is trimmed by the same rules
+    and ``dropped`` counts pairs."""
     for section in _SECTIONS:
         if section not in data:
             report.missing.append(section)
+    data = dict(data)
+    for section in _COLUMNS:
+        if section in data:
+            data[section] = _salvage_column(data[section])
     if _is_flat(data):
-        data = dict(data)
         for section in _PAIR_SECTIONS:
             data[section] = _cut_pairs(_rows(data, section))
     nodes = [row for row in _rows(data, "nodes") if _intlist(row, 2)]
@@ -739,7 +960,7 @@ def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
     version = data.get("version", FORMAT_VERSION)
     clean = {
         # An unknown version stays, for fold_document to refuse.
-        "version": (FORMAT_VERSION if version in READABLE_VERSIONS
+        "version": (FLAT_VERSION if version in READABLE_VERSIONS
                     else version),
         "meta": data.get("meta") if isinstance(data.get("meta"), dict)
         else {},
@@ -789,11 +1010,13 @@ def _sanitize_partial(data: dict, report: SalvageReport) -> dict:
 
     tracker = data.get("tracker")
     if isinstance(tracker, dict):
+        node_gs = (_rows(tracker, "node_gs") if "node_gs" in tracker
+                   else _salvage_context_sets(tracker))
         node_gs = [gs if gs is None or (type(gs) is list
                                         and all(type(g) is int
                                                 for g in gs))
                    else None
-                   for gs in _rows(tracker, "node_gs")[:count]]
+                   for gs in node_gs[:count]]
         outcomes = [row for row in _rows(tracker, "branch_outcomes")
                     if _intlist(row, 3)]
         report.drop("tracker", len(_rows(tracker, "branch_outcomes"))
@@ -845,7 +1068,7 @@ def salvage_profile(path):
         data = _repair_json(text, error.pos)
         report.repaired = True
     if not isinstance(data, dict) or not isinstance(
-            data.get("nodes"), list):
+            data.get("nodes"), (list, str)):
         raise ProfileTruncatedError(
             f"profile {path!r} is beyond salvage "
             f"(no decodable node section)")

@@ -18,6 +18,8 @@ operator when sharded runs are reduced into one graph.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .context import average_conflict_ratio
 
 
@@ -66,29 +68,41 @@ class TrackerState:
         self._cr_upto = len(node_gs)
         return average_conflict_ratio(groups)
 
-    def fold(self, node_gs, branch_outcomes, return_nodes, remap):
+    def fold(self, context_counts, contexts, branch_outcomes,
+             return_nodes, remap):
         """Fold another run's tracker facts into this state, in place.
 
-        ``node_gs`` holds one entry per source node id (``None`` or an
-        iterable of contexts), ``branch_outcomes`` is ``(iid, taken,
+        The other run's context sets come as two columns:
+        ``context_counts`` holds one count per source node id (0 for
+        none) and ``contexts`` each node's contexts in node order, so
+        source node ``i`` owns the ``context_counts[i]`` values after
+        those of the nodes before it.  ``branch_outcomes`` is ``(iid, taken,
         not_taken)`` rows and ``return_nodes`` is ``(iid, node ids)``
         rows; ``remap[source id]`` is the node's id in this state's
         graph.  Context and return sets union, outcome counts sum.
         Shared by :func:`~repro.profiler.parallel.fold_graph` (states
         in memory) and :func:`~repro.profiler.serialize.fold_document`
-        (the rows of a document), so both apply one set of rules.
+        (the columns of a document), so both apply one set of rules.
         """
         gs_list = self.node_gs
-        top = max(remap[:len(node_gs)], default=-1) + 1
+        top = max(remap[:len(context_counts)], default=-1) + 1
         if len(gs_list) < top:
             gs_list.extend([None] * (top - len(gs_list)))
-        for mid, gs in zip(remap, node_gs):
-            if gs is not None:
+        values = iter(contexts)
+        for mid, count in zip(remap, context_counts):
+            if count == 1:          # most nodes: no slice, a set literal
+                g = next(values)
                 have = gs_list[mid]
                 if have is None:
-                    gs_list[mid] = set(gs)
+                    gs_list[mid] = {g}
                 else:
-                    have.update(gs)
+                    have.add(g)
+            elif count:
+                have = gs_list[mid]
+                if have is None:
+                    gs_list[mid] = set(islice(values, count))
+                else:
+                    have.update(islice(values, count))
         outcomes = self.branch_outcomes
         for iid, taken, not_taken in branch_outcomes:
             counts = outcomes.get(iid)

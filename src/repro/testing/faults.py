@@ -170,9 +170,11 @@ def apply_fault(spec: FaultSpec) -> None:
 def corrupt_shard(shard: dict) -> dict:
     """Deterministically mangle a worker's serialized profile dict.
 
-    Truncates the frequency array so the node arrays disagree — the
-    exact misalignment the supervisor's shard validation must reject
-    (and then retry) rather than merge.
+    Re-packs the first half of the frequency column so the node
+    arrays disagree — the exact misalignment the supervisor's shard
+    validation must reject (and then retry) rather than merge.
     """
-    shard["freq"] = shard["freq"][:len(shard["freq"]) // 2]
+    from ..profiler.serialize import pack_column, unpack_column
+    freq = unpack_column(shard["freq"], "freq")
+    shard["freq"] = pack_column(freq[:len(freq) // 2])
     return shard

@@ -10,6 +10,7 @@ import subprocess
 import pytest
 
 from repro.lang import compile_source
+from repro.profiler.serialize import pack_column, unpack_column
 from repro.vm import VM
 
 
@@ -44,38 +45,105 @@ def compile_run():
     return run_source
 
 
-#: The sections a v3 profile document stores as flat int columns.
+#: The sections a v3/v4 profile document stores as flat int columns
+#: of pairs.
 PAIR_SECTIONS = ("nodes", "edges", "ref_edges")
+
+#: The graph sections a v4 document writes as packed columns.
+INT_COLUMNS = ("nodes", "freq", "flags", "edges", "ref_edges")
+
+#: The layouts :func:`in_layout` renders, in the order of
+#: :func:`layout_params`.
+LAYOUTS = ("v3", "v2rows", "v4")
+
+
+def as_v3_columns(doc: dict) -> dict:
+    """A copy of the profile document ``doc`` in the v3 layout: packed
+    columns decoded into JSON int lists and a v4 tracker's
+    ``context_counts``/``contexts`` columns into ``node_gs`` rows.  A
+    column that already is a list is kept as it is, damage included,
+    so a v3 document comes back as a copy.  A ``checksum`` is
+    dropped: the caller re-stamps the rendering if it wants one."""
+    flat = copy.deepcopy(doc)
+    flat.pop("checksum", None)
+    flat["version"] = 3
+    for section in INT_COLUMNS:
+        if isinstance(flat[section], str):
+            flat[section] = list(unpack_column(flat[section], section))
+    tracker = flat.get("tracker")
+    if tracker is not None and "node_gs" not in tracker:
+        counts = unpack_column(tracker.pop("context_counts"))
+        contexts = list(unpack_column(tracker.pop("contexts")))
+        node_gs, start = [], 0
+        for count in counts:
+            node_gs.append(contexts[start:start + count] or None)
+            start += count
+        flat["tracker"] = {"node_gs": node_gs, **tracker}
+    return flat
 
 
 def as_v2_rows(doc: dict) -> dict:
-    """A copy of the v3 profile document ``doc`` in the v2 layout: its
-    flat ``nodes``/``edges``/``ref_edges`` columns cut into ``[a, b]``
-    rows, every other section copied as it is.  Damage planted in the
-    columns lands in the matching rows, so a test can check that both
-    layouts are refused (or salvaged) the same way.  A ``checksum`` is
-    dropped: the caller re-stamps the rendering if it wants one."""
-    rows = copy.deepcopy(doc)
-    rows.pop("checksum", None)
+    """A copy of the profile document ``doc`` in the v2 layout: its
+    ``nodes``/``edges``/``ref_edges`` columns (read as
+    :func:`as_v3_columns` reads them) cut into ``[a, b]`` rows, every
+    other section copied as it is.  Damage planted in the columns
+    lands in the matching rows, so a test can check that both layouts
+    are refused (or salvaged) the same way."""
+    rows = as_v3_columns(doc)
     rows["version"] = 2
     for section in PAIR_SECTIONS:
-        values = iter(doc[section])
+        values = iter(rows[section])
         rows[section] = [list(pair) for pair in zip(values, values)]
     return rows
 
 
+def _packed(values):
+    """``values`` as a packed column, or as the list itself when it
+    holds a non-int, as a damaged v4 column might."""
+    try:
+        return pack_column(values)
+    except TypeError:
+        return values
+
+
+def as_v4(doc: dict) -> dict:
+    """A copy of the v3 profile document ``doc`` in the v4 layout: its
+    int columns packed, and its ``node_gs`` rows as the tracker's
+    ``context_counts``/``contexts`` columns.  A column holding a
+    non-int stays a JSON list, so damage planted in a v3 column lands
+    in the v4 rendering too.  A ``checksum`` is dropped."""
+    packed = copy.deepcopy(doc)
+    packed.pop("checksum", None)
+    packed["version"] = 4
+    for section in INT_COLUMNS:
+        packed[section] = _packed(packed[section])
+    tracker = packed.get("tracker")
+    if tracker is not None:
+        node_gs = tracker.pop("node_gs")
+        packed["tracker"] = {
+            "context_counts": _packed([len(gs) if gs else 0
+                                       for gs in node_gs]),
+            "contexts": _packed([g for gs in node_gs if gs
+                                 for g in gs]),
+            **tracker}
+    return packed
+
+
 def in_layout(doc: dict, layout: str) -> dict:
-    """``doc`` as it is (``"v3"``) or rendered by :func:`as_v2_rows`
-    (``"v2rows"``)."""
-    return doc if layout == "v3" else as_v2_rows(doc)
+    """The v3 document ``doc`` as it is (``"v3"``), rendered by
+    :func:`as_v2_rows` (``"v2rows"``) or by :func:`as_v4` (``"v4"``)."""
+    if layout == "v2rows":
+        return as_v2_rows(doc)
+    return as_v4(doc) if layout == "v4" else doc
 
 
 def layout_params(names) -> list:
-    """``(name, layout)`` pairs as parameters over both layouts: a v3
-    case keeps the id ``name``, its v2-rows twin is ``v2rows-<name>``."""
-    return ([pytest.param((name, "v3"), id=name) for name in names]
-            + [pytest.param((name, "v2rows"), id=f"v2rows-{name}")
-               for name in names])
+    """``(name, layout)`` pairs as parameters over every layout: a v3
+    case keeps the id ``name``, its twins are ``v2rows-<name>`` and
+    ``v4-<name>``."""
+    return [pytest.param((name, layout),
+                         id=name if layout == "v3" else f"{layout}-{name}")
+            for layout in LAYOUTS for name in names]
 
 
 def _checkout_status():

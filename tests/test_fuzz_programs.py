@@ -23,13 +23,14 @@ one program in a few thousand runs for minutes.
   programs no one wrote by hand.  The same programs' shard documents
   check that :func:`~repro.profiler.serialize.fold_document` merges
   exactly as :func:`~repro.profiler.parallel.merge_graphs` does, and
-  that a shard's v2-rows rendering folds exactly as its v3 columns.
+  that a shard's v2-rows and v3 renderings fold exactly as its v4
+  packed columns.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_v2_rows
+from conftest import as_v2_rows, as_v3_columns
 from repro.lang import compile_source, format_source
 from repro.profiler import (CostTracker, DependenceGraph, TrackerState,
                             canonical_form, fold_document, graph_to_dict,
@@ -376,8 +377,8 @@ def _fold_grouped(docs, bounds, slots, render):
        st.sampled_from(_TRACKER_PARAMS), st.data())
 @settings(max_examples=15, deadline=None)
 def test_v2_rows_fold_equals_v3_over_any_grouping(sources, params, data):
-    """v3 columns and v2 rows reach one fold: folding any contiguous
-    grouping of shard documents as written (v3) and as their v2-rows
+    """Columns and v2 rows reach one fold: folding any contiguous
+    grouping of shard documents as written (v4) and as their v2-rows
     renderings builds the same graph, node numbering included, and the
     same tracker state."""
     docs = [_shard(source, params)[2] for source in sources]
@@ -390,4 +391,25 @@ def test_v2_rows_fold_equals_v3_over_any_grouping(sources, params, data):
                                            as_v2_rows)
     assert rows_graph.node_keys == graph.node_keys
     assert canonical_form(rows_graph, rows_state) == \
+        canonical_form(graph, state)
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from(_TRACKER_PARAMS), st.data())
+@settings(max_examples=15, deadline=None)
+def test_v4_fold_equals_v3_over_any_grouping(sources, params, data):
+    """v4 packed columns and v3 JSON columns reach one fold: folding any
+    contiguous grouping of shard documents as written (v4) and as their
+    v3 renderings builds the same graph, node numbering included, and
+    the same tracker state."""
+    docs = [_shard(source, params)[2] for source in sources]
+    docs.append(docs[0])
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(docs) - 1))))
+    bounds = list(zip([0] + cuts, cuts + [len(docs)]))
+    slots = params["slots"]
+    graph, state = _fold_grouped(docs, bounds, slots, lambda doc: doc)
+    flat_graph, flat_state = _fold_grouped(docs, bounds, slots,
+                                           as_v3_columns)
+    assert flat_graph.node_keys == graph.node_keys
+    assert canonical_form(flat_graph, flat_state) == \
         canonical_form(graph, state)

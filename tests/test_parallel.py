@@ -205,6 +205,14 @@ class Main { static void main() {
         assert shard.return_nodes[9] == {0}
         assert merged.num_nodes == 1
 
+    def test_state_fold_reads_context_columns(self):
+        """The context sets arrive as a count column and one flat
+        column: nodes with several contexts, with none, new to the
+        state and already in it."""
+        state = TrackerState(node_gs=[{1}, None])
+        state.fold([2, 0, 1, 3], [5, 6, 7, 8, 9, 1], [], [], [1, 0, 2, 0])
+        assert state.node_gs == [{1, 8, 9}, {5, 6}, {7}]
+
     def test_last_shard_wins_effects(self):
         left = DependenceGraph(slots=8)
         right = DependenceGraph(slots=8)

@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from conftest import PAIR_SECTIONS, in_layout, layout_params
+from conftest import (PAIR_SECTIONS, as_v3_columns, in_layout,
+                      layout_params)
 from repro.cli import EXIT_BAD_INPUT, main
 from repro.profiler import (CheckpointError, ProfileChecksumError,
                             ProfileFormatError, ProfileTruncatedError,
@@ -128,11 +129,11 @@ DAMAGED_ROWS = {
 def damaged_rows(request, saved, tmp_path):
     """``(path, source, section)``: the saved profile with one row
     pointing outside the node list, in the v3 layout or rendered as v2
-    rows, written with a valid checksum."""
+    rows or v4 packed columns, written with a valid checksum."""
     profile, source = saved
     name, layout = request.param
     section, column, value = DAMAGED_ROWS[name]
-    doc = read_document(str(profile))
+    doc = as_v3_columns(read_document(str(profile)))
     value = len(doc["nodes"]) // 2 if value is None else value
     if section in PAIR_SECTIONS:
         doc[section][column] = value

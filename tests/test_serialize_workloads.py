@@ -8,7 +8,7 @@ analyzed offline or merged by the parallel runtime without loss.
 
 import pytest
 
-from conftest import in_layout
+from conftest import as_v3_columns, in_layout
 from repro.profiler import (CostTracker, graph_from_dict, graph_to_dict,
                             load_profile, save_graph,
                             tracker_state_from_dict)
@@ -78,7 +78,7 @@ def test_file_roundtrip_with_state(profiled, tmp_path):
 
 def test_v1_documents_still_load(profiled, layout="v2rows"):
     _, tracker = profiled[WORKLOADS[0]]
-    data = in_layout(graph_to_dict(tracker.graph), layout)
+    data = in_layout(as_v3_columns(graph_to_dict(tracker.graph)), layout)
     if layout == "v2rows":
         data["version"] = 1      # a pre-PR-2 document: graph only
     clone = graph_from_dict(data)
@@ -88,3 +88,7 @@ def test_v1_documents_still_load(profiled, layout="v2rows"):
 
 def test_graph_only_v3_documents_load(profiled):
     test_v1_documents_still_load(profiled, layout="v3")
+
+
+def test_graph_only_v4_documents_load(profiled):
+    test_v1_documents_still_load(profiled, layout="v4")

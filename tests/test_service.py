@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from conftest import in_layout, layout_params
+from conftest import as_v3_columns, in_layout, layout_params
 from repro import compile_source
 from repro.profiler import (CostTracker, canonical_form, graph_from_dict,
                             graph_to_dict, merge_graphs,
@@ -104,10 +104,10 @@ HOSTILE_SHARD_DEFECTS = ("edge-past-end", "negative-edge",
 
 def hostile_shard(defect, layout="v3"):
     """A valid shard with one node reference out of range, in
-    ``layout`` (``"v3"`` columns or ``"v2rows"``), checksummed after
-    the damage."""
+    ``layout`` (``"v3"`` columns, ``"v2rows"`` or ``"v4"`` packed
+    columns), checksummed after the damage."""
     from repro.profiler import content_checksum
-    shard = make_shard("hostile")
+    shard = as_v3_columns(make_shard("hostile"))
     n = len(shard["nodes"]) // 2
     if defect == "edge-past-end":
         shard["edges"][1] = n
