@@ -42,19 +42,31 @@ class SiteReport:
 
 
 def _site_descriptions(program):
-    """iid -> ("new Foo", "Owner.method", line) for allocation sites."""
+    """iid -> ("new Foo", "Owner.method", line) for allocation sites.
+
+    Built on first use and kept on the program, like its compiled
+    tiers: a finalized program does not change.  The map is shared by
+    every report, query and table that names sites, so it is
+    read-only; callers only ``.get()`` from it.
+    """
+    descriptions = getattr(program, "_site_descriptions", None)
+    if descriptions is not None:
+        return descriptions
     descriptions = {}
     method_of = {}
     for cls in program.classes.values():
         for method in cls.methods.values():
+            name = method.qualified_name
             for instr in method.body:
-                method_of[instr.iid] = method.qualified_name
+                method_of[instr.iid] = name
     for iid, instr in program.alloc_sites.items():
         if instr.op == ins.OP_NEW_OBJECT:
             what = f"new {instr.class_name}"
         else:
             what = f"new {instr.elem_type}[]"
         descriptions[iid] = (what, method_of.get(iid, "?"), instr.line)
+    if program.finalized:
+        program._site_descriptions = descriptions
     return descriptions
 
 

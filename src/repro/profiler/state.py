@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .context import average_conflict_ratio
+from .context import conflict_ratio
 
 
 class TrackerState:
@@ -33,8 +33,7 @@ class TrackerState:
     values were returned.
     """
 
-    __slots__ = ("node_gs", "branch_outcomes", "return_nodes",
-                 "_cr_groups", "_cr_upto")
+    __slots__ = ("node_gs", "branch_outcomes", "return_nodes")
 
     def __init__(self, node_gs=None, branch_outcomes=None,
                  return_nodes=None):
@@ -43,30 +42,37 @@ class TrackerState:
                                 if branch_outcomes is not None else {})
         self.return_nodes = (return_nodes
                              if return_nodes is not None else {})
-        self._cr_groups = {}
-        self._cr_upto = 0
 
     def conflict_ratio(self, graph) -> float:
         """Average CR over context-annotated instructions (Table 1).
 
-        The regrouping ``iid -> {slot: context set}`` that
-        :func:`~repro.profiler.context.average_conflict_ratio`
-        consumes is cached and extended only for nodes created since
-        the previous call.  Its entries hold *references* to the live
-        context sets, so later context insertions into grouped nodes
-        need no refold: repeated calls on a large (e.g. merged
-        multi-shard) or still-growing profile pay O(new nodes), not
-        O(all nodes).
+        Equal, bit for bit, to
+        :func:`~repro.profiler.context.average_conflict_ratio` over the
+        full regrouping ``iid -> {slot: context set}``, in one pass
+        over ``node_gs``.  The denominator counts every iid with a
+        context set (an empty set too).  An instruction whose slots
+        each hold at most one context adds exactly 0.0 to the sum, so
+        only instructions with a node of two or more contexts are
+        regrouped, and their ratios are summed in the reference's
+        order (iid by first node id); skipping 0.0 terms changes
+        neither a plain nor a compensated float ``sum``.
         """
-        node_gs, node_keys = self.node_gs, graph.node_keys
-        groups = self._cr_groups
-        for node_id in range(self._cr_upto, len(node_gs)):
-            gs = node_gs[node_id]
+        node_keys, node_gs = graph.node_keys, self.node_gs
+        annotated = set()
+        conflicted = set()
+        for key, gs in zip(node_keys, node_gs):
             if gs is not None:
-                iid, dctx = node_keys[node_id]
+                annotated.add(key[0])
+                if len(gs) > 1:
+                    conflicted.add(key[0])
+        if not conflicted:
+            return 0.0
+        groups = {}
+        for (iid, dctx), gs in zip(node_keys, node_gs):
+            if gs is not None and iid in conflicted:
                 groups.setdefault(iid, {})[dctx] = gs
-        self._cr_upto = len(node_gs)
-        return average_conflict_ratio(groups)
+        return (sum(map(conflict_ratio, groups.values()))
+                / len(annotated))
 
     def fold(self, context_counts, contexts, branch_outcomes,
              return_nodes, remap):
@@ -115,18 +121,3 @@ class TrackerState:
         for iid, nodes in return_nodes:
             returns.setdefault(iid, set()).update(
                 [remap[n] for n in nodes])
-        # A fold can replace context sets the cached CR regrouping
-        # references by position; refold lazily on the next query.
-        self.invalidate_cr_cache()
-
-    def invalidate_cr_cache(self):
-        """Drop the incremental CR regrouping; the next
-        :meth:`conflict_ratio` call refolds from scratch.
-
-        Needed after a fold *into* this state (:meth:`fold` calls
-        it): a fold may replace a formerly-``None`` ``node_gs`` entry
-        below the cached watermark with a fresh set the grouping has
-        no reference to.
-        """
-        self._cr_groups = {}
-        self._cr_upto = 0

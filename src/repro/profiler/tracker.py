@@ -520,9 +520,8 @@ class CostTracker(TracerBase):
     # -- statistics -----------------------------------------------------------------------
 
     def conflict_ratio(self) -> float:
-        """Average CR over context-annotated instructions (Table 1),
-        through :meth:`TrackerState.conflict_ratio`'s incremental
-        regrouping cache."""
+        """Average CR over context-annotated instructions (Table 1);
+        see :meth:`TrackerState.conflict_ratio`."""
         return self._state.conflict_ratio(self.graph)
 
     def state(self) -> TrackerState:

@@ -366,11 +366,9 @@ class AnalysisDaemon:
                     "ipp": round(metrics.ipp, 6),
                     "nld": round(metrics.nld, 6)}
         if kind == "summary":
-            graph = tenant.graph
             summary = tenant.describe()
-            summary["memory_bytes"] = graph.memory_bytes()
             summary["conflict_ratio"] = round(
-                tenant.state.conflict_ratio(graph), 6)
+                tenant.state.conflict_ratio(tenant.graph), 6)
             return summary
         # kind == "trace"
         return {"tenant": tenant.name, "shards": tenant.shards,

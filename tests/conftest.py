@@ -10,6 +10,7 @@ import subprocess
 import pytest
 
 from repro.lang import compile_source
+from repro.profiler.context import average_conflict_ratio
 from repro.profiler.serialize import pack_column, unpack_column
 from repro.vm import VM
 
@@ -127,6 +128,18 @@ def as_v4(doc: dict) -> dict:
                                  for g in gs]),
             **tracker}
     return packed
+
+
+def reference_conflict_ratio(graph, state) -> float:
+    """The paper's CR (Table 1) of ``state`` over ``graph``: every node
+    with a context set regrouped as ``iid -> {slot: contexts}``, then
+    :func:`~repro.profiler.context.average_conflict_ratio`."""
+    groups = {}
+    for node_id, gs in enumerate(state.node_gs):
+        if gs is not None:
+            iid, slot = graph.node_keys[node_id]
+            groups.setdefault(iid, {})[slot] = gs
+    return average_conflict_ratio(groups)
 
 
 def in_layout(doc: dict, layout: str) -> dict:

@@ -24,17 +24,23 @@ one program in a few thousand runs for minutes.
   check that :func:`~repro.profiler.serialize.fold_document` merges
   exactly as :func:`~repro.profiler.parallel.merge_graphs` does, and
   that a shard's v2-rows and v3 renderings fold exactly as its v4
-  packed columns.
+  packed columns, that the one-pass conflict ratio is the reference
+  regrouping's, and that a daemon pushed the shards serves the batch
+  report.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_v2_rows, as_v3_columns
+from conftest import as_v2_rows, as_v3_columns, reference_conflict_ratio
 from repro.lang import compile_source, format_source
+from repro.observability import bloat_report_data
 from repro.profiler import (CostTracker, DependenceGraph, TrackerState,
                             canonical_form, fold_document, graph_to_dict,
                             merge_graphs)
+from repro.service import AnalysisDaemon, TenantRegistry
 from repro.vm import VM
 
 N_VARS = 3
@@ -413,3 +419,71 @@ def test_v4_fold_equals_v3_over_any_grouping(sources, params, data):
     assert flat_graph.node_keys == graph.node_keys
     assert canonical_form(flat_graph, flat_state) == \
         canonical_form(graph, state)
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from((1, 2, 16)), st.data())
+@settings(max_examples=15, deadline=None)
+def test_conflict_ratio_equals_reference(sources, slots, data):
+    """The one-pass CR is exactly the reference regrouping's: on every
+    single run, on the fold of any contiguous grouping of the runs'
+    documents, and on v2-rows documents with an empty context row."""
+    shards = [_shard(source, {"slots": slots}) for source in sources]
+    shards.append(shards[0])
+    for graph, state, _ in shards:
+        assert state.conflict_ratio(graph) == \
+            reference_conflict_ratio(graph, state)
+    docs = [doc for _, _, doc in shards]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(docs) - 1))))
+    bounds = list(zip([0] + cuts, cuts + [len(docs)]))
+    graph, state = _fold_grouped(docs, bounds, slots, lambda doc: doc)
+    assert state.conflict_ratio(graph) == \
+        reference_conflict_ratio(graph, state)
+    rows = [as_v2_rows(doc) for doc in docs]
+    for doc in rows:
+        node_gs = doc["tracker"]["node_gs"]
+        node_gs[data.draw(st.integers(0, len(node_gs) - 1))] = []
+    graph, state = _fold_grouped(rows, bounds, slots, lambda doc: doc)
+    assert state.conflict_ratio(graph) == \
+        reference_conflict_ratio(graph, state)
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from((2, 16)))
+@settings(max_examples=10, deadline=None)
+def test_daemon_serves_the_batch_report(sources, slots):
+    """An in-process daemon pushed the runs' shards one by one serves,
+    after every push, a ``report`` byte-identical to
+    ``bloat_report_data`` over ``merge_graphs`` of the same runs, and a
+    ``summary`` whose CR is the report's.  The tenant's program is the
+    first run's, as when runs of one build are pushed."""
+    runs = [_tracked(source, "compiled", {"slots": slots})
+            for source in sources]
+    runs.append(runs[0])
+    daemon = AnalysisDaemon(TenantRegistry())
+    program_spec = {"source": sources[0], "use_stdlib": False}
+    program = compile_source(sources[0])
+    meta = {"instructions": 0, "slots": slots,
+            "output": runs[0].stdout(), "exec_mode": runs[0].exec_tier}
+    for pushed, vm in enumerate(runs, start=1):
+        shard = graph_to_dict(
+            vm.tracer.graph, tracker=vm.tracer,
+            meta={"instructions": vm.instr_count, "output": vm.stdout(),
+                  "exec_mode": vm.exec_tier})
+        assert daemon._handle({"type": "push", "tenant": "t",
+                               "shard": shard})["type"] == "ok"
+        served = daemon._handle({"type": "query", "tenant": "t",
+                                 "kind": "report",
+                                 "program": program_spec})["result"]
+        meta["instructions"] += vm.instr_count
+        if pushed > 1:
+            meta["runs"] = pushed
+        graph, state = merge_graphs(
+            [run.tracer.graph for run in runs[:pushed]],
+            [run.tracer.state() for run in runs[:pushed]])
+        assert json.dumps(served) == json.dumps(
+            bloat_report_data(graph, meta, state, program))
+        summary = daemon._handle({"type": "query", "tenant": "t",
+                                  "kind": "summary"})["result"]
+        assert summary["conflict_ratio"] == \
+            served["summary"]["conflict_ratio"]

@@ -13,6 +13,7 @@ stress shards, and one or two concurrent supervised workers.
 
 import pytest
 
+from conftest import reference_conflict_ratio
 from repro.profiler import (CONTEXTLESS, AggregateProfile, CostTracker,
                             DependenceGraph, ProfileInputError,
                             ProfileJob, SupervisedProfiler, TrackerState,
@@ -252,6 +253,9 @@ class TestAggregatedAnalyses:
 
 
 class TestIncrementalConflictRatio:
+    """CR queried on a profile that grows run by run, and queried
+    again without change."""
+
     def test_cache_matches_fresh_tracker(self):
         jobs = [ProfileJob.stress(stages=4, chain=5, rounds=2, seed=s)
                 for s in range(3)]
@@ -260,16 +264,48 @@ class TestIncrementalConflictRatio:
         for job in jobs:
             tracker.begin_run()
             VM(job.build(), tracer=tracker).run()
-            ratios.append(tracker.conflict_ratio())  # cache grows
+            ratios.append(tracker.conflict_ratio())
         oracle = profile_jobs_sequential(jobs, slots=8)
-        # The final cached value equals a from-scratch regroup.
-        assert ratios[-1] == pytest.approx(oracle.conflict_ratio())
+        # The value taken on the grown tracker equals a fresh profile's.
+        assert ratios[-1] == oracle.conflict_ratio()
 
     def test_state_cache_extends(self):
         jobs = workload_jobs("xalan_like")[:2]
         seq = profile_jobs_sequential(jobs, slots=8)
         first = seq.state.conflict_ratio(seq.graph)
         assert seq.state.conflict_ratio(seq.graph) == first
+        assert first == reference_conflict_ratio(seq.graph, seq.state)
+
+
+class TestConflictRatio:
+    def test_one_pass_equals_reference_between_runs(self):
+        """On a tracker growing run by run, the one-pass CR taken
+        between runs is exactly the reference regrouping's, and the
+        last equals the sequential oracle's."""
+        jobs = workload_jobs("trade_like")
+        tracker = CostTracker(slots=2)
+        ratios = []
+        for job in jobs:
+            tracker.begin_run()
+            VM(job.build(), tracer=tracker).run()
+            ratios.append(tracker.conflict_ratio())
+            assert ratios[-1] == reference_conflict_ratio(
+                tracker.graph, tracker.state())
+            assert tracker.conflict_ratio() == ratios[-1]
+        assert any(ratios)
+        oracle = profile_jobs_sequential(jobs, slots=2)
+        assert ratios[-1] == oracle.conflict_ratio()
+
+    def test_empty_context_set_counts_in_the_denominator(self):
+        """Every iid with a context set counts, an empty set too; only
+        iids with a slot of two or more contexts add to the sum."""
+        graph = DependenceGraph(slots=2)
+        for key in ((0, 0), (0, 1), (1, 0), (2, 0), (3, 0)):
+            graph.node(*key)
+        state = TrackerState(node_gs=[{1, 3}, {2}, set(), {4}, None])
+        assert state.conflict_ratio(graph) == (2 / 3) / 3
+        assert state.conflict_ratio(graph) == \
+            reference_conflict_ratio(graph, state)
 
 
 class TestSerializedShards:
