@@ -6,7 +6,7 @@ operand-name lookups on the instruction object.  This module removes
 that toll by compiling every finalized method into a specialized Python
 generator function.  A program's tier is built once: every method's
 shape is checked up front, and each method is emitted and compiled to
-a function on its first call.  Three template variants exist; the
+a function on its first call.  Two template variants exist; the
 tracer's type selects one per run:
 
 * **plain** (no tracer; untracked sampling bursts) -- every virtual
@@ -22,17 +22,17 @@ tracer's type selects one per run:
   heap stores, array accesses, allocations, natives and returns call
   tracker helpers that take node ids and values.  A call hands the
   argument shadows to the callee on its frame; a return leaves its
-  node with the tracker for the caller's resume;
-* **traced** (every other tracer) -- the register file stays the
-  interpreter's ``frame.regs`` dict and each instruction calls the
-  tracer's public ``trace_*`` hook, so tracers observe the exact
-  interpreter frame protocol.
+  node with the tracker for the caller's resume.
+
+Every other tracer (the client analyses, ``CostTracker`` subclasses)
+has no template: :func:`run_compiled` declines the run and the VM
+interprets it, so those tracers observe the interpreter's ``trace_*``
+hook protocol, their reference semantics.
 
 Instruction fields (operator, field name, literal value, branch
 targets, resolved call targets, class objects, natives) are baked into
 the generated source or bound once in the module namespace, and the
-tracked and traced variants guard tracking with one hoisted ``traced``
-flag.
+tracked template guards tracking with one hoisted ``traced`` flag.
 
 Control flow is compiled to basic blocks dispatched by a small integer
 ``_L`` inside one ``while True`` loop; calls suspend the generator with
@@ -52,7 +52,7 @@ Burst sampling (``VM(sampling=...)``) selects the template *per
 activation*: an activation spawned while the tracking window is off
 runs the plain template at full speed until it returns, and stays
 untracked even if a window opens meanwhile; one spawned inside a window
-(and the entry activation) runs the tracer's template, whose hoisted
+(and the entry activation) runs the tracked template, whose hoisted
 flag follows the window toggles.  The interpreter follows the same
 rule, so sampled profiles agree across tiers.  The trampoline maintains
 the receiver-context chain across plain activations so tracked windows
@@ -79,16 +79,7 @@ from .interpreter import (RunControl, _as_str, _is_ref, _java_div, _java_rem,
 from .natives import lookup_native
 
 VARIANT_PLAIN = "plain"
-VARIANT_TRACED = "traced"
 VARIANT_TRACKED = "tracked"
-
-#: rt.hooks index for ``trace_call_complete`` (past the opcode range).
-HOOK_CALL_COMPLETE = ins.OP_INTRINSIC + 1
-
-#: Opcodes whose interpreter hook is ``trace_instr``.
-_INSTR_HOOK_OPS = (ins.OP_CONST, ins.OP_MOVE, ins.OP_BINOP, ins.OP_UNOP,
-                   ins.OP_INTRINSIC, ins.OP_BRANCH, ins.OP_ARRAY_LEN,
-                   ins.OP_LOAD_STATIC, ins.OP_STORE_STATIC)
 
 #: What the tracked template binds from ``rt.env`` per activation (see
 #: :func:`_tracked_env`, which builds the values in this order).
@@ -97,8 +88,8 @@ _TRACKED_ENV = ("_fire", "_tr", "tk", "freq", "flags", "sc", "ngs", "cr",
                 "_cd", "_tg", "_nob", "_nar", "_st", "_ald", "_nat", "_ret")
 
 
-def _tracked_env(rt, tracker) -> tuple:
-    fire, traced_now = rt.fire, rt.traced_now
+def _tracked_env(rt, tracker, traced_now) -> tuple:
+    fire = rt.fire
 
     def fire_tracked(count, instr, frame):
         return (fire(count, instr, frame), traced_now(),
@@ -242,12 +233,10 @@ class _MethodEmitter:
     def __init__(self, method, fname: str, variant: str, binder: _Binder):
         self.method = method
         self.fname = fname
-        self.traced = variant == VARIANT_TRACED
         self.tracked = variant == VARIANT_TRACKED
         self.binder = binder
         self.lines = []
         self._mangled = {}
-        self._used_hooks = set()
         self._rows = []       # iids of context-annotated nodes -> w<n>
         self._cells = []      # branch iids -> c<n>
 
@@ -255,8 +244,6 @@ class _MethodEmitter:
 
     def reg(self, name: str) -> str:
         """Accessor expression for virtual register ``name``."""
-        if self.traced:
-            return f"regs[{name!r}]"
         mangled = self._mangled.get(name)
         if mangled is None:
             mangled = self._mangled[name] = f"r{len(self._mangled)}"
@@ -279,28 +266,22 @@ class _MethodEmitter:
             # The tracked template's _fire also re-reads the flag and
             # the frame's context (a window opening rebuilds it).
             fire = f"limit, traced, g, dctx = {fire}"
-        elif self.traced:
-            fire = f"limit = {fire}; traced = _tr()"
         else:
             fire = f"limit = {fire}"
         self.emit(d, f"if (count := count + 1) > limit: {fire}")
 
-    def hook(self, d: int, instr, args: str = ""):
-        """Track ``instr`` after it ran: its hook, or its inline rule."""
+    def hook(self, d: int, instr):
+        """Track ``instr`` after it ran: the tracked template's inline
+        rule (the plain template tracks nothing)."""
         if self.tracked:
             self.emit(d, "if traced:")
             self._emit_rule(d + 1, instr)
-        elif self.traced:
-            op = instr.op
-            self._used_hooks.add(op)
-            self.emit(d, f"if traced: _hk{op}({self.iname(instr)}, "
-                         f"frame{args})")
 
     # -- emission --------------------------------------------------------
 
     def source(self) -> str:
-        # Body first: discovers mangled registers, used hooks and node
-        # rows, all needed by the prologue.
+        # Body first: discovers mangled registers and node rows, both
+        # needed by the prologue.
         self.lines = []
         self._emit_blocks()
         block_lines = self.lines
@@ -323,14 +304,6 @@ class _MethodEmitter:
         self.emit(1, "vm = rt.vm")
         if not self.tracked:
             self.emit(1, "_fire = rt.fire")
-        if self.traced:
-            self.emit(1, "regs = frame.regs")
-            self.emit(1, "_tr = rt.traced_now")
-            self.emit(1, "traced = _tr()")
-            self.emit(1, "_hooks = rt.hooks")
-            for op in sorted(self._used_hooks):
-                self.emit(1, f"_hk{op} = _hooks[{op}]")
-            return
         # Entry registers (receiver + parameters) become locals.
         entry_regs = []
         if not self.method.is_static:
@@ -418,7 +391,7 @@ class _MethodEmitter:
                          f"'null dereference reading .{instr.field}', "
                          f"{iname}, frame)")
             self.emit(d, f"{R(instr.dest)} = _o.fields[{instr.field!r}]")
-            self.hook(d, instr, ", _o")
+            self.hook(d, instr)
 
         elif op == ins.OP_STORE_FIELD:
             self.emit(d, f"_o = {R(instr.obj)}")
@@ -427,7 +400,7 @@ class _MethodEmitter:
                          f"{iname}, frame)")
             self.emit(d, f"_v = {R(instr.src)}")
             self.emit(d, f"_o.fields[{instr.field!r}] = _v")
-            self.hook(d, instr, ", _o, _v")
+            self.hook(d, instr)
 
         elif op == ins.OP_ARRAY_LOAD:
             self.emit(d, f"_o = {R(instr.arr)}")
@@ -439,7 +412,7 @@ class _MethodEmitter:
                          f"f'index {{_x}} out of bounds for length "
                          f"{{len(_e)}}', {iname}, frame)")
             self.emit(d, f"{R(instr.dest)} = _e[_x]")
-            self.hook(d, instr, ", _o, _x")
+            self.hook(d, instr)
 
         elif op == ins.OP_ARRAY_STORE:
             self.emit(d, f"_o = {R(instr.arr)}")
@@ -452,7 +425,7 @@ class _MethodEmitter:
                          f"{{len(_e)}}', {iname}, frame)")
             self.emit(d, f"_v = {R(instr.src)}")
             self.emit(d, "_e[_x] = _v")
-            self.hook(d, instr, ", _o, _x, _v")
+            self.hook(d, instr)
 
         elif op == ins.OP_ARRAY_LEN:
             self.emit(d, f"_o = {R(instr.arr)}")
@@ -466,7 +439,7 @@ class _MethodEmitter:
             cname = self.binder.bind(cls, "c")
             self.emit(d, f"_o = vm.heap.new_object({cname}, {instr.iid})")
             self.emit(d, f"{R(instr.dest)} = _o")
-            self.hook(d, instr, ", _o")
+            self.hook(d, instr)
 
         elif op == ins.OP_NEW_ARRAY:
             tname = self.binder.bind(instr.elem_type, "t")
@@ -475,7 +448,7 @@ class _MethodEmitter:
                          f"{{_n}}', {iname}, frame)")
             self.emit(d, f"_o = vm.heap.new_array({tname}, {instr.iid}, _n)")
             self.emit(d, f"{R(instr.dest)} = _o")
-            self.hook(d, instr, ", _o")
+            self.hook(d, instr)
 
         elif op == ins.OP_LOAD_STATIC:
             self.emit(d, f"{R(instr.dest)} = vm._static_slot("
@@ -715,18 +688,15 @@ class _MethodEmitter:
                     argtuple += ","
                 self.emit(d, f"for _pp, _av in zip(_m.params, ({argtuple})): "
                              f"_cr[_pp[0]] = _av")
-            recv_expr = "_r"
             target_expr = "_m"
         else:
             target = instr.resolved
             mname = self.binder.bind(target, "m")
-            recv_expr = "None"
             if instr.recv is not None:
                 self.emit(d, f"_r = {R(instr.recv)}")
                 self.emit(d, f"if _r is None: raise _NE('null receiver "
                              f"calling .{instr.method_name}()', "
                              f"{iname}, frame)")
-                recv_expr = "_r"
             self.emit(d, f"_cf = _F({mname}, {instr.dest!r}, {iname})")
             self.emit(d, "_cr = _cf.regs")
             if instr.recv is not None:
@@ -734,11 +704,7 @@ class _MethodEmitter:
             for (pname, _), arg_reg in zip(target.params, instr.args):
                 self.emit(d, f"_cr[{pname!r}] = {R(arg_reg)}")
             target_expr = mname
-        if self.traced:
-            self._used_hooks.add(ins.OP_CALL)
-            self.emit(d, f"if traced: _hk{ins.OP_CALL}({iname}, frame, "
-                         f"_cf, {recv_expr})")
-        elif self.tracked:
+        if self.tracked:
             # Rule METHOD ENTRY: one shadow per entry register of the
             # callee (receiver first), then the receiver chain.
             entry = ([instr.recv] if instr.recv is not None else [])
@@ -752,18 +718,14 @@ class _MethodEmitter:
         self.emit(d, f"_p = yield ({target_expr}, _cf, count, limit)")
         self.emit(d, "count = _p[1]")
         self.emit(d, "limit = _p[2]")
-        if self.traced or self.tracked:
+        if self.tracked:
             # The driver refreshes the hoisted flag in the resume
             # message -- one expression evaluated trampoline-side
             # instead of a closure call per return.
             self.emit(d, "traced = _p[3]")
         if instr.dest is not None:
             self.emit(d, f"{R(instr.dest)} = _p[0]")
-        if self.traced:
-            self._used_hooks.add(HOOK_CALL_COMPLETE)
-            self.emit(d, f"if traced: _hk{HOOK_CALL_COMPLETE}"
-                         f"({iname}, frame)")
-        elif self.tracked:
+        if self.tracked:
             # The callee's return left its node on the tracker.
             self.emit(d, "if traced:")
             self.emit(d + 1, "g = frame.g; dctx = frame.dctx")
@@ -789,10 +751,7 @@ class _MethodEmitter:
         # window cursor, and may rebuild contexts) and may toggle
         # phase-restricted tracking.
         self.emit(d, "limit = rt.limit")
-        if self.traced:
-            self.emit(d, "traced = _tr()")
-            self.hook(d, instr)
-        elif self.tracked:
+        if self.tracked:
             self.emit(d, "traced = _tr()")
             shadows = "".join(f"{self.shadow(a)}, " for a in instr.args)
             node = f"_nat({instr.iid}, ({shadows}))"
@@ -866,8 +825,7 @@ def compiled_tier(program, variant: str):
                 for method in cls.methods.values():
                     _check_shape(method)
         except UnsupportedShape:
-            cache = {VARIANT_PLAIN: False, VARIANT_TRACED: False,
-                     VARIANT_TRACKED: False}
+            cache = {VARIANT_PLAIN: False, VARIANT_TRACKED: False}
         else:
             cache = {}
         program._compiled_tiers = cache
@@ -879,12 +837,13 @@ def compiled_tier(program, variant: str):
     return None if tier is False else tier
 
 
-def template_variant(tracer) -> str:
-    """The template variant a run with ``tracer`` executes."""
+def template_variant(tracer):
+    """The template variant a run with ``tracer`` executes, or None when
+    no template serves it (any tracer but an exact ``CostTracker``)."""
     if tracer is None:
         return VARIANT_PLAIN
     from ..profiler.tracker import CostTracker
-    return VARIANT_TRACKED if type(tracer) is CostTracker else VARIANT_TRACED
+    return VARIANT_TRACKED if type(tracer) is CostTracker else None
 
 
 def precompile(program, tracer=False, sampling: bool = False):
@@ -894,8 +853,9 @@ def precompile(program, tracer=False, sampling: bool = False):
     :class:`~repro.profiler.tracker.CostTracker`, or False for an
     untraced run.  Benchmarks call this so compilation cost lands
     outside the timed region; normal runs compile each method on its
-    first call.  Returns False when the program has a shape the
-    templates do not support.
+    first call.  Returns False when the run would not use the compiled
+    tier: the program has a shape the templates do not support, or the
+    tracer is one only the interpreter serves.
     """
     variants = []
     if not tracer or sampling:
@@ -903,7 +863,10 @@ def precompile(program, tracer=False, sampling: bool = False):
     if tracer is True:
         variants.append(VARIANT_TRACKED)
     elif tracer:
-        variants.append(template_variant(tracer))
+        variant = template_variant(tracer)
+        if variant is None:
+            return False
+        variants.append(variant)
     tiers = [compiled_tier(program, v) for v in variants]
     if any(tier is None for tier in tiers):
         return False
@@ -913,41 +876,21 @@ def precompile(program, tracer=False, sampling: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Tracer hooks of the traced template
-# ---------------------------------------------------------------------------
-
-def build_hooks(tracer):
-    """Resolve the tracer's per-opcode hooks once per run."""
-    hooks = [None] * (HOOK_CALL_COMPLETE + 1)
-    for op in _INSTR_HOOK_OPS:
-        hooks[op] = tracer.trace_instr
-    hooks[ins.OP_LOAD_FIELD] = tracer.trace_load_field
-    hooks[ins.OP_STORE_FIELD] = tracer.trace_store_field
-    hooks[ins.OP_ARRAY_LOAD] = tracer.trace_array_load
-    hooks[ins.OP_ARRAY_STORE] = tracer.trace_array_store
-    hooks[ins.OP_NEW_OBJECT] = tracer.trace_new_object
-    hooks[ins.OP_NEW_ARRAY] = tracer.trace_new_array
-    hooks[ins.OP_CALL] = tracer.trace_call
-    hooks[ins.OP_RETURN] = tracer.trace_return
-    hooks[ins.OP_CALL_NATIVE] = tracer.trace_native
-    hooks[HOOK_CALL_COMPLETE] = tracer.trace_call_complete
-    return hooks
-
-
-# ---------------------------------------------------------------------------
 # Trampoline driver
 # ---------------------------------------------------------------------------
 
 def run_compiled(vm) -> bool:
     """Execute ``vm``'s program on the compiled tier.
 
-    Returns False (without executing anything) when the program has an
-    unsupported shape, so :meth:`VM.run` can fall back to the
-    interpreter loop.
+    Returns False (without executing anything) when the tracer has no
+    template or the program has an unsupported shape, so
+    :meth:`VM.run` can fall back to the interpreter loop.
     """
     program = vm.program
     tracer = vm.tracer
     variant = template_variant(tracer)
+    if variant is None:
+        return False
     fns = compiled_tier(program, variant)
     if fns is None:
         return False
@@ -963,17 +906,11 @@ def run_compiled(vm) -> bool:
     gens = []
     rt = RunControl(vm, frames)
     cursor = rt.cursor
-    rt.tracer = tracer
     if tracer is not None:
-        if cursor is None:
-            rt.traced_now = lambda: tracer.enabled
-        else:
-            rt.traced_now = lambda: tracer.enabled and cursor.on
-        if variant == VARIANT_TRACKED:
-            rt.env = _tracked_env(rt, tracer)
-            rt.live_shadow = lambda: _live_shadow(gens)
-        else:
-            rt.hooks = build_hooks(tracer)
+        traced_now = ((lambda: tracer.enabled) if cursor is None
+                      else (lambda: tracer.enabled and cursor.on))
+        rt.env = _tracked_env(rt, tracer, traced_now)
+        rt.live_shadow = lambda: _live_shadow(gens)
         if tracer.enabled:
             tracer.on_entry_frame(frame)
 
@@ -982,7 +919,7 @@ def run_compiled(vm) -> bool:
     sampling_calls = tracer is not None and cursor is not None
     if sampling_calls:
         from ..profiler.context import extend_context
-        ctx_slots = getattr(tracer, "slots", 0)
+        ctx_slots = tracer.slots
     # The entry activation always runs the tracer's template when one
     # is attached: the tracking windows toggle its hoisted flag, and
     # long-lived frames (main) would otherwise never be tracked.

@@ -52,8 +52,6 @@ instruction-budget comparison.
 
 from __future__ import annotations
 
-import os
-
 from ..ir import instructions as ins
 from ..observability.telemetry import current as _current_telemetry
 from .errors import (VMArithmeticError, VMBoundsError, VMError, VMLimitError,
@@ -69,8 +67,8 @@ from .values import render_value
 
 
 def resolve_exec_mode(value=None) -> str:
-    """Resolve an exec-mode choice: explicit > $REPRO_EXEC_MODE > compiled."""
-    mode = value or os.environ.get("REPRO_EXEC_MODE") or EXEC_COMPILED
+    """Resolve an exec-mode choice: the given one, else compiled."""
+    mode = value or EXEC_COMPILED
     mode = str(mode).strip().lower()
     if mode not in EXEC_MODES:
         raise VMError(f"unknown exec mode {mode!r} "
@@ -90,17 +88,15 @@ class RunControl:
     degenerates to ``limit == max_steps`` and the loop runs the exact
     same per-instruction work as the bare interpreter.
 
-    The compiled tier stores its per-run bindings (tracer hooks or the
-    tracked template's environment, the hoisted-flag refresher) on the
-    same object, so generated templates reach everything through one
-    ``rt`` argument.  Its tracked template keeps shadows in Python
-    locals, so it also installs ``live_shadow``, which counts them for
-    growth samples.
+    The compiled tier stores its per-run bindings (the tracked
+    template's environment) on the same object, so generated templates
+    reach everything through one ``rt`` argument.  Its tracked template
+    keeps shadows in Python locals, so it also installs
+    ``live_shadow``, which counts them for growth samples.
     """
 
     __slots__ = ("vm", "stack", "telemetry", "max_steps", "cursor",
-                 "_tel_next", "limit", "tracer", "hooks", "env",
-                 "traced_now", "live_shadow")
+                 "_tel_next", "limit", "env", "live_shadow")
 
     def __init__(self, vm, stack):
         self.vm = vm

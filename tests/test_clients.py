@@ -5,11 +5,14 @@ import pytest
 
 from conftest import run_main
 from repro.analyses import (BOTTOM, CopyProfiler, NullTracker,
-                            TypestateSpec, TypestateTracker,
-                            explain_null_failure, file_protocol)
+                            TaintCostTracker, TypestateSpec,
+                            TypestateTracker, explain_null_failure,
+                            file_protocol)
+from repro.analyses.nullprop import NULL
 from repro.lang import compile_source
 from repro.stdlib import compile_with_stdlib
-from repro.vm import VM, VMNullError, VMTypestateError
+from repro.vm import (EXEC_COMPILED, EXEC_INTERP, VM, VMNullError,
+                      VMTypestateError)
 
 
 def null_run(body, extra=""):
@@ -292,3 +295,65 @@ Sys.printInt(acc);
 
     def test_bottom_constant(self):
         assert BOTTOM == "_"
+
+
+def _main(body, extra=""):
+    return f"{extra}\nclass Main {{ static void main() {{ {body} }} }}"
+
+
+def _null_client():
+    """A null copied twice: every node is null-annotated and fed by the
+    one before (the chain explain_null_failure walks back)."""
+    def check(tracker):
+        graph = tracker.graph
+        assert len(graph.node_keys) >= 3
+        assert all(d == NULL for _, d in graph.node_keys)
+        assert all(set(graph.preds[n]) == {n - 1}
+                   for n in range(1, len(graph.node_keys)))
+    body = "A a = null; A b = a; A c = b;"
+    return compile_source(_main(body, "class A { int v; }")), \
+        NullTracker(), check
+
+
+def _typestate_client():
+    def check(tracker):
+        [violation] = tracker.violations
+        assert (violation.method, violation.state) == ("put", "c")
+        assert [m for m, _ in violation.history] == ["create", "put",
+                                                      "close"]
+    program = compile_with_stdlib(_main(FILE_BODY_BAD), modules=("file",))
+    return program, TypestateTracker(file_protocol()), check
+
+
+def _copy_client():
+    def check(tracker):
+        assert any(c.source[1] == "v" and c.target[1] == "v"
+                   and c.source[0] != c.target[0] for c in tracker.chains())
+    body = ("Src s = new Src(); s.v = 5; Dst d = new Dst(); int tmp = s.v; "
+            "d.v = tmp; Sys.printInt(d.v);")
+    program = compile_source(_main(body, TestCopyProfiling.COPY_EXTRA))
+    return program, CopyProfiler(), check
+
+
+def _taint_client():
+    def check(tracker):
+        assert len(tracker.sink_costs) == 2
+        assert tracker.sink_costs[1] > tracker.sink_costs[0]
+    program = compile_source(_main("Sys.printInt(1); Sys.printInt(2 + 3);"))
+    return program, TaintCostTracker(), check
+
+
+@pytest.mark.parametrize("client", [_null_client, _typestate_client,
+                                    _copy_client, _taint_client],
+                         ids=["null", "typestate", "copy", "taint"])
+def test_client_tracers_run_on_the_interpreter(client):
+    # The compiled tier has templates only for untraced runs and an
+    # exact CostTracker; under the default exec mode every client
+    # tracer interprets, sees the trace_* hooks, and compiles nothing.
+    program, tracker, check = client()
+    vm = VM(program, tracer=tracker)
+    assert vm.exec_mode == EXEC_COMPILED
+    vm.run()
+    assert vm.exec_tier == EXEC_INTERP
+    assert not any(getattr(program, "_compiled_tiers", {}).values())
+    check(tracker)

@@ -28,8 +28,7 @@ from repro.profiler import (CostTracker, ProfileJob, SampleSchedule,
                             jobs_fingerprint, parse_sample_spec,
                             profile_jobs_sequential)
 from repro.vm import EXEC_COMPILED, EXEC_INTERP, VM
-from repro.vm.compiled import (VARIANT_TRACED, VARIANT_TRACKED,
-                               compiled_tier, precompile)
+from repro.vm.compiled import VARIANT_TRACKED, compiled_tier, precompile
 from repro.vm.interpreter import resolve_exec_mode
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.stress import build_stress
@@ -73,7 +72,6 @@ def _profile(vm):
 
 def _assert_tracked_template_ran(program):
     assert len(compiled_tier(program, VARIANT_TRACKED)) > 0
-    assert len(compiled_tier(program, VARIANT_TRACED)) == 0
 
 
 class TestTierEquivalence:
@@ -178,7 +176,8 @@ def _methods(program):
 
 
 class _EntryRecorder(CostTracker):
-    """Records every method activation it sees."""
+    """Records every method activation it sees.  A subclass, so it runs
+    on the interpreter."""
 
     def __init__(self, **params):
         super().__init__(**params)
@@ -197,15 +196,16 @@ class TestLazyTier:
     def test_tracked_run_compiles_only_methods_that_ran(self):
         spec = get_workload("trade_like")
         program = spec.build("unopt", spec.small_scale)
+        entered = _run(program, EXEC_INTERP,
+                       tracer=_EntryRecorder(slots=16)).tracer.entered
         # A built tier with nothing compiled yet is an empty mapping;
         # it must still be served as a tier, not as "unsupported".
-        tier = compiled_tier(program, VARIANT_TRACED)
+        tier = compiled_tier(program, VARIANT_TRACKED)
         assert len(tier) == 0
-        assert compiled_tier(program, VARIANT_TRACED) is tier
-        vm = _run(program, EXEC_COMPILED,
-                  tracer=_EntryRecorder(slots=16))
+        assert compiled_tier(program, VARIANT_TRACKED) is tier
+        vm = _run(program, EXEC_COMPILED, tracer=CostTracker(slots=16))
         assert vm.exec_tier == EXEC_COMPILED
-        assert set(tier) == vm.tracer.entered
+        assert set(tier) == entered
         assert len(tier) < len(_methods(program))
         assert all(callable(fn) for fn in tier.values())
 
@@ -218,15 +218,21 @@ class TestLazyTier:
         assert set(tier) == _methods(program)
         assert all(callable(fn) for fn in tier.values())
 
-    @pytest.mark.parametrize("tracer,variant", [
-        (CostTracker(slots=16), VARIANT_TRACKED),
-        (_EntryRecorder(slots=16), VARIANT_TRACED)],
+    @pytest.mark.parametrize("tracer_cls,compiles", [
+        (CostTracker, True), (_EntryRecorder, False)],
         ids=["cost-tracker", "subclass"])
-    def test_precompile_follows_the_tracer_type(self, tracer, variant):
+    def test_precompile_follows_the_tracer_type(self, tracer_cls, compiles):
+        # Only an exact CostTracker has a template (the tracked one);
+        # any other tracer runs on the interpreter and compiles nothing.
         spec = get_workload("trade_like")
         program = spec.build("unopt", spec.small_scale)
-        assert precompile(program, tracer=tracer)
-        assert set(compiled_tier(program, variant)) == _methods(program)
+        assert precompile(program, tracer=tracer_cls(slots=16)) is compiles
+        vm = _run(program, EXEC_COMPILED, tracer=tracer_cls(slots=16))
+        assert vm.exec_tier == (EXEC_COMPILED if compiles else EXEC_INTERP)
+        tiers = getattr(program, "_compiled_tiers", {})
+        compiled = {method for tier in tiers.values() if tier
+                    for method in tier}
+        assert compiled == (_methods(program) if compiles else set())
 
 
 class TestSampling:
