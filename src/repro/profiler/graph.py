@@ -101,6 +101,9 @@ class DependenceGraph:
         self._ids = {}         # (iid, d) -> node id
         self._edge_count = 0
         self._csr = None       # CSRGraph snapshot (see freeze())
+        # The shape of the last packed document folded in (see
+        # serialize.fold_document); valid because a graph only grows.
+        self._shape_memo = None
         # One-entry lookup cache: hot traces touch the same (iid, d)
         # node repeatedly (loops re-executing one instruction under one
         # context slot), so remember the last hit and skip the dict.

@@ -39,7 +39,9 @@ a target graph and state: an empty one for a load, a tenant's or the
 supervisor's merge for a shard.  Its check reads every column, in
 either form, into one typed int sequence (:func:`unpack_column`) and
 flattens v1/v2 rows into the same columns, so every version takes the
-same fold.
+same fold.  A v4 document whose packed shape text the target graph
+remembers from an earlier fold skips the shape's check and fold and
+folds only its weights (:class:`_ShapeMemo`).
 
 Integrity
 ---------
@@ -323,18 +325,11 @@ def _pair_column(doc, section: str) -> list:
     return values
 
 
-def _check_graph(doc) -> tuple:
-    """The check pass of :func:`fold_document` over the graph sections.
-
-    Returns ``(keys, freq, flags, edges, ref_edges)``: the document's
-    node keys as ``(iid, d)`` tuples, its ``freq``/``flags`` columns
-    and its two edge sections as flat int sequences, whatever the
-    document's version and whichever form each column takes.  Each
-    check runs over a whole column at once (``set(map(type, ...))``,
-    ``sum``, ``min``/``max``, a packed column's one decode), so a valid
-    document costs a few C-level passes per section rather than Python
-    work per row.
-    """
+def _check_header(doc) -> None:
+    """The check pass of :func:`fold_document` over what every other
+    section's check relies on: ``doc`` is an object of a readable
+    version holding every graph section, with a positive int ``slots``
+    and an object ``meta``."""
     if type(doc) is not dict:
         raise ProfileFormatError(
             f"profile is {type(doc).__name__}, not an object")
@@ -353,25 +348,47 @@ def _check_graph(doc) -> tuple:
     if type(doc.get("meta", {})) is not dict:
         raise _bad("meta", "is not an object")
 
+
+def _check_shape(doc) -> tuple:
+    """The check pass of :func:`fold_document` over the shape sections.
+
+    Returns ``(keys, edges, ref_edges)``: the document's node keys as
+    ``(iid, d)`` tuples, none repeated, and its two edge sections as
+    flat int sequences of node ids in ``[0, n)``, whatever the
+    document's version and whichever form each column takes.  Each
+    check runs over a whole column at once (``set``, ``sum``,
+    ``min``/``max``, a packed column's one decode), so a valid document
+    costs a few C-level passes per section rather than Python work per
+    row.
+    """
     nodes = _pair_column(doc, "nodes")
     n = len(nodes) // 2
-    columns = []
-    for key in ("freq", "flags"):
-        column = unpack_column(doc[key], key)
-        if len(column) != n:
-            raise _bad(key, f"is not {n} ints, one per node")
-        columns.append(column)
     pairs = iter(nodes)
     keys = list(zip(pairs, pairs))
     if len(set(keys)) != n:
         raise _bad("nodes", "repeats a node key")
-
+    columns = []
     for key in ("edges", "ref_edges"):
         values = _pair_column(doc, key)
         if not _below(values, n):
             raise _bad(key, f"is not a list of node-id pairs in "
                             f"[0, {n})")
         columns.append(values)
+    return (keys, *columns)
+
+
+def _check_weights(doc, n: int) -> tuple:
+    """The check pass of :func:`fold_document` over the weight sections
+    of a document with ``n`` nodes: ``freq`` and ``flags`` one int per
+    node, and well-formed ``effects``, ``points_to`` and
+    ``control_deps`` rows whose node references are in ``[0, n)``.
+    Returns the ``freq`` and ``flags`` columns."""
+    columns = []
+    for key in ("freq", "flags"):
+        column = unpack_column(doc[key], key)
+        if len(column) != n:
+            raise _bad(key, f"is not {n} ints, one per node")
+        columns.append(column)
     effects = doc["effects"]
     if not _is_table(effects, 4):
         raise _bad("effects", "holds a row that is not "
@@ -405,19 +422,21 @@ def _check_graph(doc) -> tuple:
             and _node_ids(_flat(map(itemgetter(1), control)), n)):
         raise _bad("control_deps", f"holds a row that is not [node, "
                                    f"[nodes]] in [0, {n})")
-    return (keys, *columns)
+    return tuple(columns)
 
 
 def _check_tracker(section, n: int, version) -> tuple:
-    """The check pass of :func:`fold_document` over a tracker section,
-    for a document of ``version`` with ``n`` nodes.
+    """The check pass of :func:`fold_document` over the shape of a
+    tracker section, for a document of ``version`` with ``n`` nodes.
 
     Returns the context sets as the two int columns
     :meth:`TrackerState.fold` reads, ``(counts, contexts)``: a v4
     document's ``context_counts``/``contexts`` decoded, or an earlier
     one's ``node_gs`` rows flattened into them, as the pair rows of
     v1/v2 are flattened into columns.  The counts must be at most
-    ``n`` non-negative ints that add up to the length of ``contexts``.
+    ``n`` non-negative ints that add up to the length of ``contexts``,
+    and ``return_nodes`` rows must name nodes in ``[0, n)``.  Branch
+    outcomes are checked by :func:`_check_outcomes`.
     """
     if section is None:
         raise ProfileFormatError(
@@ -450,9 +469,6 @@ def _check_tracker(section, n: int, version) -> tuple:
             raise _bad("tracker", "node_gs holds an entry that is not "
                                   "null or a list of contexts")
         counts = [len(gs) if gs else 0 for gs in node_gs]
-    if _int_table(section.get("branch_outcomes", []), 3) is None:
-        raise _bad("tracker", "branch_outcomes holds a row that is not "
-                              "[iid, taken, not_taken]")
     returns = section.get("return_nodes", [])
     if not _is_table(returns, 2) or not (
             _ints(list(map(itemgetter(0), returns)))
@@ -463,10 +479,76 @@ def _check_tracker(section, n: int, version) -> tuple:
     return counts, contexts
 
 
-def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
+def _check_outcomes(section) -> list:
+    """The ``branch_outcomes`` rows of the tracker object ``section``,
+    checked to be ``[iid, taken, not_taken]`` ints."""
+    outcomes = section.get("branch_outcomes", [])
+    if _int_table(outcomes, 3) is None:
+        raise _bad("tracker", "branch_outcomes holds a row that is not "
+                              "[iid, taken, not_taken]")
+    return outcomes
+
+
+class _ShapeMemo:
+    """What :func:`fold_document` keeps on a graph (``_shape_memo``) of
+    the last v4 document whose packed shape it folded: that document's
+    ``nodes``/``edges``/``ref_edges`` text and the remap its fold built
+    (document node id -> graph node id), and, from the last such fold
+    with a state, the tracker's packed ``context_counts``/``contexts``
+    text and a copy of its ``return_nodes`` rows, with the
+    :class:`TrackerState` they were folded into (held by reference).
+
+    The memo stays exact because a graph, and a state, only grow: no
+    node is renumbered or removed and no edge, context or return node
+    is dropped, so every node key of the remembered document keeps its
+    id and everything its shape added is still there.
+    """
+
+    __slots__ = ("nodes", "edges", "ref_edges", "remap", "state",
+                 "context_counts", "contexts", "return_nodes")
+
+    def __init__(self, doc: dict, remap: list):
+        self.nodes = doc["nodes"]
+        self.edges = doc["edges"]
+        self.ref_edges = doc["ref_edges"]
+        self.remap = remap
+        self.state = None
+
+    def holds_shape(self, doc: dict) -> bool:
+        """True when ``doc`` is a v4 document with this shape text."""
+        return (doc["version"] == PACKED_VERSION
+                and doc["nodes"] == self.nodes
+                and doc["edges"] == self.edges
+                and doc["ref_edges"] == self.ref_edges)
+
+    def holds_tracker(self, state, section) -> bool:
+        """True when the tracker object ``section`` carries the context
+        and return sets already folded into ``state``."""
+        return (state is self.state and type(section) is dict
+                and section.get("context_counts") == self.context_counts
+                and section.get("contexts") == self.contexts
+                and section.get("return_nodes") == self.return_nodes)
+
+    def track(self, state, section: dict) -> None:
+        """Remember the checked tracker ``section`` of a document with
+        this shape as folded into ``state``, when its context columns
+        are packed."""
+        counts = section.get("context_counts")
+        contexts = section.get("contexts")
+        if type(counts) is str and type(contexts) is str:
+            self.state = state
+            self.context_counts = counts
+            self.contexts = contexts
+            # A copy: a caller may change the document's rows later.
+            self.return_nodes = [[iid, list(nodes)] for iid, nodes
+                                 in section.get("return_nodes", ())]
+
+
+def fold_document(graph: DependenceGraph, state, doc: dict) -> bool:
     """Fold one v1-v4 profile document into ``graph``/``state``, in
     place: the one decoder every profile file, pushed shard, worker
-    result, checkpoint entry and spill file goes through.
+    result, checkpoint entry and spill file goes through.  Returns
+    True when the fold reused the graph's shape memo (below).
 
     Two passes.  The *check* pass reads every section the fold uses
     before anything is touched: rows must have the right shape, a
@@ -484,62 +566,126 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
 
     The *fold* pass applies the rules of
     :func:`~repro.profiler.parallel.fold_graph` straight from the
-    checked columns, with no intermediate shard graph: nodes match by
-    ``(iid, d)`` and new ones are numbered in document order,
-    frequencies sum, flags OR, edges and sets union, the document's
-    effects overwrite earlier ones (last shard wins), and tracker
-    facts fold through :meth:`TrackerState.fold`.  Folding a run's
-    documents in job order therefore numbers nodes exactly as
+    checked columns, with no intermediate shard graph, in two parts.
+    The *shape* part matches nodes by ``(iid, d)``, numbers new ones
+    in document order and unions the edges and reference edges (and,
+    through :meth:`TrackerState.fold`, the context and return sets);
+    the *weights* part sums frequencies, ORs flags, overwrites effects
+    (last shard wins), unions points-to and control dependences, and
+    sums branch outcomes.  Folding a run's documents in job order
+    therefore numbers nodes exactly as
     :func:`~repro.profiler.parallel.merge_graphs` over the decoded
     graphs does.
+
+    Replicated runs of one program share their shape, so a v4
+    document's packed ``nodes``/``edges``/``ref_edges`` text is
+    remembered on the graph with the remap its fold built
+    (:class:`_ShapeMemo`).  A later v4 document with the same text
+    skips the check and the fold of those sections and takes the
+    remembered remap: equal text is equal values, which passed every
+    check at the same ``n``, and a graph only grows and never
+    renumbers.  When it also carries the remembered tracker context
+    and return sets and folds into the same ``state``, those are
+    skipped too.  Every other section is checked and folded as
+    always, through the one weights part.  Any other document (v1-v3,
+    a column kept as a JSON list, another shape) takes the whole path
+    and, when it is v4 with a packed shape, becomes the memo.
 
     With ``state`` ``None`` the tracker section is neither checked nor
     read (a graph-only load); otherwise the document must carry one.
     """
-    keys, doc_freq, doc_flags, edges, ref_edges = _check_graph(doc)
+    _check_header(doc)
+    version = doc["version"]
+    memo = graph._shape_memo
+    reused = memo is not None and memo.holds_shape(doc)
+    if reused:
+        remap = memo.remap
+        n = len(remap)
+    else:
+        keys, edges, ref_edges = _check_shape(doc)
+        n = len(keys)
+    doc_freq, doc_flags = _check_weights(doc, n)
     if state is not None:
-        counts, contexts = _check_tracker(doc.get("tracker"), len(keys),
-                                          doc["version"])
+        section = doc.get("tracker")
+        tracked = reused and memo.holds_tracker(state, section)
+        if tracked:             # already folded into ``state``
+            counts = contexts = returns = ()
+        else:
+            counts, contexts = _check_tracker(section, n, version)
+            returns = section.get("return_nodes", ())
+        outcomes = _check_outcomes(section)
     slots = doc.get("slots", 16)
     if slots != graph.slots:
         raise ProfileInputError(
             f"cannot merge graphs with different context domains "
             f"(slots {graph.slots} vs {slots})")
 
+    if not reused:
+        remap = _fold_shape(graph, keys, edges, ref_edges)
+        memo = None
+        if version == PACKED_VERSION and all(
+                type(doc[key]) is str
+                for key in ("nodes", "edges", "ref_edges")):
+            memo = graph._shape_memo = _ShapeMemo(doc, remap)
+    _fold_weights(graph, remap, doc_freq, doc_flags, doc)
+    if state is not None:
+        state.fold(counts, contexts, outcomes, returns, remap)
+        if memo is not None and not tracked:
+            memo.track(state, section)
+    return reused
+
+
+def _fold_shape(graph: DependenceGraph, keys: list, edges,
+                ref_edges) -> list:
+    """The shape part of :func:`fold_document`: ``keys`` matched to
+    ``graph``'s nodes, the new ones appended in document order with
+    frequency 0 and no flags, then the edges and reference edges
+    unioned.  Returns the remap, document node id -> graph node id."""
     ids = graph._ids
-    node_keys = graph.node_keys
-    freq = graph.freq
-    flags = graph.flags
+    remap = list(map(ids.get, keys))
     preds = graph.preds
     succs = graph.succs
-    remap = []
-    append = remap.append
-    for key, count, mask in zip(keys, doc_freq, doc_flags):
-        mid = ids.get(key)
-        if mid is None:
-            mid = len(node_keys)
-            ids[key] = mid
+    if None in remap:
+        node_keys = graph.node_keys
+        freq = graph.freq
+        flags = graph.flags
+        # One append per list and node, as the tracker grows a graph,
+        # so the lists' capacities (and memory_bytes) do not depend on
+        # how the graph was built.
+        for key in [key for key, mid in zip(keys, remap) if mid is None]:
+            ids[key] = len(node_keys)
             node_keys.append(key)
-            freq.append(count)
-            flags.append(mask)
+            freq.append(0)
+            flags.append(0)
             preds.append(set())
             succs.append(set())
-        else:
-            freq[mid] += count
-            flags[mid] |= mask
-        append(mid)
+        remap = list(map(ids.__getitem__, keys))
     ends = map(remap.__getitem__, edges)
     for src, dst in zip(ends, ends):
         succs[src].add(dst)
         preds[dst].add(src)
     graph._edge_count = sum(map(len, succs))
+    ends = map(remap.__getitem__, ref_edges)
+    graph.ref_edges.update(zip(ends, ends))
+    return remap
+
+
+def _fold_weights(graph: DependenceGraph, remap, doc_freq, doc_flags,
+                  doc: dict) -> None:
+    """The weights part of :func:`fold_document`, over nodes ``remap``
+    already maps into ``graph``: frequencies sum, flags OR, the
+    document's effects overwrite earlier ones, points-to and control
+    dependences union."""
+    freq = graph.freq
+    flags = graph.flags
+    for mid, count, mask in zip(remap, doc_freq, doc_flags):
+        freq[mid] += count
+        flags[mid] |= mask
     effects = graph.effects
     for node, kind, alloc_key, field in doc["effects"]:
         effects[remap[node]] = (
             kind, tuple(alloc_key) if alloc_key is not None else None,
             field)
-    ends = map(remap.__getitem__, ref_edges)
-    graph.ref_edges.update(zip(ends, ends))
     # Allocation keys are (alloc_iid, context_slot) — abstract-domain
     # values, not node ids — so points_to needs no remap.
     points_to = graph.points_to
@@ -551,10 +697,6 @@ def fold_document(graph: DependenceGraph, state, doc: dict) -> None:
     for node, cpreds in doc.get("control_deps", ()):
         control_deps.setdefault(remap[node], set()).update(
             [remap[p] for p in cpreds])
-    if state is not None:
-        section = doc["tracker"]
-        state.fold(counts, contexts, section.get("branch_outcomes", ()),
-                   section.get("return_nodes", ()), remap)
 
 
 def graph_from_dict(data: dict) -> DependenceGraph:
@@ -591,7 +733,7 @@ def tracker_state_from_dict(data: dict):
     n = _node_count(data)
     counts, contexts = _check_tracker(section, n, data.get("version"))
     state = TrackerState()
-    state.fold(counts, contexts, section.get("branch_outcomes", ()),
+    state.fold(counts, contexts, _check_outcomes(section),
                section.get("return_nodes", ()), list(range(n)))
     return state
 

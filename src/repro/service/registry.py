@@ -128,8 +128,9 @@ class TenantState:
 
     # -- ingest --------------------------------------------------------------
 
-    def fold(self, shard: dict) -> None:
-        """Validate and fold one serialized shard into the tenant.
+    def fold(self, shard: dict) -> bool:
+        """Validate and fold one serialized shard into the tenant;
+        True when the fold reused the shape of the tenant's graph.
 
         All-or-nothing: :func:`~repro.profiler.serialize.fold_document`
         checks every section of the shard before it touches the
@@ -161,7 +162,7 @@ class TenantState:
         else:
             graph, state = self.graph, self.state
         try:
-            fold_document(graph, state, shard)
+            reused = fold_document(graph, state, shard)
         except (ProfileFormatError, ProfileInputError) as error:
             raise ServiceError(E_BAD_SHARD,
                                f"shard does not deserialize: {error}") \
@@ -182,6 +183,7 @@ class TenantState:
             record = {"label": meta.get("label", "")}
             record.update(trace)
             self.traces.append(record)
+        return reused
 
     # -- query-side views ----------------------------------------------------
 
@@ -330,7 +332,7 @@ class TenantRegistry:
                 raise
             tenant = self._resident[name] = self._touch(TenantState(name))
         try:
-            tenant.fold(shard)
+            reused = tenant.fold(shard)
         except ServiceError:
             if tenant.shards == 0:
                 # A rejected *first* push must not leave an empty
@@ -342,6 +344,8 @@ class TenantRegistry:
         hub = _current_telemetry()
         hub.inc("service.push")
         hub.inc(f"service.push[{name}]")
+        if reused and hub.enabled:
+            hub.inc("service.fold.shape_reused")
         self._enforce_budget(keep=name)
         return tenant
 

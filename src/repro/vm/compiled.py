@@ -899,6 +899,8 @@ def run_compiled(vm) -> bool:
         plain_fns = compiled_tier(program, VARIANT_PLAIN)
         if plain_fns is None:
             return False
+    # Set before the run, so a run a VMError ends records its tier.
+    vm.exec_tier = "compiled"
 
     entry = program.entry
     frame = Frame(entry)
@@ -995,5 +997,4 @@ def run_compiled(vm) -> bool:
     if telemetry.enabled:
         telemetry.vm_finish(vm)
     vm.finished = True
-    vm.exec_tier = "compiled"
     return True

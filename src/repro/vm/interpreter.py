@@ -232,7 +232,9 @@ class VM:
         #: Execution tier: "compiled" (template-compiled dispatch, the
         #: default) or "interp" (the reference loop below).  Programs
         #: with shapes the templates do not cover fall back to interp
-        #: transparently; ``exec_tier`` records what actually ran.
+        #: transparently; ``exec_tier`` records what actually ran,
+        #: from the moment a tier is chosen, so a run that a VMError
+        #: ends records it too.
         self.exec_mode = resolve_exec_mode(exec_mode)
         self.exec_tier = None
         #: Optional burst-sampling schedule
@@ -329,6 +331,7 @@ class VM:
         return control.cursor.stats(self.instr_count)
 
     def _run_interp(self) -> "VM":
+        self.exec_tier = EXEC_INTERP
         entry = self.program.entry
         frame = Frame(entry)
         stack = [frame]
@@ -594,7 +597,6 @@ class VM:
         if telemetry.enabled:
             telemetry.vm_finish(self)
         self.finished = True
-        self.exec_tier = EXEC_INTERP
         return self
 
     # -- helpers ----------------------------------------------------------------

@@ -58,6 +58,22 @@ TRACKER_CONFIGS = [{"slots": slots, "track_cr": track_cr}
 ]
 
 
+#: A program that dereferences null on its 32nd loop iteration.
+NULL_DEREF_SOURCE = """
+class Box { int v; Box next; }
+class Main { static void main() {
+    Box b = new Box();
+    int acc = 0;
+    for (int i = 0; i < 40; i++) {
+        b.next = new Box();
+        b.next.v = i * 3;
+        acc = acc + b.next.v;
+        if (i == 31) { b = b.next.next; }
+    }
+    Sys.printInt(acc);
+} }"""
+
+
 def _run(program, exec_mode, tracer=None, sampling=None):
     vm = VM(program, tracer=tracer, exec_mode=exec_mode,
             sampling=sampling)
@@ -111,19 +127,7 @@ class TestTierEquivalence:
             program = spec.build("unopt", spec.small_scale)
             max_steps = 30_000
         else:
-            program = compile_source("""
-class Box { int v; Box next; }
-class Main { static void main() {
-    Box b = new Box();
-    int acc = 0;
-    for (int i = 0; i < 40; i++) {
-        b.next = new Box();
-        b.next.v = i * 3;
-        acc = acc + b.next.v;
-        if (i == 31) { b = b.next.next; }
-    }
-    Sys.printInt(acc);
-} }""")
+            program = compile_source(NULL_DEREF_SOURCE)
             max_steps = 2_000_000_000
         runs = {}
         for tier in (EXEC_INTERP, EXEC_COMPILED):
@@ -190,6 +194,47 @@ class _EntryRecorder(CostTracker):
     def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
         super().trace_call(instr, caller_frame, callee_frame, recv_obj)
         self.entered.add(callee_frame.method)
+
+
+class TestFaultingRunTier:
+    """``exec_tier`` is set when a tier is chosen, so a run that a
+    VMError ends records the tier that ran, and so does the meta of
+    the partial shard the supervisor salvages from it."""
+
+    @pytest.mark.parametrize("exec_mode,tracer,tier", [
+        (EXEC_INTERP, CostTracker, EXEC_INTERP),
+        (EXEC_COMPILED, CostTracker, EXEC_COMPILED),
+        (EXEC_COMPILED, _EntryRecorder, EXEC_INTERP)],
+        ids=["interp", "compiled", "subclass"])
+    def test_faulting_run_records_its_tier(self, exec_mode, tracer, tier):
+        from repro.lang import compile_source
+        from repro.vm import VMError
+        vm = VM(compile_source(NULL_DEREF_SOURCE), tracer=tracer(slots=16),
+                exec_mode=exec_mode)
+        with pytest.raises(VMError):
+            vm.run()
+        assert vm.exec_tier == tier
+
+    @pytest.mark.parametrize("exec_mode,unsupported,tier", [
+        (EXEC_INTERP, False, EXEC_INTERP),
+        (EXEC_COMPILED, False, EXEC_COMPILED),
+        (EXEC_COMPILED, True, EXEC_INTERP)],
+        ids=["interp", "compiled", "fallback"])
+    def test_salvaged_shard_meta_records_its_tier(self, exec_mode,
+                                                  unsupported, tier):
+        from repro.lang import compile_source
+        from repro.profiler.supervisor import _run_job_salvaging
+        source = "class Dead { int unused() { return 1; } }\n" \
+            + NULL_DEREF_SOURCE
+        program = compile_source(source)
+        if unsupported:     # as in test_unsupported_shape_falls_back
+            program.classes["Dead"].methods["unused"].body = []
+        job = ProfileJob.from_source(source, exec_mode=exec_mode)
+        job.build = lambda: program
+        doc = _run_job_salvaging(job, 16, None, True, False)
+        assert doc["meta"]["partial"] is True
+        assert doc["meta"]["error_type"] == "VMNullError"
+        assert doc["meta"]["exec_mode"] == tier
 
 
 class TestLazyTier:
@@ -290,16 +335,24 @@ class TestSampling:
             assert _profile(interp) == _profile(compiled)
             _assert_tracked_template_ran(program)
 
-    def test_frequency_estimates_are_bounded(self):
+    @pytest.fixture(scope="class")
+    def stress_pair(self):
+        """An exact and a sampled tracked run of one stress program,
+        the sampled graph scaled by its factor; the two estimate tests
+        below read the same pair, so it is built once."""
         program = build_stress(stages=96, chain=24, rounds=40, seed=7)
         exact_vm = _run(program, EXEC_COMPILED,
                         tracer=CostTracker(slots=16))
         sampled_vm = _run(program, EXEC_COMPILED,
                           tracer=CostTracker(slots=16),
                           sampling=parse_sample_spec(SMALL_SPEC))
-        factor = sampled_vm.sampling_stats()["factor"]
+        apply_sampling_scale(sampled_vm.tracer.graph,
+                             sampled_vm.sampling_stats()["factor"])
+        return exact_vm, sampled_vm
+
+    def test_frequency_estimates_are_bounded(self, stress_pair):
+        exact_vm, sampled_vm = stress_pair
         estimated = sampled_vm.tracer.graph
-        apply_sampling_scale(estimated, factor)
 
         def site_freqs(graph):
             sites = {}
@@ -318,21 +371,14 @@ class TestSampling:
         assert sum(errors) / len(errors) < 0.35
         assert max(errors) < 0.6
 
-    def test_ipd_bias_direction_is_overapproximation(self):
+    def test_ipd_bias_direction_is_overapproximation(self, stress_pair):
         # Untracked bursts sever the shadow heap, so reachability-based
         # deadness over-approximates on sampled graphs.  This is the
         # documented reason bloat classification requires exact runs;
         # if it ever stops holding, the docs (and the CLI banner) are
         # wrong and need revisiting.
         from repro.analyses.deadvalues import measure_bloat
-        program = build_stress(stages=96, chain=24, rounds=40, seed=7)
-        exact_vm = _run(program, EXEC_COMPILED,
-                        tracer=CostTracker(slots=16))
-        sampled_vm = _run(program, EXEC_COMPILED,
-                          tracer=CostTracker(slots=16),
-                          sampling=parse_sample_spec(SMALL_SPEC))
-        apply_sampling_scale(sampled_vm.tracer.graph,
-                             sampled_vm.sampling_stats()["factor"])
+        exact_vm, sampled_vm = stress_pair
         exact = measure_bloat(exact_vm.tracer.graph,
                               exact_vm.instr_count)
         est = measure_bloat(sampled_vm.tracer.graph,

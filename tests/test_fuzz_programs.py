@@ -24,11 +24,13 @@ one program in a few thousand runs for minutes.
   check that :func:`~repro.profiler.serialize.fold_document` merges
   exactly as :func:`~repro.profiler.parallel.merge_graphs` does, and
   that a shard's v2-rows and v3 renderings fold exactly as its v4
-  packed columns, that the one-pass conflict ratio is the reference
-  regrouping's, and that a daemon pushed the shards serves the batch
+  packed columns, that a fold reusing the graph's shape memo is exact,
+  that the one-pass conflict ratio is the reference regrouping's, and
+  that a daemon pushed the shards, repeats included, serves the batch
   report.
 """
 
+import copy
 import json
 
 from hypothesis import given, settings
@@ -421,6 +423,57 @@ def test_v4_fold_equals_v3_over_any_grouping(sources, params, data):
         canonical_form(graph, state)
 
 
+#: A shard document as written (v4) and in the earlier layouts.
+_RENDERINGS = {"v4": lambda doc: doc, "v3": as_v3_columns,
+               "v2rows": as_v2_rows}
+
+#: ``(shard, rendering)`` fold steps over two programs' shards: repeats
+#: of the memoised shape, its v3/v2 renderings (which take the whole
+#: path), a different shape folded as v3 (which leaves the memo in
+#: place, so the next repeat must re-overwrite the effects it
+#: changed), and a different shape folded as v4, which replaces it.
+_MEMO_STEPS = [(0, "v4"), (0, "v4"), (0, "v3"), (1, "v3"), (0, "v4"),
+               (1, "v4"), (0, "v2rows"), (1, "v4"), (1, "v4")]
+
+
+@given(st.lists(heap_program_source(), min_size=2, max_size=2,
+                unique=True),
+       st.sampled_from(_TRACKER_PARAMS))
+@settings(max_examples=10, deadline=None)
+def test_shape_memo_fold_equals_merge(sources, params):
+    """A fold that reuses the graph's shape memo is exact: after every
+    step of :data:`_MEMO_STEPS` the folded graph and state equal
+    ``merge_graphs`` over the same runs, node numbering included.  A
+    fresh :class:`TrackerState` folded on the memoised graph, once
+    (the graph's shape reused, the state's context sets not) and again
+    (both reused), equals the same folds with the memo cleared."""
+    shards = [_shard(source, params) for source in sources]
+    slots = params["slots"]
+    graph, state = DependenceGraph(slots=slots), TrackerState()
+    for step, (index, rendering) in enumerate(_MEMO_STEPS, start=1):
+        doc = _RENDERINGS[rendering](shards[index][2])
+        reused = fold_document(graph, state, doc)
+        if step in (2, 5, 8, 9):     # the memo holds this shape
+            assert reused, step
+        elif step != 6:              # 6 reuses when both shapes agree
+            assert not reused, step
+        runs = [shards[index] for index, _ in _MEMO_STEPS[:step]]
+        oracle_graph, oracle_state = merge_graphs(
+            [run[0] for run in runs], [run[1] for run in runs])
+        assert graph.node_keys == oracle_graph.node_keys
+        assert canonical_form(graph, state) == \
+            canonical_form(oracle_graph, oracle_state), step
+    reference = copy.deepcopy(graph)
+    reference._shape_memo = None
+    fresh, reference_state = TrackerState(), TrackerState()
+    for _ in range(2):
+        assert fold_document(graph, fresh, shards[1][2])
+        assert not fold_document(reference, reference_state, shards[1][2])
+        reference._shape_memo = None
+        assert canonical_form(graph, fresh) == \
+            canonical_form(reference, reference_state)
+
+
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from((1, 2, 16)), st.data())
 @settings(max_examples=15, deadline=None)
@@ -456,10 +509,12 @@ def test_daemon_serves_the_batch_report(sources, slots):
     after every push, a ``report`` byte-identical to
     ``bloat_report_data`` over ``merge_graphs`` of the same runs, and a
     ``summary`` whose CR is the report's.  The tenant's program is the
-    first run's, as when runs of one build are pushed."""
+    first run's, as when runs of one build are pushed.  Pushes repeat
+    runs back to back, so folds that reuse the tenant's shape memo are
+    served too."""
     runs = [_tracked(source, "compiled", {"slots": slots})
             for source in sources]
-    runs.append(runs[0])
+    runs = [runs[0], *runs, runs[-1], runs[0]]
     daemon = AnalysisDaemon(TenantRegistry())
     program_spec = {"source": sources[0], "use_stdlib": False}
     program = compile_source(sources[0])

@@ -9,11 +9,12 @@ analyzed offline or merged by the parallel runtime without loss.
 import pytest
 
 from conftest import as_v3_columns, in_layout
-from repro.profiler import (CostTracker, graph_from_dict, graph_to_dict,
-                            load_profile, save_graph,
+from repro.profiler import (CostTracker, DependenceGraph, ProfileJob,
+                            TrackerState, fold_document, graph_from_dict,
+                            graph_to_dict, load_profile, save_graph,
                             tracker_state_from_dict)
 from repro.vm import VM
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
 
 WORKLOADS = [spec.name for spec in all_workloads()]
 
@@ -92,3 +93,27 @@ def test_graph_only_v3_documents_load(profiled):
 
 def test_graph_only_v4_documents_load(profiled):
     test_v1_documents_still_load(profiled, layout="v4")
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_replicated_runs_ship_one_shape(name):
+    """Two ``--runs`` replicas of a suite program ship shards whose
+    packed shape columns are byte-identical, tracker context columns
+    included: a Gcost node is an (instruction, context slot) pair, so
+    the program, not the run, bounds the shape.  This is the traffic
+    property the shape memo of ``fold_document`` relies on, so the
+    second replica folds reusing the first one's shape."""
+    from repro.profiler.supervisor import _run_job_salvaging
+    scale = get_workload(name).small_scale
+    docs = [_run_job_salvaging(ProfileJob.workload(name, scale=scale,
+                                                   label=f"run{index}"),
+                               16, None, True, False)
+            for index in range(2)]
+    first, second = docs
+    for key in ("nodes", "edges", "ref_edges"):
+        assert type(first[key]) is str and first[key] == second[key], key
+    for key in ("context_counts", "contexts"):
+        assert first["tracker"][key] == second["tracker"][key], key
+    graph, state = DependenceGraph(slots=16), TrackerState()
+    assert not fold_document(graph, state, first)
+    assert fold_document(graph, state, second)

@@ -131,6 +131,33 @@ def hostile_shard(defect, layout="v3"):
     return shard
 
 
+#: Faults outside the shape sections: a shard carrying them keeps its
+#: program's packed shape text, so it reaches the shape memo's path.
+MEMO_SHARD_DEFECTS = ("freq-length", "effects-row", "control-dep-past-end",
+                      "slots", "branch-outcomes")
+
+
+def memo_hostile_shard(defect):
+    """``make_shard`` output with its ``nodes``/``edges``/``ref_edges``
+    text untouched and one fault elsewhere, checksummed after it."""
+    from repro.profiler import content_checksum
+    from repro.profiler.serialize import pack_column, unpack_column
+    shard = make_shard("hostile")
+    n = len(unpack_column(shard["nodes"])) // 2
+    if defect == "freq-length":
+        shard["freq"] = pack_column(unpack_column(shard["freq"])[:-1])
+    elif defect == "effects-row":
+        shard["effects"][0] = shard["effects"][0][:3]
+    elif defect == "control-dep-past-end":
+        shard["control_deps"].append([0, [n]])
+    elif defect == "slots":
+        shard["slots"] = 8
+    else:
+        shard["tracker"]["branch_outcomes"].append([1, "taken", 0])
+    shard["checksum"] = content_checksum(shard)
+    return shard
+
+
 # ---------------------------------------------------------------------------
 # Wire protocol
 
@@ -242,6 +269,38 @@ class TestRegistryFolds:
         assert tenant.shards == 1
         assert canonical_form(tenant.graph, tenant.state) == before
 
+    @pytest.mark.parametrize("defect", MEMO_SHARD_DEFECTS)
+    def test_shape_memo_refuses_a_faulty_repeat(self, defect):
+        """A shard whose shape text the tenant's graph remembers still
+        has every other section checked: a fault is a typed error, from
+        the registry and from ``fold_document`` itself, and the tenant
+        stays as it was and keeps folding exactly."""
+        from repro.profiler import (ProfileFormatError, ProfileInputError,
+                                    fold_document)
+        registry = TenantRegistry()
+        first = make_shard("a")
+        registry.ingest("app", first)
+        tenant = registry.tenant("app")
+        before = canonical_form(tenant.graph, tenant.state)
+        shard = memo_hostile_shard(defect)
+        assert shard["nodes"] == tenant.graph._shape_memo.nodes
+        with pytest.raises(ServiceError) as err:
+            registry.ingest("app", shard)
+        assert err.value.code == (protocol.E_SLOTS_MISMATCH
+                                  if defect == "slots"
+                                  else protocol.E_BAD_SHARD)
+        expected = ProfileInputError if defect == "slots" \
+            else ProfileFormatError
+        with pytest.raises(expected):
+            fold_document(tenant.graph, tenant.state, shard)
+        assert tenant.shards == 1
+        assert canonical_form(tenant.graph, tenant.state) == before
+        second = make_shard("b")
+        assert tenant.fold(second) is True
+        graph, state = offline_merge([first, second])
+        assert canonical_form(tenant.graph, tenant.state) == \
+            canonical_form(graph, state)
+
     def test_checksum_tampered_shard_rejected(self):
         from repro.profiler import content_checksum
         shard = make_shard("ok")
@@ -318,6 +377,27 @@ class TestEvictionAndSpill:
         registry.ingest("app", shards[2])                    # reload+fold
         graph, state = offline_merge(shards)
         tenant = registry.tenant("app")
+        assert canonical_form(tenant.graph, tenant.state) == \
+            canonical_form(graph, state)
+
+    def test_push_after_reload_reuses_the_shape_exactly(self, tmp_path):
+        """A reloaded tenant's graph remembers the shape of its spill
+        document, which for repeats of one program is the shards'
+        shape: the next push reuses it and still folds exactly."""
+        registry = TenantRegistry(max_resident=1,
+                                  spill_dir=str(tmp_path))
+        shards = [make_shard(f"s{i}") for i in range(3)]
+        hub = Telemetry()
+        with use(hub):
+            for shard in shards[:2]:
+                registry.ingest("app", shard)
+            registry.ingest("other", make_shard("o", SOURCE_B))
+            registry.ingest("app", shards[2])       # reload + fold
+        assert registry.reloads == 1
+        assert hub.counters["service.fold.shape_reused"] == 2
+        graph, state = offline_merge(shards)
+        tenant = registry.tenant("app")
+        assert tenant.graph.node_keys == graph.node_keys
         assert canonical_form(tenant.graph, tenant.state) == \
             canonical_form(graph, state)
 
@@ -766,6 +846,8 @@ class TestStatsHealth:
         assert metrics["histograms"]["service.query[summary]"]["count"] \
             == 1
         assert metrics["counters"]["service.requests"] >= 4
+        # app's second shard repeats its first one's shape.
+        assert metrics["counters"]["service.fold.shape_reused"] == 1
         assert metrics["gauges"]["service.tenants_resident"] == 2
         # Health: same daemon, one glance.
         assert health["status"] == "ok"
