@@ -42,8 +42,8 @@ from array import array
 from itertools import islice
 
 from ..observability.telemetry import current as _current_telemetry
-from ..profiler.graph import (F_HEAP_READ, F_HEAP_WRITE, F_NATIVE,
-                              F_PREDICATE, DependenceGraph)
+from ..profiler.graph import (F_CONSUMER, F_HEAP_READ, F_HEAP_WRITE,
+                              F_NATIVE, F_PREDICATE, DependenceGraph)
 
 INFINITE = float("inf")
 
@@ -425,6 +425,7 @@ class BatchSliceEngine:
         self._hrac_index = None
         self._hrab_index = None
         self._reachability = None
+        self._dead_classes = None
         # Validity checksums managed by engine_for().
         self._freq_sum = None
         self._flag_sum = None
@@ -529,15 +530,48 @@ class BatchSliceEngine:
     def consumer_reachability(self):
         """For every node: (reaches a native?, reaches a predicate?).
 
-        Same fixpoint as ``deadvalues._consumer_reachability`` but
-        walked over the frozen CSR arrays instead of per-node sets.
-        Computed once per engine: it reads only the CSR and ``flags``,
-        so a re-weigh leaves it valid.  Every caller gets the same two
-        bytearrays; treat them as read-only.
+        A backward fixpoint from the consumer nodes over the frozen CSR
+        arrays (handles cycles): a node reaches a consumer kind if it
+        is one or any successor reaches one.  Computed once per engine:
+        it reads only the CSR and ``flags``, so a re-weigh leaves it
+        valid.  Every caller gets the same two bytearrays; treat them
+        as read-only.
         """
         if self._reachability is None:
             self._reachability = self._consumer_walk()
         return self._reachability
+
+    def dead_value_classes(self):
+        """(D*, P*, D): the §4.1 node classes, as ascending id tuples.
+
+        D* holds the non-consumer nodes that reach no consumer (their
+        values are ultimately dead), P* the non-consumers whose only
+        reachable consumers are predicates, and D the D* nodes with no
+        outgoing def-use edge.  Like :meth:`consumer_reachability`,
+        which they are read from, the classes depend on the CSR and
+        ``flags`` only: computed once per engine, kept by a re-weigh,
+        so a frequency-only fold re-sums weights over them and walks
+        no node.
+        """
+        if self._dead_classes is None:
+            reach_native, reach_pred = self.consumer_reachability()
+            fwd_offsets = self.csr.fwd_offsets
+            dead = []
+            predicate_only = []
+            sinks = []
+            for node, (flag, native, pred) in enumerate(
+                    zip(self.graph.flags, reach_native, reach_pred)):
+                if flag & F_CONSUMER or native:
+                    continue
+                if pred:
+                    predicate_only.append(node)
+                else:
+                    dead.append(node)
+                    if fwd_offsets[node] == fwd_offsets[node + 1]:
+                        sinks.append(node)
+            self._dead_classes = (tuple(dead), tuple(predicate_only),
+                                  tuple(sinks))
+        return self._dead_classes
 
     def _consumer_walk(self):
         csr = self.csr

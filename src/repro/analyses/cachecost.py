@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..profiler.graph import DependenceGraph
-from .relative import hrac
+from .batch import engine_for
 
 
 @dataclass
@@ -62,8 +62,10 @@ def analyze_caches(graph: DependenceGraph, min_reads: int = 1):
 
     Only sites whose fields are both written and read participate
     (write-only structures are dead stores, not caches; read counts
-    below ``min_reads`` are skipped as noise).
+    below ``min_reads`` are skipped as noise).  Every store's HRAC is
+    a lookup in one batched engine.
     """
+    engine = engine_for(graph)
     loads_by_key = graph.field_loads()
     stores_by_key = graph.field_stores()
     alloc_nodes = graph.alloc_nodes()
@@ -90,8 +92,8 @@ def analyze_caches(graph: DependenceGraph, min_reads: int = 1):
         # store instruction's own frequency so pure plumbing isn't
         # double counted as cached work.
         for node in store_nodes:
-            entry["cached_total"] += max(hrac(graph, node)
-                                         - freq[node], 0)
+            entry["cached_total"] += max(engine.hrac(node) - freq[node],
+                                         0)
             entry["cached_samples"] += 1
         alloc_node = alloc_nodes.get(alloc_key)
         if alloc_node is not None:

@@ -74,15 +74,19 @@ def analyze_cost_benefit(graph: DependenceGraph, program,
                          depth: int = DEFAULT_TREE_DEPTH,
                          heap=None,
                          native_benefit: str = "infinite",
-                         include_zero: bool = False):
+                         include_zero: bool = False,
+                         racs=None, rabs=None):
     """Produce ranked :class:`SiteReport` entries, worst offenders first.
 
     ``heap`` (a :class:`repro.vm.heap.Heap`) adds per-site allocation
     counts to the report.  Sites with no field activity at all are
-    omitted unless ``include_zero``.
+    omitted unless ``include_zero``.  ``racs``/``rabs`` are passed on
+    to :func:`~repro.analyses.relative.all_object_cost_benefits`, so a
+    caller that already holds the field maps computes them once.
     """
     summaries = all_object_cost_benefits(graph, depth,
-                                         native_benefit=native_benefit)
+                                         native_benefit=native_benefit,
+                                         racs=racs, rabs=rabs)
     descriptions = _site_descriptions(program)
 
     by_site = {}

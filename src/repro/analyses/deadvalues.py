@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..profiler.graph import F_CONSUMER, DependenceGraph
+from ..profiler.graph import DependenceGraph
+from .batch import engine_for
 
 
 @dataclass
@@ -51,26 +52,9 @@ class BloatMetrics:
         return self.dead_nodes / self.graph_nodes
 
 
-def _consumer_reachability(graph: DependenceGraph):
-    """For every node: (reaches a native?, reaches a predicate?).
-
-    Backward fixpoint over the def-use edges (handles cycles): a node
-    reaches a consumer kind if it is one or any successor reaches one.
-    Delegates to the batched engine, which walks the frozen CSR arrays
-    instead of the per-node predecessor sets.
-    """
-    from .batch import engine_for
-
-    return engine_for(graph).consumer_reachability()
-
-
 def dead_star(graph: DependenceGraph):
-    """Node ids in D* (ultimately-dead producers)."""
-    reach_native, reach_pred = _consumer_reachability(graph)
-    flags = graph.flags
-    return [node_id for node_id in range(graph.num_nodes)
-            if not (flags[node_id] & F_CONSUMER)
-            and not reach_native[node_id] and not reach_pred[node_id]]
+    """Node ids in D* (ultimately-dead producers), ascending."""
+    return list(engine_for(graph).dead_value_classes()[0])
 
 
 @dataclass
@@ -118,34 +102,22 @@ def dead_lines(graph: DependenceGraph, program, top=None):
     return results
 
 
-def measure_bloat(graph: DependenceGraph,
-                  total_instructions: int) -> BloatMetrics:
-    """Compute the Table 1(c) row for one profiled execution."""
-    reach_native, reach_pred = _consumer_reachability(graph)
-    flags = graph.flags
-    freq = graph.freq
-    succs = graph.succs
+def measure_bloat(graph: DependenceGraph, total_instructions: int,
+                  engine=None) -> BloatMetrics:
+    """Compute the Table 1(c) row for one profiled execution.
 
-    dead_frequency = 0
-    predicate_frequency = 0
-    dead_nodes = 0
-    dead_sinks = 0
-    for node_id in range(graph.num_nodes):
-        if flags[node_id] & F_CONSUMER:
-            continue
-        if not reach_native[node_id]:
-            if not reach_pred[node_id]:
-                dead_nodes += 1
-                dead_frequency += freq[node_id]
-                if not succs[node_id]:
-                    dead_sinks += 1
-            else:
-                predicate_frequency += freq[node_id]
+    The node classes come from the engine (``engine``, when the caller
+    holds ``engine_for(graph)`` already), so this only sums weights.
+    """
+    if engine is None:
+        engine = engine_for(graph)
+    dead, predicate_only, dead_sinks = engine.dead_value_classes()
+    weight = graph.freq.__getitem__
     return BloatMetrics(
         total_instructions=total_instructions,
-        dead_frequency=dead_frequency,
-        predicate_frequency=predicate_frequency,
-        dead_nodes=dead_nodes,
+        dead_frequency=sum(map(weight, dead)),
+        predicate_frequency=sum(map(weight, predicate_only)),
+        dead_nodes=len(dead),
         graph_nodes=graph.num_nodes,
-        dead_sinks=dead_sinks,
+        dead_sinks=len(dead_sinks),
     )

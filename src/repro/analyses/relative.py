@@ -274,21 +274,60 @@ def object_cost_benefit(graph: DependenceGraph, root_key,
 
 def all_object_cost_benefits(graph: DependenceGraph,
                              depth: int = DEFAULT_TREE_DEPTH,
-                             native_benefit: str = "infinite"):
+                             native_benefit: str = "infinite",
+                             racs=None, rabs=None):
     """ObjectCostBenefit for every context-annotated allocation.
 
     One shared batched engine serves every field's RAC and RAB, so the
     whole ranking costs two reachability passes over Gcost regardless
-    of how many allocation sites are reported.
+    of how many allocation sites are reported.  ``racs``/``rabs`` are
+    the field maps when the caller already holds them (they must be
+    ``field_racs``/``field_rabs`` of this graph under
+    ``native_benefit``).
+
+    The fields are grouped by owner allocation once, so each root
+    visits only the fields of its own reference tree: the cost is the
+    sum of the trees' field counts, not allocations x fields.  Each
+    root sums its fields in :func:`object_cost_benefit`'s order (their
+    positions in ``set(racs) | set(rabs)``), so every n-RAC/n-RAB is
+    bit-identical to the per-root reference's.
     """
-    engine = engine_for(graph)
-    racs = field_racs(graph, engine=engine)
-    rabs = field_rabs(graph, native_benefit, engine=engine)
+    if racs is None or rabs is None:
+        engine = engine_for(graph)
+        if racs is None:
+            racs = field_racs(graph, engine=engine)
+        if rabs is None:
+            rabs = field_rabs(graph, native_benefit, engine=engine)
+    fields_of = {}
+    for position, field_key in enumerate(set(racs) | set(rabs)):
+        fields_of.setdefault(field_key[0], []).append(
+            (position, field_key))
+    points_to = graph.points_to
     results = []
-    for alloc_key in graph.alloc_nodes():
-        results.append(object_cost_benefit(
-            graph, alloc_key, depth, racs=racs, rabs=rabs,
-            native_benefit=native_benefit))
+    for root_key in graph.alloc_nodes():
+        tree = reference_tree(graph, root_key, depth)
+        visits = []
+        for owner_key in tree:
+            visits.extend(fields_of.get(owner_key, ()))
+        visits.sort()
+        n_rac = 0.0
+        n_rab = 0.0
+        fields = []
+        for _, field_key in visits:
+            owner_key, field = field_key
+            targets = points_to.get(owner_key, {}).get(field)
+            if targets is not None and not any(t in tree for t in targets):
+                continue
+            rac = racs.get(field_key, 0.0)
+            rab = rabs.get(field_key, 0.0)
+            n_rac += rac
+            if rab == INFINITE or n_rab == INFINITE:
+                n_rab = INFINITE
+            else:
+                n_rab += rab
+            fields.append((owner_key, field, rac, rab))
+        results.append(ObjectCostBenefit(root_key, n_rac, n_rab,
+                                         len(tree), fields))
     return results
 
 

@@ -14,9 +14,12 @@ Sections: run summary (graph size, CR), the top cost-benefit
 offenders (§3.1's ranking), the HRAC / HRAB field tables
 (Definitions 5-6), dead-value metrics (Table 1c), and the tracker
 overhead summary when the profile was taken with ``--self-profile``.
-All analysis answers come from the batched slicing engine
-(:func:`repro.analyses.batch.engine_for`), so the report renders in
-one pass even on merged multi-shard graphs.
+All analysis answers come from one batched slicing engine
+(:func:`repro.analyses.batch.engine_for`), taken once per report: the
+field RACs/RABs are computed once and feed both the cost-benefit
+ranking and the HRAC/HRAB tables, and the dead-value metrics sum
+weights over the engine's node classes, so the report renders in one
+pass even on merged multi-shard graphs.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ def bloat_report_data(graph, meta, state, program, top: int = 10) -> dict:
 
     descriptions = _site_names(program)
     engine = engine_for(graph)
+    racs = engine.field_racs()
+    rabs = engine.field_rabs()
     instructions = meta.get("instructions", 0)
 
     data = {
@@ -146,13 +151,13 @@ def bloat_report_data(graph, meta, state, program, top: int = 10) -> dict:
              "n_rab": _num(report.n_rab), "ratio": _num(report.ratio),
              "contexts": report.contexts}
             for rank, report in enumerate(
-                analyze_cost_benefit(graph, program)[:top], start=1)],
-        "hrac": _field_data(engine.field_racs(), descriptions, top),
-        "hrab": _field_data(engine.field_rabs(), descriptions, top,
-                            reverse=False),
+                analyze_cost_benefit(graph, program, racs=racs,
+                                     rabs=rabs)[:top], start=1)],
+        "hrac": _field_data(racs, descriptions, top),
+        "hrab": _field_data(rabs, descriptions, top, reverse=False),
     }
     if instructions:
-        metrics = measure_bloat(graph, instructions)
+        metrics = measure_bloat(graph, instructions, engine=engine)
         data["dead_values"] = {"ipd": round(metrics.ipd, 6),
                                "ipp": round(metrics.ipp, 6),
                                "nld": round(metrics.nld, 6)}
@@ -179,6 +184,8 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
 
     descriptions = _site_names(program)
     engine = engine_for(graph)
+    racs = engine.field_racs()
+    rabs = engine.field_rabs()
     instructions = meta.get("instructions", 0)
 
     out = ["# Bloat report", ""]
@@ -211,7 +218,7 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     # -- cost-benefit ranking ------------------------------------------------
     out.append("## Top cost-benefit offenders")
     out.append("")
-    reports = analyze_cost_benefit(graph, program)
+    reports = analyze_cost_benefit(graph, program, racs=racs, rabs=rabs)
     if reports:
         rows = []
         for rank, report in enumerate(reports[:top], start=1):
@@ -233,7 +240,6 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     # -- HRAC / HRAB field tables --------------------------------------------
     out.append("## Costliest fields (HRAC, Definition 5)")
     out.append("")
-    racs = engine.field_racs()
     if racs:
         out.append(_table(("field", "written in", "contexts", "RAC"),
                           _field_rows(racs, descriptions, top)))
@@ -243,7 +249,6 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
 
     out.append("## Least-beneficial fields (HRAB, Definition 6)")
     out.append("")
-    rabs = engine.field_rabs()
     if rabs:
         out.append(_table(("field", "written in", "contexts", "RAB"),
                           _field_rows(rabs, descriptions, top,
@@ -259,7 +264,7 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     out.append("## Dead-value metrics (Table 1c analogues)")
     out.append("")
     if instructions:
-        metrics = measure_bloat(graph, instructions)
+        metrics = measure_bloat(graph, instructions, engine=engine)
         out.append(_table(
             ("metric", "value", "meaning"),
             [("IPD", f"{metrics.ipd * 100:.1f}%",

@@ -23,7 +23,6 @@ structure:
 
 from __future__ import annotations
 
-import sys
 from array import array
 
 # Node flags.
@@ -46,7 +45,22 @@ EFFECT_ALLOC = "U"
 EFFECT_STORE = "B"
 EFFECT_LOAD = "C"
 
-_EMPTY_SET_BYTES = sys.getsizeof(set())
+# Flat per-item charges behind DependenceGraph.memory_bytes(), in bytes
+# on 64-bit CPython.  They are literals, so the figure is a function of
+# the graph's counts: it does not depend on how a fold or the tracker
+# grew the containers, nor on the interpreter's version.
+_SLOT_BYTES = 8           # one list slot or one array('q') item
+_EMPTY_SET_BYTES = 216    # an empty adjacency set
+_SET_ENTRY_BYTES = 32     # one adjacency-set entry, amortised
+_KEY_BYTES = 48           # one (iid, d) key tuple and its _ids entry
+_EFFECT_BYTES = 64        # one effects entry and its tuple
+_REF_EDGE_BYTES = 48      # one (store, alloc) reference-edge tuple
+#: A node: its node_keys/freq/flags/preds/succs slots, two empty sets,
+#: its key, and its forward and backward CSR offsets.
+_NODE_BYTES = (5 * _SLOT_BYTES + 2 * _EMPTY_SET_BYTES + _KEY_BYTES
+               + 2 * _SLOT_BYTES)
+#: A def-use edge: one set entry and one CSR target in each direction.
+_EDGE_BYTES = 2 * _SET_ENTRY_BYTES + 2 * _SLOT_BYTES
 
 
 class CSRGraph:
@@ -73,12 +87,6 @@ class CSRGraph:
         self.fwd_targets = fwd_targets
         self.bwd_offsets = bwd_offsets
         self.bwd_targets = bwd_targets
-
-    def memory_bytes(self) -> int:
-        return (sys.getsizeof(self.fwd_offsets)
-                + sys.getsizeof(self.fwd_targets)
-                + sys.getsizeof(self.bwd_offsets)
-                + sys.getsizeof(self.bwd_targets))
 
 
 class DependenceGraph:
@@ -286,32 +294,22 @@ class DependenceGraph:
     # -- reporting ---------------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Approximate resident size of the graph structures."""
-        total = sys.getsizeof(self.node_keys)
-        total += sys.getsizeof(self.freq)
-        total += sys.getsizeof(self.flags)
-        total += sys.getsizeof(self.preds) + sys.getsizeof(self.succs)
-        if self.frozen:
-            # The CSR arrays mirror the adjacency; charge the sets with
-            # a flat per-container/per-edge estimate instead of walking
-            # every set (the point of freezing is that analyses no
-            # longer touch them).
-            total += self._csr.memory_bytes()
-            total += 2 * _EMPTY_SET_BYTES * len(self.preds)
-            total += 2 * 32 * self._edge_count
-        else:
-            total += sum(sys.getsizeof(s) for s in self.preds)
-            total += sum(sys.getsizeof(s) for s in self.succs)
-        total += sys.getsizeof(self.effects)
-        total += sys.getsizeof(self.ref_edges)
-        total += sys.getsizeof(self._ids)
-        total += sys.getsizeof(self.points_to)
-        # Keys/values are small tuples/ints; approximate with a flat
-        # per-entry charge rather than walking every element.
-        total += 64 * len(self.effects)
-        total += 48 * len(self._ids)
-        total += 48 * len(self.ref_edges)
-        return total
+        """Approximate resident size of the graph, from its counts.
+
+        Nodes, def-use edges, heap effects, reference edges and
+        points-to targets, each at a flat charge (the ``_*_BYTES``
+        constants), with the CSR snapshot the analyses freeze counted
+        in.  Equal graphs give equal figures however they were built:
+        served reports carry this figure, and a served report must be
+        byte-identical to the batch one.
+        """
+        points_to = sum(len(targets) for fields in self.points_to.values()
+                        for targets in fields.values())
+        return (_NODE_BYTES * len(self.node_keys)
+                + _EDGE_BYTES * self._edge_count
+                + _EFFECT_BYTES * len(self.effects)
+                + _REF_EDGE_BYTES * len(self.ref_edges)
+                + _SET_ENTRY_BYTES * points_to)
 
     def stats(self) -> dict:
         return {

@@ -649,9 +649,6 @@ def _fold_shape(graph: DependenceGraph, keys: list, edges,
         node_keys = graph.node_keys
         freq = graph.freq
         flags = graph.flags
-        # One append per list and node, as the tracker grows a graph,
-        # so the lists' capacities (and memory_bytes) do not depend on
-        # how the graph was built.
         for key in [key for key, mid in zip(keys, remap) if mid is None]:
             ids[key] = len(node_keys)
             node_keys.append(key)

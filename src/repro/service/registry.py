@@ -203,9 +203,10 @@ class TenantState:
     def describe(self) -> dict:
         """The per-tenant ``status``/``stats`` payload.
 
-        ``memory_bytes`` is the CSR-aware graph estimate of
-        :meth:`~repro.profiler.graph.DependenceGraph.memory_bytes` —
-        the same accounting the ``summary`` query serves; ``shards``
+        ``memory_bytes`` is
+        :meth:`~repro.profiler.graph.DependenceGraph.memory_bytes`, a
+        function of the graph's counts — the figure the ``report``
+        summary carries too; ``shards``
         is the tenant's fold count (one fold per accepted shard).
         """
         graph = self.graph

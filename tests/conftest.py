@@ -9,7 +9,11 @@ import subprocess
 
 import pytest
 
+from repro.analyses import (INFINITE, BloatMetrics, CacheReport, hrab,
+                            hrac)
+from repro.analyses.batch import engine_for
 from repro.lang import compile_source
+from repro.profiler import F_CONSUMER
 from repro.profiler.context import average_conflict_ratio
 from repro.profiler.serialize import pack_column, unpack_column
 from repro.vm import VM
@@ -140,6 +144,85 @@ def reference_conflict_ratio(graph, state) -> float:
             iid, slot = graph.node_keys[node_id]
             groups.setdefault(iid, {})[slot] = gs
     return average_conflict_ratio(groups)
+
+
+def reference_field_racs(graph):
+    """``field_racs`` over per-node :func:`~repro.analyses.hrac`."""
+    return {key: sum(hrac(graph, n) for n in stores) / len(stores)
+            for key, stores in graph.field_stores().items()}
+
+
+def reference_field_rabs(graph, native_benefit="infinite"):
+    """``field_rabs`` over per-node :func:`~repro.analyses.hrab`."""
+    rabs = {}
+    for key, loads in graph.field_loads().items():
+        total = 0.0
+        saw_native = False
+        for node in loads:
+            benefit = hrab(graph, node, native_benefit)
+            if benefit == INFINITE:
+                saw_native = True
+                break
+            total += benefit
+        rabs[key] = INFINITE if saw_native else total / len(loads)
+    return rabs
+
+
+def reference_measure_bloat(graph, total_instructions: int) -> BloatMetrics:
+    """:func:`~repro.analyses.measure_bloat` as one loop over every node
+    and its consumer reachability."""
+    reach_native, reach_pred = engine_for(graph).consumer_reachability()
+    dead_frequency = predicate_frequency = dead_nodes = dead_sinks = 0
+    for node in range(graph.num_nodes):
+        if graph.flags[node] & F_CONSUMER or reach_native[node]:
+            continue
+        if reach_pred[node]:
+            predicate_frequency += graph.freq[node]
+            continue
+        dead_nodes += 1
+        dead_frequency += graph.freq[node]
+        if not graph.succs[node]:
+            dead_sinks += 1
+    return BloatMetrics(total_instructions, dead_frequency,
+                        predicate_frequency, dead_nodes, graph.num_nodes,
+                        dead_sinks)
+
+
+def reference_analyze_caches(graph, min_reads: int = 1):
+    """:func:`~repro.analyses.analyze_caches` with one per-node
+    :func:`~repro.analyses.hrac` BFS per store node."""
+    loads_by_key = graph.field_loads()
+    alloc_nodes = graph.alloc_nodes()
+    freq = graph.freq
+    per_site = {}
+    for (alloc_key, field), stores in graph.field_stores().items():
+        entry = per_site.setdefault(alloc_key[0], {
+            "contexts": set(), "structural": 0.0, "writes": 0,
+            "reads": 0, "cached_total": 0.0, "cached_samples": 0})
+        entry["contexts"].add(alloc_key[1])
+        writes = sum(freq[n] for n in stores)
+        entry["structural"] += writes
+        entry["writes"] += writes
+        entry["reads"] += sum(
+            freq[n] for n in loads_by_key.get((alloc_key, field), []))
+        for node in stores:
+            entry["cached_total"] += max(hrac(graph, node) - freq[node], 0)
+            entry["cached_samples"] += 1
+        if alloc_key in alloc_nodes:
+            entry["structural"] += freq[alloc_nodes[alloc_key]]
+    reports = []
+    for site, entry in per_site.items():
+        if entry["reads"] < min_reads:
+            continue
+        work_cached = entry["cached_total"] / max(entry["cached_samples"], 1)
+        reports.append(CacheReport(
+            alloc_site=site, contexts=len(entry["contexts"]),
+            structural_cost=entry["structural"], writes=entry["writes"],
+            reads=entry["reads"], work_cached=work_cached,
+            saved_work=work_cached * max(entry["reads"] - entry["writes"],
+                                         0)))
+    reports.sort(key=lambda r: r.effectiveness, reverse=True)
+    return reports
 
 
 def in_layout(doc: dict, layout: str) -> dict:

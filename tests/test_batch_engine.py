@@ -13,8 +13,9 @@ valid slice criteria) and the infinite-benefit native bit.
 
 import pytest
 
-from conftest import run_main
-from repro.analyses import (INFINITE, abstract_cost,
+from conftest import (reference_analyze_caches, reference_field_rabs,
+                      reference_field_racs, run_main)
+from repro.analyses import (INFINITE, abstract_cost, analyze_caches,
                             all_object_cost_benefits, hrab, hrac,
                             object_cost_benefit)
 from repro.analyses.batch import (BatchSliceEngine, MethodLocalCostIndex,
@@ -34,26 +35,6 @@ def _profiled(spec, slots):
     tracker = CostTracker(slots=slots)
     VM(program, tracer=tracker).run()
     return program, tracker.graph
-
-
-def _ref_field_racs(graph):
-    return {key: sum(hrac(graph, n) for n in stores) / len(stores)
-            for key, stores in graph.field_stores().items()}
-
-
-def _ref_field_rabs(graph, native_benefit="infinite"):
-    rabs = {}
-    for key, loads in graph.field_loads().items():
-        total = 0.0
-        saw_native = False
-        for node in loads:
-            benefit = hrab(graph, node, native_benefit)
-            if benefit == INFINITE:
-                saw_native = True
-                break
-            total += benefit
-        rabs[key] = INFINITE if saw_native else total / len(loads)
-    return rabs
 
 
 def _ref_consumer_reachability(graph):
@@ -99,10 +80,11 @@ def test_engine_matches_references_on_workload(name, slots):
         assert engine.hrab(v, "infinite") == hrab(graph, v, "infinite")
         assert engine.hrab(v, "count") == hrab(graph, v, "count")
 
-    assert engine.field_racs() == _ref_field_racs(graph)
-    assert engine.field_rabs("infinite") == _ref_field_rabs(graph,
-                                                            "infinite")
-    assert engine.field_rabs("count") == _ref_field_rabs(graph, "count")
+    assert engine.field_racs() == reference_field_racs(graph)
+    assert engine.field_rabs("infinite") == \
+        reference_field_rabs(graph, "infinite")
+    assert engine.field_rabs("count") == \
+        reference_field_rabs(graph, "count")
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in all_workloads()])
@@ -111,8 +93,8 @@ def test_site_ratios_match_reference_aggregation(name):
     aggregation over per-node reference RACs/RABs."""
     spec = next(s for s in all_workloads() if s.name == name)
     program, graph = _profiled(spec, 8)
-    racs = _ref_field_racs(graph)
-    rabs = _ref_field_rabs(graph)
+    racs = reference_field_racs(graph)
+    rabs = reference_field_rabs(graph)
     expected = [object_cost_benefit(graph, key, racs=racs, rabs=rabs)
                 for key in graph.alloc_nodes()]
     actual = all_object_cost_benefits(graph)
@@ -121,6 +103,15 @@ def test_site_ratios_match_reference_aggregation(name):
         assert got.alloc_key == want.alloc_key
         assert got.n_rac == want.n_rac
         assert got.n_rab == want.n_rab
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in all_workloads()])
+def test_cache_reports_match_reference(name):
+    """``analyze_caches`` (one engine, a HRAC lookup per store) equals
+    the per-node version (one HRAC BFS per store), field by field."""
+    spec = next(s for s in all_workloads() if s.name == name)
+    program, graph = _profiled(spec, 8)
+    assert analyze_caches(graph) == reference_analyze_caches(graph)
 
 
 @pytest.mark.parametrize("name", [spec.name for spec in all_workloads()])
@@ -291,10 +282,10 @@ def test_cached_engine_matches_references_across_folds(name):
                 hrab(merged, v, "infinite"), (step, v)
             assert engine.hrab(v, "count") == \
                 hrab(merged, v, "count"), (step, v)
-        assert engine.field_racs() == _ref_field_racs(merged), step
-        assert engine.field_rabs() == _ref_field_rabs(merged), step
+        assert engine.field_racs() == reference_field_racs(merged), step
+        assert engine.field_rabs() == reference_field_rabs(merged), step
         assert engine.field_rabs("count") == \
-            _ref_field_rabs(merged, "count"), step
+            reference_field_rabs(merged, "count"), step
         assert tuple(engine.consumer_reachability()) == \
             tuple(_ref_consumer_reachability(merged)), step
 

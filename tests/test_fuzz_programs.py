@@ -25,7 +25,10 @@ one program in a few thousand runs for minutes.
   exactly as :func:`~repro.profiler.parallel.merge_graphs` does, and
   that a shard's v2-rows and v3 renderings fold exactly as its v4
   packed columns, that a fold reusing the graph's shape memo is exact,
-  that the one-pass conflict ratio is the reference regrouping's, and
+  that the one-pass conflict ratio is the reference regrouping's, that
+  the graph's ``memory_bytes`` does not depend on the fold grouping,
+  that the batched cost-benefit, dead-value and cache clients equal
+  their per-node references on a fresh fold and after a re-weigh, and
   that a daemon pushed the shards, repeats included, serves the batch
   report.
 """
@@ -36,7 +39,13 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_v2_rows, as_v3_columns, reference_conflict_ratio
+from conftest import (as_v2_rows, as_v3_columns, reference_analyze_caches,
+                      reference_conflict_ratio, reference_field_rabs,
+                      reference_field_racs, reference_measure_bloat)
+from repro.analyses import (DEFAULT_TREE_DEPTH, all_object_cost_benefits,
+                            analyze_caches, measure_bloat,
+                            object_cost_benefit)
+from repro.analyses.batch import engine_for
 from repro.lang import compile_source, format_source
 from repro.observability import bloat_report_data
 from repro.profiler import (CostTracker, DependenceGraph, TrackerState,
@@ -472,6 +481,79 @@ def test_shape_memo_fold_equals_merge(sources, params):
         reference._shape_memo = None
         assert canonical_form(graph, fresh) == \
             canonical_form(reference, reference_state)
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from(_TRACKER_PARAMS), st.data())
+@settings(max_examples=10, deadline=None)
+def test_memory_bytes_equal_over_any_grouping(sources, params, data):
+    """``memory_bytes`` is a function of the graph, not of how it grew:
+    folding the documents one by one, with an analysis freezing the
+    graph after a drawn subset of the folds (as daemon queries do), and
+    folding any contiguous grouping of them give the same figure."""
+    docs = [_shard(source, params)[2] for source in sources]
+    docs.append(docs[0])
+    slots = params["slots"]
+    frozen_after = data.draw(st.sets(st.integers(0, len(docs) - 1)))
+    graph, state = DependenceGraph(slots=slots), TrackerState()
+    for step, doc in enumerate(docs):
+        fold_document(graph, state, doc)
+        if step in frozen_after:
+            engine_for(graph)
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(docs) - 1))))
+    bounds = list(zip([0] + cuts, cuts + [len(docs)]))
+    grouped, _ = _fold_grouped(docs, bounds, slots, lambda doc: doc)
+    assert grouped.memory_bytes() == graph.memory_bytes()
+
+
+def _client_answers(graph, depth, instructions):
+    """The batched clients' answers, then their per-node references':
+    every allocation's n-RAC/n-RAB summary, the dead-value metrics and
+    the cache report."""
+    def summaries(results):
+        return [(s.alloc_key, s.n_rac, s.n_rab, s.tree_size, s.fields)
+                for s in results]
+
+    racs = reference_field_racs(graph)
+    rabs = reference_field_rabs(graph)
+    reference = (
+        summaries(object_cost_benefit(graph, key, depth, racs=racs,
+                                      rabs=rabs)
+                  for key in graph.alloc_nodes()),
+        reference_measure_bloat(graph, instructions),
+        reference_analyze_caches(graph))
+    batched = (summaries(all_object_cost_benefits(graph, depth)),
+               measure_bloat(graph, instructions), analyze_caches(graph))
+    return batched, reference
+
+
+@given(heap_program_source(), st.sampled_from(_TRACKER_PARAMS),
+       st.sampled_from((0, 1, DEFAULT_TREE_DEPTH)))
+@settings(max_examples=15, deadline=None)
+def test_batched_clients_equal_references(source, params, depth):
+    """Batch = per-node reference for the clients a report runs:
+    ``all_object_cost_benefits`` (fields grouped by owner) equals the
+    per-root ``object_cost_benefit`` over per-node RACs/RABs, fields and
+    their order included; ``measure_bloat`` (the engine's node
+    classes) equals one loop over every node; ``analyze_caches`` (one
+    engine) equals one HRAC BFS per store.  Checked on a fresh fold of
+    the run's shard and again after folding it a second time, which
+    keeps the shape, so the cached engine and its node classes are
+    re-weighed, not rebuilt.  Shallow reference trees make the
+    points-to filter decide often: at depth 0 every reference field of
+    the root that leaves it is filtered out."""
+    vm = _tracked(source, "compiled", params)
+    doc = graph_to_dict(vm.tracer.graph, tracker=vm.tracer)
+    graph, state = DependenceGraph(slots=params["slots"]), TrackerState()
+    fold_document(graph, state, doc)
+    batched, reference = _client_answers(graph, depth, vm.instr_count)
+    assert batched == reference
+    engine = engine_for(graph)
+    assert fold_document(graph, state, doc)
+    batched, reference = _client_answers(graph, depth,
+                                         2 * vm.instr_count)
+    assert engine_for(graph) is engine
+    assert batched == reference
 
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
