@@ -18,7 +18,7 @@ __getattr__, __dir__, __all__ = _lazy_surface(__name__, {
                "VMLimitError", "VMNullError", "VMTypestateError"),
     "frames": ("Frame",),
     "heap": ("Heap",),
-    "interpreter": ("VM", "resolve_exec_mode", "run_program"),
+    "interpreter": ("VM", "resolve_exec_mode"),
     "values": ("ArrayObject", "HeapObject", "default_value",
                "render_value"),
     "compiled": (), "natives": (),

@@ -1,13 +1,14 @@
-"""Compiled execution tier: per-method template-compiled dispatch.
+"""Compiled execution tier: per-method template-compiled activations.
 
-The interpreter in :mod:`repro.vm.interpreter` pays a fixed toll per
-executed instruction: fetch through ``frame.pc``, an opcode ladder, and
-operand-name lookups on the instruction object.  This module removes
-that toll by compiling every finalized method into a specialized Python
-generator function.  A program's tier is built once: every method's
-shape is checked up front, and each method is emitted and compiled to
-a function on its first call.  Two template variants exist; the
-tracer's type selects one per run:
+The reference loop (:func:`repro.vm.interpreter.interpret`) pays a
+fixed toll per executed instruction: an opcode ladder and operand-name
+lookups on the instruction object.  This module removes that toll by
+compiling every finalized method into a specialized Python generator
+function, an activation function of the driver's call/return protocol
+(see :mod:`repro.vm.interpreter`).  A program's tier is built once:
+every method's shape is checked up front, and each method is emitted
+and compiled to a function on its first call.  Two template variants
+exist; the tracer's type selects one per run:
 
 * **plain** (no tracer; untracked sampling bursts) -- every virtual
   register is a Python local, and the template contains **zero
@@ -25,9 +26,9 @@ tracer's type selects one per run:
   node with the tracker for the caller's resume.
 
 Every other tracer (the client analyses, ``CostTracker`` subclasses)
-has no template: :func:`run_compiled` declines the run and the VM
-interprets it, so those tracers observe the interpreter's ``trace_*``
-hook protocol, their reference semantics.
+has no template: :func:`template_tiers` declines the run and the VM
+runs the interpreter tier, so those tracers observe the interpreter's
+``trace_*`` hook protocol, their reference semantics.
 
 Instruction fields (operator, field name, literal value, branch
 targets, resolved call targets, class objects, natives) are baked into
@@ -36,29 +37,23 @@ tracked template guards tracking with one hoisted ``traced`` flag.
 
 Control flow is compiled to basic blocks dispatched by a small integer
 ``_L`` inside one ``while True`` loop; calls suspend the generator with
-a ``yield`` carrying ``(target, callee_frame, count, limit)`` and a
-trampoline driver (:func:`run_compiled`) maintains the activation
-stack, so deep MiniJ recursion never consumes Python stack frames.
+a ``yield`` carrying ``(target, callee_frame, count, limit)`` to the
+VM's activation driver (:meth:`repro.vm.interpreter.VM._drive`).
 
 The instruction budget, telemetry growth samples, and sampling-window
-toggles all share the interpreter's single ``count > limit`` checkpoint
-(see :class:`repro.vm.interpreter.RunControl`), so the compiled tier
-preserves the interpreter's exact ``instr_count``, phase-window, and
-fault-containment semantics: a ``VMError`` leaves ``instr_count``
-current and phases closed, and the tracker's graph-so-far remains a
-salvageable partial profile.
+toggles all share the reference loop's single ``count > limit``
+checkpoint (see :class:`repro.vm.interpreter.RunControl`), and a
+faulting template stores its exact count as the reference loop does,
+so the compiled tier preserves the interpreter's ``instr_count``,
+phase-window, and fault-containment semantics.
 
 Burst sampling (``VM(sampling=...)``) selects the template *per
-activation*: an activation spawned while the tracking window is off
-runs the plain template at full speed until it returns, and stays
-untracked even if a window opens meanwhile; one spawned inside a window
-(and the entry activation) runs the tracked template, whose hoisted
-flag follows the window toggles.  The interpreter follows the same
-rule, so sampled profiles agree across tiers.  The trampoline maintains
-the receiver-context chain across plain activations so tracked windows
-keep the paper's context-annotated node identities; the tracked
-template re-reads its frame's context after every checkpoint, native
-and call return, because a window opening rebuilds the chain.
+activation*: the driver runs an activation spawned while the tracking
+window is off on the plain template at full speed until it returns;
+one spawned inside a window (and the entry activation) runs the
+tracked template, whose hoisted flag follows the window toggles.  The
+tracked template re-reads its frame's context after every checkpoint,
+native and call return, because a window opening rebuilds the chain.
 
 Methods whose shapes the templates do not cover (no return instruction,
 execution falling off the end of the body, unknown operators) mark the
@@ -74,21 +69,25 @@ from __future__ import annotations
 from ..ir import instructions as ins
 from .errors import (VMArithmeticError, VMBoundsError, VMError, VMNullError)
 from .frames import Frame
-from .interpreter import (RunControl, _as_str, _is_ref, _java_div, _java_rem,
-                          _string_hash)
+from .interpreter import _as_str, _is_ref, _java_div, _java_rem, _string_hash
 from .natives import lookup_native
 
 VARIANT_PLAIN = "plain"
 VARIANT_TRACKED = "tracked"
 
 #: What the tracked template binds from ``rt.env`` per activation (see
-#: :func:`_tracked_env`, which builds the values in this order).
+#: :func:`_bind_tracked`, which builds the values in this order).
 _TRACKED_ENV = ("_fire", "_tr", "tk", "freq", "flags", "sc", "ngs", "cr",
                 "ctl", "slots", "fx", "bo", "ss", "_br", "_nn", "_pn", "_ae",
                 "_cd", "_tg", "_nob", "_nar", "_st", "_ald", "_nat", "_ret")
 
 
-def _tracked_env(rt, tracker, traced_now) -> tuple:
+def _bind_tracked(rt, gens):
+    """Install the tracked template's per-run bindings on ``rt``."""
+    tracker = rt.vm.tracer
+    cursor = rt.cursor
+    traced_now = ((lambda: tracker.enabled) if cursor is None
+                  else (lambda: tracker.enabled and cursor.on))
     fire = rt.fire
 
     def fire_tracked(count, instr, frame):
@@ -96,14 +95,15 @@ def _tracked_env(rt, tracker, traced_now) -> tuple:
                 frame.g, frame.dctx)
 
     graph = tracker.graph
-    return (fire_tracked, traced_now, tracker, graph.freq, graph.flags,
-            graph.succs, tracker._node_gs, tracker.track_cr,
-            tracker.track_control, tracker.slots, graph.effects,
-            tracker.branch_outcomes, tracker._static_shadow,
-            tracker._bound_rows, tracker._first, tracker._predicate,
-            graph.add_edge, tracker._control_dep, tracker._tag,
-            tracker._alloc, tracker._new_array, tracker._store,
-            tracker._array_load, tracker._native, tracker._return)
+    rt.env = (fire_tracked, traced_now, tracker, graph.freq, graph.flags,
+              graph.succs, tracker._node_gs, tracker.track_cr,
+              tracker.track_control, tracker.slots, graph.effects,
+              tracker.branch_outcomes, tracker._static_shadow,
+              tracker._bound_rows, tracker._first, tracker._predicate,
+              graph.add_edge, tracker._control_dep, tracker._tag,
+              tracker._alloc, tracker._new_array, tracker._store,
+              tracker._array_load, tracker._native, tracker._return)
+    rt.live_shadow = lambda: _live_shadow(gens)
 
 
 def _live_shadow(gens) -> int:
@@ -679,7 +679,7 @@ class _MethodEmitter:
             self.emit(d, f"if _m is None: raise _VE(f'no method "
                          f"{instr.method_name} on {{_r.cls.name}}', "
                          f"{iname}, frame)")
-            self.emit(d, f"_cf = _F(_m, {instr.dest!r}, {iname})")
+            self.emit(d, "_cf = _F(_m)")
             self.emit(d, "_cr = _cf.regs")
             self.emit(d, "_cr['this'] = _r")
             if instr.args:
@@ -697,7 +697,7 @@ class _MethodEmitter:
                 self.emit(d, f"if _r is None: raise _NE('null receiver "
                              f"calling .{instr.method_name}()', "
                              f"{iname}, frame)")
-            self.emit(d, f"_cf = _F({mname}, {instr.dest!r}, {iname})")
+            self.emit(d, f"_cf = _F({mname})")
             self.emit(d, "_cr = _cf.regs")
             if instr.recv is not None:
                 self.emit(d, "_cr['this'] = _r")
@@ -875,126 +875,25 @@ def precompile(program, tracer=False, sampling: bool = False):
     return True
 
 
-# ---------------------------------------------------------------------------
-# Trampoline driver
-# ---------------------------------------------------------------------------
+def template_tiers(vm):
+    """``(fns, plain_fns, bind)`` for ``vm``'s run on the compiled tier.
 
-def run_compiled(vm) -> bool:
-    """Execute ``vm``'s program on the compiled tier.
-
-    Returns False (without executing anything) when the tracer has no
-    template or the program has an unsupported shape, so
-    :meth:`VM.run` can fall back to the interpreter loop.
+    The arguments :meth:`~repro.vm.interpreter.VM._drive` takes: the
+    tier of the tracer's template, the plain tier that untracked
+    sampling bursts run, and the tracked template's per-run bindings.
+    Returns None when the tracer has no template or the program has an
+    unsupported shape, so :meth:`VM.run` runs the interpreter tier.
     """
-    program = vm.program
-    tracer = vm.tracer
-    variant = template_variant(tracer)
+    variant = template_variant(vm.tracer)
     if variant is None:
-        return False
-    fns = compiled_tier(program, variant)
+        return None
+    fns = compiled_tier(vm.program, variant)
     if fns is None:
-        return False
-    plain_fns = fns
-    if tracer is not None and vm.sampling is not None:
-        plain_fns = compiled_tier(program, VARIANT_PLAIN)
-        if plain_fns is None:
-            return False
-    # Set before the run, so a run a VMError ends records its tier.
-    vm.exec_tier = "compiled"
-
-    entry = program.entry
-    frame = Frame(entry)
-    frames = [frame]
-    gens = []
-    rt = RunControl(vm, frames)
-    cursor = rt.cursor
-    if tracer is not None:
-        traced_now = ((lambda: tracer.enabled) if cursor is None
-                      else (lambda: tracer.enabled and cursor.on))
-        rt.env = _tracked_env(rt, tracer, traced_now)
-        rt.live_shadow = lambda: _live_shadow(gens)
-        if tracer.enabled:
-            tracer.on_entry_frame(frame)
-
-    count = vm.instr_count
-    limit = rt.initial(count)
-    sampling_calls = tracer is not None and cursor is not None
-    if sampling_calls:
-        from ..profiler.context import extend_context
-        ctx_slots = tracer.slots
-    # The entry activation always runs the tracer's template when one
-    # is attached: the tracking windows toggle its hoisted flag, and
-    # long-lived frames (main) would otherwise never be tracked.
-    gens.append((fns[entry](rt, frame, count, limit), tracer is not None))
-    msg = None
-    telemetry = vm.telemetry
-    try:
-        try:
-            while gens:
-                gen, gen_traced = gens[-1]
-                item = gen.send(msg)
-                target = item[0]
-                if target is not None:
-                    cframe = item[1]
-                    if sampling_calls:
-                        if cursor.on:
-                            # Inside a window, calls made by activations
-                            # whose templates did not run rule METHOD
-                            # ENTRY extend the receiver-context chain
-                            # here.
-                            if not (gen_traced and tracer.enabled):
-                                recv = cframe.regs.get("this")
-                                caller = frames[-1]
-                                g = (extend_context(caller.g, recv.site)
-                                     if recv is not None else caller.g)
-                                cframe.g = g
-                                cframe.dctx = ((g % ctx_slots)
-                                               if ctx_slots else 0)
-                            callee_traced = True
-                            callee_fns = fns
-                        else:
-                            # Untracked burst: no bookkeeping at all.
-                            # RunControl rebuilds the chain from the
-                            # live stack when the next window opens.
-                            callee_traced = False
-                            callee_fns = plain_fns
-                    else:
-                        callee_traced = tracer is not None
-                        callee_fns = fns
-                    frames.append(cframe)
-                    gens.append((callee_fns[target](rt, cframe,
-                                                    item[2], item[3]),
-                                 callee_traced))
-                    msg = None
-                else:
-                    count = item[2]
-                    limit = item[3]
-                    gens.pop()
-                    frames.pop()
-                    if gens:
-                        # Tracking resumers take their refreshed hoisted
-                        # flag from the message (see _emit_call).
-                        if gens[-1][1]:
-                            msg = (item[1], count, limit,
-                                   tracer.enabled
-                                   and (cursor is None or cursor.on))
-                        else:
-                            msg = (item[1], count, limit)
-                    else:
-                        vm.result = item[1]
-        finally:
-            for gen, _ in gens:
-                gen.close()
-    except VMError:
-        # Same containment contract as the interpreter loop: the
-        # faulting template already stored its exact instruction count.
-        rt.finish(vm.instr_count)
-        vm._close_phases()
-        raise
-    vm.instr_count = count
-    rt.finish(count)
-    vm._close_phases()
-    if telemetry.enabled:
-        telemetry.vm_finish(vm)
-    vm.finished = True
-    return True
+        return None
+    if variant == VARIANT_PLAIN:
+        return fns, fns, None
+    # Both variants share the program's shape check, so a tracked tier
+    # implies a plain one.
+    plain_fns = (fns if vm.sampling is None
+                 else compiled_tier(vm.program, VARIANT_PLAIN))
+    return fns, plain_fns, _bind_tracked

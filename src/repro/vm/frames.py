@@ -18,17 +18,12 @@ from __future__ import annotations
 
 
 class Frame:
-    __slots__ = ("method", "regs", "pc", "dest", "call_instr",
-                 "shadow", "g", "dctx", "last_pred", "tracked")
+    __slots__ = ("method", "regs", "shadow", "g", "dctx", "last_pred",
+                 "tracked")
 
-    def __init__(self, method, dest=None, call_instr=None):
+    def __init__(self, method):
         self.method = method
         self.regs = {}
-        self.pc = 0
-        #: Register in the *caller* frame receiving our return value.
-        self.dest = dest
-        #: The Call instruction that created this frame (None for entry).
-        self.call_instr = call_instr
         # Profiler state (set by the tracker when tracking is enabled).
         self.shadow = None
         self.g = 0
@@ -39,4 +34,4 @@ class Frame:
         self.tracked = True
 
     def __repr__(self):
-        return f"<frame {self.method.qualified_name} pc={self.pc}>"
+        return f"<frame {self.method.qualified_name}>"

@@ -1,9 +1,30 @@
-"""The MiniJ virtual machine: a three-address-code interpreter.
+"""The MiniJ virtual machine: one activation driver and the reference
+interpreter loop.
 
 The VM executes a finalized :class:`~repro.ir.module.Program`.  Every
 executed instruction counts one unit of cost (``instr_count``), matching
 the paper's cost model ("each instruction is treated as having unit
 cost").
+
+Execution
+---------
+
+A *tier* is a mapping from each ``MethodDef`` to an *activation
+function* ``(rt, frame, count, limit)`` that returns a generator.  One
+generator runs one activation; it yields ``(target, callee_frame,
+count, limit)`` to call, yields ``(None, value, count, limit)`` to
+return, and resumes from ``(value, count, limit[, traced])``.
+:meth:`VM._drive`, the VM's only call/return driver, is a trampoline
+over those generators: it owns the frame stack, the run's
+:class:`RunControl`, the per-activation tracking rule of burst
+sampling, fault containment and the run's finish, so deep MiniJ
+recursion never consumes Python stack frames.
+
+The interpreter tier maps every method to :func:`interpret`, the
+reference loop below; the compiled tier (:mod:`repro.vm.compiled`)
+maps each method to its template.  :meth:`VM.run` picks the tracer's
+template tier, or the interpreter when the tracer has no template or
+the program has a shape the templates do not cover.
 
 Instrumentation
 ---------------
@@ -51,6 +72,8 @@ instruction-budget comparison.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from ..ir import instructions as ins
 from ..observability.telemetry import current as _current_telemetry
@@ -220,7 +243,7 @@ def _string_hash(s: str) -> int:
 
 
 class VM:
-    """Interpreter for finalized MiniJ programs."""
+    """Runs a finalized MiniJ program on one execution tier."""
 
     def __init__(self, program, tracer=None, max_steps: int = 2_000_000_000,
                  telemetry=None, exec_mode=None, sampling=None):
@@ -230,9 +253,9 @@ class VM:
         self.tracer = tracer
         self.max_steps = max_steps
         #: Execution tier: "compiled" (template-compiled dispatch, the
-        #: default) or "interp" (the reference loop below).  Programs
-        #: with shapes the templates do not cover fall back to interp
-        #: transparently; ``exec_tier`` records what actually ran,
+        #: default) or "interp" (the reference loop, :func:`interpret`).
+        #: Programs with shapes the templates do not cover fall back to
+        #: interp transparently; ``exec_tier`` records what actually ran,
         #: from the moment a tier is chosen, so a run that a VMError
         #: ends records it too.
         self.exec_mode = resolve_exec_mode(exec_mode)
@@ -296,18 +319,27 @@ class VM:
         profile, which the supervised profiling runtime salvages
         instead of discarding the shard.
 
-        Dispatches to the compiled tier when ``exec_mode`` allows and
-        the program's shapes are supported; otherwise runs the
-        reference interpreter loop.  Both tiers honour the same
-        containment contract and produce identical ``instr_count``,
-        output, phase windows, and tracker graphs (with sampling off).
+        Runs the tracer's template tier when ``exec_mode`` allows and
+        the program's shapes are supported; otherwise the interpreter
+        tier.  Both tiers honour the same containment contract and
+        produce identical ``instr_count``, output, phase windows, and
+        tracker graphs (with sampling off).
         """
         try:
+            tiers = None
             if self.exec_mode == EXEC_COMPILED:
-                from .compiled import run_compiled
-                if run_compiled(self):
-                    return self
-            return self._run_interp()
+                from .compiled import template_tiers
+                tiers = template_tiers(self)
+            # exec_tier is set before the run, so a run that a VMError
+            # ends records it too.
+            if tiers is None:
+                self.exec_tier = EXEC_INTERP
+                interpreted = defaultdict(lambda: interpret)
+                tiers = (interpreted, interpreted, None)
+            else:
+                self.exec_tier = EXEC_COMPILED
+            self._drive(*tiers)
+            return self
         except VMError as error:
             # Cold path: the error is already escaping.  Stamp the
             # stream (and the flight-recorder ring tapping it) with
@@ -330,274 +362,113 @@ class VM:
             return None
         return control.cursor.stats(self.instr_count)
 
-    def _run_interp(self) -> "VM":
-        self.exec_tier = EXEC_INTERP
-        entry = self.program.entry
-        frame = Frame(entry)
-        stack = [frame]
+    def _drive(self, fns, plain_fns, bind=None):
+        """Run the program on the tier ``fns``: the activation driver.
+
+        ``fns`` and ``plain_fns`` map each ``MethodDef`` to its
+        activation function (see the module docstring).  A tracked
+        activation runs ``fns``; under burst sampling an activation
+        spawned while the window is off runs ``plain_fns`` and stays
+        untracked until it returns (DESIGN.md §12).  ``bind(rt,
+        gens)``, when given, installs a template tier's per-run
+        bindings on the run's :class:`RunControl`.
+        """
         tracer = self.tracer
+        frame = Frame(self.program.entry)
+        frames = [frame]
+        gens = []
+        rt = RunControl(self, frames)
+        cursor = rt.cursor
+        if bind is not None:
+            bind(rt, gens)
         if tracer is not None and tracer.enabled:
             tracer.on_entry_frame(frame)
+
         count = self.instr_count
-        # Budget exhaustion, telemetry growth samples, and sampling-
-        # window toggles share one checkpoint: ``limit`` is the next
-        # event of interest, handled on the cold path by RunControl.
-        control = RunControl(self, stack)
-        telemetry = self.telemetry
-        limit = control.initial(count)
-        # Tracking can only toggle inside a native (Sys.phase), at a
-        # sampling-window boundary (a checkpoint), or -- under sampling
-        # -- at a call or return into an activation spawned during an
-        # untracked burst, so the flag is hoisted out of the dispatch
-        # loop and refreshed at the places that can change it.
-        traced = tracer is not None and tracer.enabled and control.window_on
-        # Under sampling, calls made inside a window by an activation
-        # that does not fire trace_call (phase-disabled tracker, or an
-        # untracked activation) still extend the receiver-context
-        # chain.  Untracked bursts skip the bookkeeping entirely;
-        # RunControl rebuilds the chain when a window opens.
-        track_ctx = tracer is not None and control.cursor is not None
-        if track_ctx:
+        limit = rt.initial(count)
+        # The cursor exists only when a tracer is attached.
+        sampling_calls = cursor is not None
+        if sampling_calls:
             from ..profiler.context import extend_context
             ctx_slots = getattr(tracer, "slots", 0)
-
+        # The entry activation is tracked whenever a tracer is attached:
+        # the tracking windows toggle its hoisted flag, and long-lived
+        # frames (main) would otherwise never be tracked.
+        gens.append((fns[frame.method](rt, frame, count, limit),
+                     tracer is not None))
+        msg = None
+        telemetry = self.telemetry
         try:
-            while stack:
-                frame = stack[-1]
-                code = frame.method.body
-                regs = frame.regs
-                pc = frame.pc
-                instr = code[pc]
-                op = instr.op
-                count += 1
-                if count > limit:
-                    limit = control.fire(count, instr, frame)
-                    traced = (tracer is not None and tracer.enabled
-                              and control.window_on and frame.tracked)
-
-                if op == ins.OP_BINOP:
-                    regs[instr.dest] = self._binop(instr, regs, frame)
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_CONST:
-                    regs[instr.dest] = instr.value
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_MOVE:
-                    regs[instr.dest] = regs[instr.src]
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_BRANCH:
-                    frame.pc = (instr.then_index if regs[instr.cond]
-                                else instr.else_index)
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_JUMP:
-                    frame.pc = instr.target_index
-
-                elif op == ins.OP_LOAD_FIELD:
-                    obj = regs[instr.obj]
-                    if obj is None:
-                        self.instr_count = count
-                        raise VMNullError(
-                            f"null dereference reading .{instr.field}",
-                            instr, frame)
-                    regs[instr.dest] = obj.fields[instr.field]
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_load_field(instr, frame, obj)
-
-                elif op == ins.OP_STORE_FIELD:
-                    obj = regs[instr.obj]
-                    if obj is None:
-                        self.instr_count = count
-                        raise VMNullError(
-                            f"null dereference writing .{instr.field}",
-                            instr, frame)
-                    value = regs[instr.src]
-                    obj.fields[instr.field] = value
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_store_field(instr, frame, obj, value)
-
-                elif op == ins.OP_ARRAY_LOAD:
-                    arr = regs[instr.arr]
-                    if arr is None:
-                        self.instr_count = count
-                        raise VMNullError("null array load", instr, frame)
-                    idx = regs[instr.idx]
-                    elems = arr.elems
-                    if idx < 0 or idx >= len(elems):
-                        self.instr_count = count
-                        raise VMBoundsError(
-                            f"index {idx} out of bounds for length {len(elems)}",
-                            instr, frame)
-                    regs[instr.dest] = elems[idx]
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_array_load(instr, frame, arr, idx)
-
-                elif op == ins.OP_ARRAY_STORE:
-                    arr = regs[instr.arr]
-                    if arr is None:
-                        self.instr_count = count
-                        raise VMNullError("null array store", instr, frame)
-                    idx = regs[instr.idx]
-                    elems = arr.elems
-                    if idx < 0 or idx >= len(elems):
-                        self.instr_count = count
-                        raise VMBoundsError(
-                            f"index {idx} out of bounds for length {len(elems)}",
-                            instr, frame)
-                    value = regs[instr.src]
-                    elems[idx] = value
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_array_store(instr, frame, arr, idx, value)
-
-                elif op == ins.OP_ARRAY_LEN:
-                    arr = regs[instr.arr]
-                    if arr is None:
-                        self.instr_count = count
-                        raise VMNullError("null array length", instr, frame)
-                    regs[instr.dest] = len(arr.elems)
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_CALL:
-                    frame.pc = pc + 1  # return continues after the call
-                    callee_frame, recv_obj = self._make_callee_frame(
-                        instr, frame, count)
-                    stack.append(callee_frame)
-                    if traced:
-                        tracer.trace_call(instr, frame, callee_frame, recv_obj)
-                    elif track_ctx and control.window_on:
-                        g = (extend_context(frame.g, recv_obj.site)
-                             if recv_obj is not None else frame.g)
-                        callee_frame.g = g
-                        callee_frame.dctx = (g % ctx_slots) if ctx_slots else 0
-                    if track_ctx:
-                        # Per-activation rule (DESIGN.md §12): a callee
-                        # spawned during a burst stays untracked until
-                        # it returns, as on the compiled tier.
-                        callee_frame.tracked = on = control.window_on
-                        traced = on and tracer.enabled
-
-                elif op == ins.OP_RETURN:
-                    value = regs[instr.src] if instr.src is not None else None
-                    if traced:
-                        tracer.trace_return(instr, frame)
-                    stack.pop()
-                    if stack:
-                        caller = stack[-1]
-                        if track_ctx:
-                            traced = (caller.tracked and tracer.enabled
-                                      and control.window_on)
-                        call_instr = frame.call_instr
-                        if call_instr.dest is not None:
-                            caller.regs[call_instr.dest] = value
-                        if traced:
-                            tracer.trace_call_complete(call_instr, caller)
+            try:
+                while gens:
+                    gen, gen_traced = gens[-1]
+                    item = gen.send(msg)
+                    target = item[0]
+                    if target is not None:
+                        cframe = item[1]
+                        if sampling_calls:
+                            if cursor.on:
+                                # Inside a window, calls made by activations
+                                # that did not run rule METHOD ENTRY extend
+                                # the receiver-context chain here.
+                                if not (gen_traced and tracer.enabled):
+                                    recv = cframe.regs.get("this")
+                                    caller = frames[-1]
+                                    g = (extend_context(caller.g, recv.site)
+                                         if recv is not None else caller.g)
+                                    cframe.g = g
+                                    cframe.dctx = ((g % ctx_slots)
+                                                   if ctx_slots else 0)
+                                callee_traced = True
+                                callee_fns = fns
+                            else:
+                                # Untracked burst: no bookkeeping at all.
+                                # RunControl rebuilds the chain from the
+                                # live stack when the next window opens.
+                                callee_traced = False
+                                callee_fns = plain_fns
+                            cframe.tracked = callee_traced
+                        else:
+                            callee_traced = tracer is not None
+                            callee_fns = fns
+                        frames.append(cframe)
+                        gens.append((callee_fns[target](rt, cframe,
+                                                        item[2], item[3]),
+                                     callee_traced))
+                        msg = None
                     else:
-                        self.result = value
-
-                elif op == ins.OP_UNOP:
-                    src = regs[instr.src]
-                    regs[instr.dest] = (-src if instr.unop == ins.UN_NEG
-                                        else not src)
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_INTRINSIC:
-                    regs[instr.dest] = self._intrinsic(instr, regs, frame, count)
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_NEW_OBJECT:
-                    cls = self.program.classes[instr.class_name]
-                    obj = self.heap.new_object(cls, instr.iid)
-                    regs[instr.dest] = obj
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_new_object(instr, frame, obj)
-
-                elif op == ins.OP_NEW_ARRAY:
-                    length = regs[instr.size]
-                    if length < 0:
-                        self.instr_count = count
-                        raise VMBoundsError(
-                            f"negative array size {length}", instr, frame)
-                    arr = self.heap.new_array(instr.elem_type, instr.iid, length)
-                    regs[instr.dest] = arr
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_new_array(instr, frame, arr)
-
-                elif op == ins.OP_LOAD_STATIC:
-                    regs[instr.dest] = self._static_slot(
-                        instr.class_name, instr.field)
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_STORE_STATIC:
-                    self._set_static_slot(instr.class_name, instr.field,
-                                          regs[instr.src])
-                    frame.pc = pc + 1
-                    if traced:
-                        tracer.trace_instr(instr, frame)
-
-                elif op == ins.OP_CALL_NATIVE:
-                    self.instr_count = count  # natives may inspect the count
-                    native = instr.resolved_native
-                    if native is None:
-                        # Not resolvable at finalize (unknown name): raise
-                        # the usual execution-time error.
-                        native = lookup_native(instr.native)
-                    args = [regs[a] for a in instr.args]
-                    result = native(self, args)
-                    if instr.dest is not None:
-                        regs[instr.dest] = result
-                    frame.pc = pc + 1
-                    # Re-check: the native may have toggled tracking
-                    # (phase) or moved a sampling boundary (phase reset).
-                    limit = control.limit
-                    traced = (tracer is not None and tracer.enabled
-                              and control.window_on and frame.tracked)
-                    if traced:
-                        tracer.trace_native(instr, frame)
-
-                else:  # pragma: no cover - defensive
-                    self.instr_count = count
-                    raise VMError(f"unknown opcode {op}", instr, frame)
-
+                        count = item[2]
+                        limit = item[3]
+                        gens.pop()
+                        frames.pop()
+                        if gens:
+                            # Tracking resumers take their refreshed
+                            # hoisted flag from the message.
+                            if gens[-1][1]:
+                                msg = (item[1], count, limit,
+                                       tracer.enabled
+                                       and (cursor is None or cursor.on))
+                            else:
+                                msg = (item[1], count, limit)
+                        else:
+                            self.result = item[1]
+            finally:
+                for gen, _ in gens:
+                    gen.close()
         except VMError:
-            # Fault containment (docs/RESILIENCE.md): a VMError must
-            # leave the VM in a coherent partial state -- instruction
-            # count current and phase windows closed -- so a supervised
-            # worker can salvage the tracker's graph-so-far instead of
-            # discarding the shard.
-            self.instr_count = count
-            control.finish(count)
+            # Fault containment (docs/RESILIENCE.md): the faulting
+            # activation stored its exact instruction count; closing
+            # the phase windows leaves a partial profile a supervised
+            # worker can salvage instead of discarding the shard.
+            rt.finish(self.instr_count)
             self._close_phases()
             raise
         self.instr_count = count
-        control.finish(count)
+        rt.finish(count)
         self._close_phases()
         if telemetry.enabled:
             telemetry.vm_finish(self)
         self.finished = True
-        return self
 
     # -- helpers ----------------------------------------------------------------
 
@@ -645,23 +516,20 @@ class VM:
             return a >> (b & 31)
         raise VMError(f"unknown binary operator {op!r}", instr, frame)
 
-    def _intrinsic(self, instr, regs, frame, count):
+    def _intrinsic(self, instr, regs, frame):
         args = instr.args
         intr = instr.intr
         if intr == ins.INTR_SLEN:
             s = regs[args[0]]
             if s is None:
-                self.instr_count = count
                 raise VMNullError("length() on null string", instr, frame)
             return len(s)
         if intr == ins.INTR_SCHARAT:
             s = regs[args[0]]
             if s is None:
-                self.instr_count = count
                 raise VMNullError("charAt() on null string", instr, frame)
             i = regs[args[1]]
             if i < 0 or i >= len(s):
-                self.instr_count = count
                 raise VMBoundsError(
                     f"charAt index {i} out of bounds for length {len(s)}",
                     instr, frame)
@@ -671,7 +539,6 @@ class VM:
         if intr == ins.INTR_SHASH:
             s = regs[args[0]]
             if s is None:
-                self.instr_count = count
                 raise VMNullError("hash() on null string", instr, frame)
             return _string_hash(s)
         if intr == ins.INTR_ITOS:
@@ -682,24 +549,21 @@ class VM:
             a = regs[args[0]]
             b = regs[args[1]]
             if a is None or b is None:
-                self.instr_count = count
                 raise VMNullError("compare() on null string", instr, frame)
             return -1 if a < b else (1 if a > b else 0)
         raise VMError(f"unknown intrinsic {intr!r}", instr, frame)
 
-    def _make_callee_frame(self, instr, frame, count):
+    def _make_callee_frame(self, instr, frame):
         regs = frame.regs
         recv_obj = None
         if instr.kind == ins.CALL_VIRTUAL:
             recv_obj = regs[instr.recv]
             if recv_obj is None:
-                self.instr_count = count
                 raise VMNullError(
                     f"null receiver calling .{instr.method_name}()",
                     instr, frame)
             target = recv_obj.cls.vtable.get(instr.method_name)
             if target is None:
-                self.instr_count = count
                 raise VMError(
                     f"no method {instr.method_name} on "
                     f"{recv_obj.cls.name}", instr, frame)
@@ -708,12 +572,11 @@ class VM:
             if instr.recv is not None:
                 recv_obj = regs[instr.recv]
                 if recv_obj is None:
-                    self.instr_count = count
                     raise VMNullError(
                         f"null receiver calling .{instr.method_name}()",
                         instr, frame)
 
-        callee = Frame(target, dest=instr.dest, call_instr=instr)
+        callee = Frame(target)
         callee_regs = callee.regs
         if recv_obj is not None:
             callee_regs["this"] = recv_obj
@@ -759,10 +622,202 @@ def _as_str(value) -> str:
     return render_value(value)
 
 
-def run_program(program, tracer=None, max_steps: int = 2_000_000_000,
-                telemetry=None, exec_mode=None, sampling=None) -> VM:
-    """Convenience: build a VM, run it, and return it."""
-    vm = VM(program, tracer=tracer, max_steps=max_steps,
-            telemetry=telemetry, exec_mode=exec_mode, sampling=sampling)
-    vm.run()
-    return vm
+def interpret(rt, frame, count, limit):
+    """The reference loop: one interpreted activation of ``frame``.
+
+    An activation function of the interpreter tier (see the module
+    docstring): it runs ``frame``'s method one TAC instruction at a
+    time, firing the tracer's ``trace_*`` hooks, and speaks the
+    driver's call/return protocol.
+    """
+    vm = rt.vm
+    tracer = vm.tracer
+    # The driver's per-activation choice (DESIGN.md §12): under burst
+    # sampling an activation spawned during a burst never tracks.
+    tracked = tracer is not None and frame.tracked
+    # Tracking can only toggle inside a native (Sys.phase), at a
+    # checkpoint (a sampling-window boundary), or while a callee runs,
+    # so the flag is hoisted out of the dispatch loop and refreshed at
+    # those places.
+    traced = tracked and tracer.enabled and rt.window_on
+    code = frame.method.body
+    regs = frame.regs
+    pc = 0
+    try:
+        while True:
+            instr = code[pc]
+            pc += 1
+            op = instr.op
+            count += 1
+            if count > limit:
+                limit = rt.fire(count, instr, frame)
+                traced = tracked and tracer.enabled and rt.window_on
+
+            if op == ins.OP_BINOP:
+                regs[instr.dest] = vm._binop(instr, regs, frame)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_CONST:
+                regs[instr.dest] = instr.value
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_MOVE:
+                regs[instr.dest] = regs[instr.src]
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_BRANCH:
+                pc = (instr.then_index if regs[instr.cond]
+                      else instr.else_index)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_JUMP:
+                pc = instr.target_index
+
+            elif op == ins.OP_LOAD_FIELD:
+                obj = regs[instr.obj]
+                if obj is None:
+                    raise VMNullError(
+                        f"null dereference reading .{instr.field}",
+                        instr, frame)
+                regs[instr.dest] = obj.fields[instr.field]
+                if traced:
+                    tracer.trace_load_field(instr, frame, obj)
+
+            elif op == ins.OP_STORE_FIELD:
+                obj = regs[instr.obj]
+                if obj is None:
+                    raise VMNullError(
+                        f"null dereference writing .{instr.field}",
+                        instr, frame)
+                value = regs[instr.src]
+                obj.fields[instr.field] = value
+                if traced:
+                    tracer.trace_store_field(instr, frame, obj, value)
+
+            elif op == ins.OP_ARRAY_LOAD:
+                arr = regs[instr.arr]
+                if arr is None:
+                    raise VMNullError("null array load", instr, frame)
+                idx = regs[instr.idx]
+                elems = arr.elems
+                if idx < 0 or idx >= len(elems):
+                    raise VMBoundsError(
+                        f"index {idx} out of bounds for length {len(elems)}",
+                        instr, frame)
+                regs[instr.dest] = elems[idx]
+                if traced:
+                    tracer.trace_array_load(instr, frame, arr, idx)
+
+            elif op == ins.OP_ARRAY_STORE:
+                arr = regs[instr.arr]
+                if arr is None:
+                    raise VMNullError("null array store", instr, frame)
+                idx = regs[instr.idx]
+                elems = arr.elems
+                if idx < 0 or idx >= len(elems):
+                    raise VMBoundsError(
+                        f"index {idx} out of bounds for length {len(elems)}",
+                        instr, frame)
+                value = regs[instr.src]
+                elems[idx] = value
+                if traced:
+                    tracer.trace_array_store(instr, frame, arr, idx, value)
+
+            elif op == ins.OP_ARRAY_LEN:
+                arr = regs[instr.arr]
+                if arr is None:
+                    raise VMNullError("null array length", instr, frame)
+                regs[instr.dest] = len(arr.elems)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_CALL:
+                callee, recv_obj = vm._make_callee_frame(instr, frame)
+                if traced:
+                    tracer.trace_call(instr, frame, callee, recv_obj)
+                resume = yield (callee.method, callee, count, limit)
+                count = resume[1]
+                limit = resume[2]
+                traced = tracked and resume[3]
+                if instr.dest is not None:
+                    regs[instr.dest] = resume[0]
+                if traced:
+                    tracer.trace_call_complete(instr, frame)
+
+            elif op == ins.OP_RETURN:
+                value = regs[instr.src] if instr.src is not None else None
+                if traced:
+                    tracer.trace_return(instr, frame)
+                yield (None, value, count, limit)
+                return
+
+            elif op == ins.OP_UNOP:
+                src = regs[instr.src]
+                regs[instr.dest] = (-src if instr.unop == ins.UN_NEG
+                                    else not src)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_INTRINSIC:
+                regs[instr.dest] = vm._intrinsic(instr, regs, frame)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_NEW_OBJECT:
+                cls = vm.program.classes[instr.class_name]
+                obj = vm.heap.new_object(cls, instr.iid)
+                regs[instr.dest] = obj
+                if traced:
+                    tracer.trace_new_object(instr, frame, obj)
+
+            elif op == ins.OP_NEW_ARRAY:
+                length = regs[instr.size]
+                if length < 0:
+                    raise VMBoundsError(
+                        f"negative array size {length}", instr, frame)
+                arr = vm.heap.new_array(instr.elem_type, instr.iid, length)
+                regs[instr.dest] = arr
+                if traced:
+                    tracer.trace_new_array(instr, frame, arr)
+
+            elif op == ins.OP_LOAD_STATIC:
+                regs[instr.dest] = vm._static_slot(
+                    instr.class_name, instr.field)
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_STORE_STATIC:
+                vm._set_static_slot(instr.class_name, instr.field,
+                                    regs[instr.src])
+                if traced:
+                    tracer.trace_instr(instr, frame)
+
+            elif op == ins.OP_CALL_NATIVE:
+                vm.instr_count = count  # natives may inspect the count
+                native = instr.resolved_native
+                if native is None:
+                    # Not resolvable at finalize (unknown name): raise
+                    # the usual execution-time error.
+                    native = lookup_native(instr.native)
+                args = [regs[a] for a in instr.args]
+                result = native(vm, args)
+                if instr.dest is not None:
+                    regs[instr.dest] = result
+                # Re-check: the native may have toggled tracking
+                # (phase) or moved a sampling boundary (phase reset).
+                limit = rt.limit
+                traced = tracked and tracer.enabled and rt.window_on
+                if traced:
+                    tracer.trace_native(instr, frame)
+
+            else:  # pragma: no cover - defensive
+                raise VMError(f"unknown opcode {op}", instr, frame)
+    except VMError:
+        # Like the templates: the faulting activation stores the exact
+        # count once, for the driver's containment.
+        vm.instr_count = count
+        raise

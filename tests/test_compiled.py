@@ -74,6 +74,33 @@ class Main { static void main() {
 } }"""
 
 
+#: A loop that calls ``f(i)`` 40 times; each ``f`` faults at i == 31.
+_FAULT_LOOP = """
+class Box { int v; int get() { return v; } }
+class Main {
+    static int f(int i) { %s }
+    static void main() {
+        int acc = 0;
+        for (int i = 0; i < 40; i++) { acc = acc + f(i); }
+        Sys.printInt(acc);
+    }
+}"""
+
+#: The faulting runs both tiers must contain alike ("budget" runs a
+#: workload out of its instruction budget instead).
+FAULT_SOURCES = {
+    "budget": None,
+    "null": NULL_DEREF_SOURCE,
+    "div": _FAULT_LOOP % "return 100 / (31 - i);",
+    "mod": _FAULT_LOOP % "return 100 % (31 - i);",
+    "bounds": _FAULT_LOOP % "int[] a = new int[32]; a[i] = i; "
+                            "return a[i + 1];",
+    "negsize": _FAULT_LOOP % "int[] a = new int[30 - i]; return a.length;",
+    "nullrecv": _FAULT_LOOP % "Box b = new Box(); b.v = i; "
+                              "if (i == 31) { b = null; } return b.get();",
+}
+
+
 def _run(program, exec_mode, tracer=None, sampling=None):
     vm = VM(program, tracer=tracer, exec_mode=exec_mode,
             sampling=sampling)
@@ -110,13 +137,14 @@ class TestTierEquivalence:
                           tracer=CostTracker(**params))
             compiled = _run(program, EXEC_COMPILED,
                             tracer=CostTracker(**params))
+            assert interp.exec_tier == EXEC_INTERP
             assert compiled.exec_tier == EXEC_COMPILED
             assert compiled.stdout() == interp.stdout()
             assert compiled.instr_count == interp.instr_count
             assert _profile(compiled) == _profile(interp), params
         _assert_tracked_template_ran(program)
 
-    @pytest.mark.parametrize("fault", ["budget", "null"])
+    @pytest.mark.parametrize("fault", sorted(FAULT_SOURCES))
     def test_faulting_run_leaves_the_same_partial_profile(self, fault):
         # Fault containment: the tracker's graph-so-far is a salvageable
         # partial profile, and it is the same on both tiers.
@@ -127,17 +155,21 @@ class TestTierEquivalence:
             program = spec.build("unopt", spec.small_scale)
             max_steps = 30_000
         else:
-            program = compile_source(NULL_DEREF_SOURCE)
+            program = compile_source(FAULT_SOURCES[fault])
             max_steps = 2_000_000_000
-        runs = {}
+        runs, errors = {}, {}
         for tier in (EXEC_INTERP, EXEC_COMPILED):
             vm = VM(program, tracer=CostTracker(slots=16), exec_mode=tier,
                     max_steps=max_steps)
-            with pytest.raises(VMError):
+            with pytest.raises(VMError) as info:
                 vm.run()
+            assert vm.exec_tier == tier
             runs[tier] = vm
+            errors[tier] = (type(info.value), info.value.where)
         interp, compiled = runs[EXEC_INTERP], runs[EXEC_COMPILED]
+        assert errors[EXEC_COMPILED] == errors[EXEC_INTERP]
         assert compiled.instr_count == interp.instr_count
+        assert compiled.phase_counts == interp.phase_counts
         assert compiled.tracer.graph.num_nodes > 0
         assert _profile(compiled) == _profile(interp)
         _assert_tracked_template_ran(program)
@@ -177,6 +209,88 @@ class Main { static void main() { Sys.printInt(7); } }
 def _methods(program):
     return {method for cls in program.classes.values()
             for method in cls.methods.values()}
+
+
+#: ``rec`` recurses 25 deep, is called from compiled ``start`` and calls
+#: compiled ``Acc.add``; ``BASE`` is the argument of its base case.
+MIXED_SOURCE = """
+class Acc {
+    int total;
+    int add(int x) { total = total + x; return total; }
+}
+class Main {
+    static int rec(Acc acc, int n) {
+        if (n <= 0) { return acc.add(BASE); }
+        int here = acc.add(n * n);
+        return rec(acc, n - 1) + here % 7;
+    }
+    static int start(int n) {
+        Acc acc = new Acc();
+        Sys.phase("deep");
+        int r = rec(acc, n);
+        Sys.printInt(acc.total);
+        return r;
+    }
+    static void main() { Sys.printInt(start(25)); }
+}"""
+
+
+class TestMixedTiers:
+    """One activation driver runs any mix of activation functions: an
+    untracked run in which only ``Main.rec`` runs the reference loop
+    and every other method its plain template matches the all-compiled
+    and all-interpreted runs."""
+
+    def _runs(self, base):
+        from repro.lang import compile_source
+        from repro.vm import VMError
+        from repro.vm.compiled import VARIANT_PLAIN
+        from repro.vm.interpreter import interpret
+        program = compile_source(MIXED_SOURCE.replace("BASE", base))
+        rec = program.classes["Main"].methods["rec"]
+        interpreted = []
+
+        def spy(rt, frame, count, limit):
+            interpreted.append(frame.method)
+            return interpret(rt, frame, count, limit)
+
+        plain = compiled_tier(program, VARIANT_PLAIN)
+        tier = {method: spy if method is rec else plain[method]
+                for method in _methods(program)}
+        runs, errors = {}, {}
+        for name in (EXEC_INTERP, EXEC_COMPILED, "mixed"):
+            vm = VM(program, exec_mode=name if name != "mixed" else None)
+            try:
+                if name == "mixed":
+                    vm._drive(tier, tier)
+                else:
+                    vm.run()
+                    assert vm.exec_tier == name
+            except VMError as error:
+                errors[name] = (type(error), error.where)
+            runs[name] = vm
+        assert interpreted == [rec] * 26
+        return runs, errors
+
+    def test_one_method_interpreted_among_compiled(self):
+        runs, errors = self._runs("1")
+        assert not errors
+        mixed = runs.pop("mixed")
+        assert mixed.finished
+        for vm in runs.values():
+            assert mixed.stdout() == vm.stdout()
+            assert mixed.instr_count == vm.instr_count
+            assert mixed.phase_counts == vm.phase_counts
+            assert mixed.result == vm.result
+        assert "deep" in mixed.phase_counts
+
+    def test_fault_inside_the_interpreted_method(self):
+        runs, errors = self._runs("1 / (n - n)")
+        assert len(errors) == 3
+        assert len(set(errors.values())) == 1
+        assert len({vm.instr_count for vm in runs.values()}) == 1
+        assert len({tuple(sorted(vm.phase_counts.items()))
+                    for vm in runs.values()}) == 1
 
 
 class _EntryRecorder(CostTracker):
