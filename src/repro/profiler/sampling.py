@@ -21,8 +21,9 @@ heap, so def-use chains that cross a window boundary are lost and
 almost every sampled node looks "ultimately dead".  Bloat
 classification therefore always comes from an exact (unsampled) run;
 tools that consume sampled profiles must report frequency estimates
-only.  ``bench_matrix`` measures the bias explicitly rather than
-hiding it.
+only.  ``tests/test_compiled.py::TestSampling::
+test_ipd_bias_direction_is_overapproximation`` pins the bias's
+direction rather than hiding it.
 
 The schedule is a pure function of the executed-instruction count --
 never of wall-clock time -- so a supervised retry or a checkpoint

@@ -623,6 +623,23 @@ class TestDaemon:
                         json.dumps(batch, sort_keys=True), len(pushed)
                     assert racs == batch["hrac"], len(pushed)
 
+    def test_queries_share_one_site_map_per_program(self):
+        """Allocation-site names are built once per compiled program:
+        ``report``, ``rac`` and ``report`` again all read the map the
+        first query kept on the daemon's cached program."""
+        daemon = AnalysisDaemon(TenantRegistry())
+        assert daemon._handle({"type": "push", "tenant": "app",
+                               "shard": make_shard("s0")})["type"] == "ok"
+        spec = {"source": SOURCE, "use_stdlib": False}
+        maps = []
+        for kind in ("report", "rac", "report"):
+            response = daemon._handle({"type": "query", "tenant": "app",
+                                       "kind": kind, "program": spec})
+            assert response["type"] == "ok", response
+            maps.append(daemon._program(kind, spec)._site_descriptions)
+        assert maps[0]
+        assert maps[0] is maps[1] is maps[2]
+
     def test_query_error_paths(self, tmp_path):
         with DaemonHarness(tmp_path) as harness:
             with harness.client() as client:
