@@ -40,7 +40,6 @@ class CopyProfiler(TracerBase):
         self.graph = DependenceGraph()
         self._static_origin = {}
         self._static_shadow = {}
-        self._ret = (None, BOTTOM)
         self.copy_instructions = 0
         self.total_instructions = 0
         #: node id -> True when the node is a heap load (chain source)
@@ -50,12 +49,10 @@ class CopyProfiler(TracerBase):
 
     # -- origin/shadow helpers ---------------------------------------------------
 
-    def _shadow(self, frame):
-        # frame.shadow maps register -> (node id | None, origin)
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = frame.shadow = {}
-        return shadow
+    def _untracked_return(self, frame, dest):
+        # Frame shadows map register -> (node id | None, origin); a
+        # call that returns no shadow returns a value of no origin.
+        self._shadow(frame)[dest] = (None, BOTTOM)
 
     def _obj_shadow(self, obj):
         if obj.shadow is None:
@@ -160,30 +157,11 @@ class CopyProfiler(TracerBase):
 
     def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
         self.total_instructions += 1
-        caller_shadow = self._shadow(caller_frame)
-        callee_shadow = {}
-        for (name, _), arg_reg in zip(callee_frame.method.params,
-                                      instr.args):
-            entry = caller_shadow.get(arg_reg)
-            if entry is not None:
-                callee_shadow[name] = entry
-        if recv_obj is not None and instr.recv is not None:
-            entry = caller_shadow.get(instr.recv)
-            if entry is not None:
-                callee_shadow["this"] = entry
-        callee_frame.shadow = callee_shadow
+        super().trace_call(instr, caller_frame, callee_frame, recv_obj)
 
     def trace_return(self, instr, frame):
         self.total_instructions += 1
-        if instr.src is not None:
-            self._ret = self._shadow(frame).get(instr.src, (None, BOTTOM))
-        else:
-            self._ret = (None, BOTTOM)
-
-    def trace_call_complete(self, instr, caller_frame):
-        if instr.dest is not None:
-            self._shadow(caller_frame)[instr.dest] = self._ret
-        self._ret = (None, BOTTOM)
+        super().trace_return(instr, frame)
 
     def trace_native(self, instr, frame):
         self.total_instructions += 1

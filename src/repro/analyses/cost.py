@@ -72,14 +72,11 @@ class TaintCostTracker(TracerBase):
     def __init__(self):
         super().__init__()
         self._static = {}
-        self._ret = 0
         self.sink_costs = []
 
-    def _shadow(self, frame):
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = frame.shadow = {}
-        return shadow
+    def _untracked_return(self, frame, dest):
+        # A call that returns no shadow returns a value of no cost.
+        self._shadow(frame)[dest] = 0
 
     def trace_instr(self, instr, frame):
         shadow = self._shadow(frame)
@@ -137,27 +134,6 @@ class TaintCostTracker(TracerBase):
         shadow = self._shadow(frame)
         arr.shadow[idx] = (shadow.get(instr.src, 0)
                            + shadow.get(instr.idx, 0) + 1)
-
-    def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
-        caller_shadow = self._shadow(caller_frame)
-        callee_shadow = {}
-        for (name, _), arg_reg in zip(callee_frame.method.params,
-                                      instr.args):
-            callee_shadow[name] = caller_shadow.get(arg_reg, 0)
-        if recv_obj is not None and instr.recv is not None:
-            callee_shadow["this"] = caller_shadow.get(instr.recv, 0)
-        callee_frame.shadow = callee_shadow
-
-    def trace_return(self, instr, frame):
-        if instr.src is not None:
-            self._ret = self._shadow(frame).get(instr.src, 0)
-        else:
-            self._ret = 0
-
-    def trace_call_complete(self, instr, caller_frame):
-        if instr.dest is not None:
-            self._shadow(caller_frame)[instr.dest] = self._ret
-        self._ret = 0
 
     def trace_native(self, instr, frame):
         shadow = self._shadow(frame)

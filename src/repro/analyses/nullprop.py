@@ -77,12 +77,14 @@ def explain_null_failure(tracker: NullTracker, error: VMNullError,
     """
     instr = error.instr
     frame = error.frame
-    if instr is None or frame is None or frame.shadow is None:
+    if instr is None or frame is None:
         return None
     reg = _base_register(instr)
     if reg is None:
         return None
-    start = frame.shadow.get(reg)
+    # Through the accessor: a callee that faults before any hook ran
+    # still holds the entry tuple its caller left.
+    start = tracker._shadow(frame).get(reg)
     if start is None:
         return None
 

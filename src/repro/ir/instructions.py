@@ -413,6 +413,12 @@ class Call(Instruction):
             regs.append(self.recv)
         return tuple(regs)
 
+    def entry_args(self) -> list:
+        """The registers bound to the callee's
+        :attr:`~repro.ir.module.MethodDef.entry_registers`, in their
+        order: the receiver, then the arguments."""
+        return ([self.recv] if self.recv is not None else []) + self.args
+
     def defs(self):
         return self.dest
 

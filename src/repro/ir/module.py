@@ -63,6 +63,14 @@ class MethodDef:
     def param_names(self):
         return [name for name, _ in self.params]
 
+    @property
+    def entry_registers(self) -> tuple:
+        """The registers an activation starts with: ``this`` for an
+        instance method, then the parameters.  A call hands its shadows
+        over in this order (:mod:`repro.profiler.base`)."""
+        params = tuple(name for name, _ in self.params)
+        return params if self.is_static else ("this",) + params
+
     def __repr__(self):
         return f"<method {self.qualified_name}/{len(self.params)}>"
 

@@ -334,6 +334,15 @@ def child_hub(context: TraceContext, sink) -> "Telemetry":
                      parent_span=context.parent_span)
 
 
+def bound_shadows(shadow) -> int:
+    """Shadow locations bound in one frame's ``shadow``: its register
+    map, or the entry tuple its caller left, whose ``None`` entries
+    have no producer (:mod:`repro.profiler.base`)."""
+    if type(shadow) is tuple:
+        return len(shadow) - shadow.count(None)
+    return len(shadow) if shadow else 0
+
+
 # -- the live hub ------------------------------------------------------------
 
 
@@ -476,19 +485,16 @@ class Telemetry:
         checkpoint.
 
         Reports executed instructions, heap allocations, live
-        shadow-location population (per-frame shadow maps, or
-        ``shadow`` when the caller counted them itself, plus the
+        shadow-location population (each frame's
+        :func:`bound_shadows`, or ``shadow`` when the caller counted
+        them itself, plus the
         tracker's static shadow), and — when the tracer builds a
         dependence graph — Gcost node/edge counts, so node/edge growth
         and shadow-memory footprint are visible *over time*, not just
         at exit.
         """
         if shadow is None:
-            shadow = 0
-            for frame in stack:
-                frame_shadow = getattr(frame, "shadow", None)
-                if frame_shadow:
-                    shadow += len(frame_shadow)
+            shadow = sum(bound_shadows(frame.shadow) for frame in stack)
         fields = {"i": count, "heap": vm.heap.total_allocated,
                   "shadow": shadow, "frames": len(stack)}
         tracer = vm.tracer

@@ -11,11 +11,13 @@ the Figure-2 client analyses instantiate it differently:
 * extended copy profiling: ``D = O × P ∪ {⊥}`` (origin field).
 
 :class:`AbstractThinSlicer` is a tracer skeleton implementing thin-
-slicing shadow propagation once; subclasses provide the abstraction
-function.  Returning ``None`` from the abstraction function means "this
-instance is not tracked" (the function is undefined there, as in the
-typestate client), in which case no node is created but shadows still
-propagate so later tracked instructions see their producers.
+slicing shadow propagation within a method; the handoff across calls
+is :class:`~repro.profiler.base.TracerBase`'s, which every tracker
+shares.  Subclasses provide the abstraction function.  Returning
+``None`` from the abstraction function means "this instance is not
+tracked" (the function is undefined there, as in the typestate
+client), in which case no node is created but shadows still propagate
+so later tracked instructions see their producers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class AbstractThinSlicer(TracerBase):
         super().__init__()
         self.graph = DependenceGraph()
         self._static_shadow = {}
-        self._ret_node = None
 
     # -- the client's abstraction function -----------------------------------
 
@@ -47,12 +48,6 @@ class AbstractThinSlicer(TracerBase):
         raise NotImplementedError
 
     # -- shared machinery --------------------------------------------------------
-
-    def _shadow(self, frame):
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = frame.shadow = {}
-        return shadow
 
     def _make_node(self, instr, frame, value, flag: int = 0):
         d = self.abstraction(instr, frame, value)
@@ -170,31 +165,6 @@ class AbstractThinSlicer(TracerBase):
             arr.shadow[idx] = node
         else:
             arr.shadow.pop(idx, None)
-
-    def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
-        caller_shadow = self._shadow(caller_frame)
-        callee_shadow = {}
-        for (name, _), arg_reg in zip(callee_frame.method.params,
-                                      instr.args):
-            src = caller_shadow.get(arg_reg)
-            if src is not None:
-                callee_shadow[name] = src
-        if recv_obj is not None and instr.recv is not None:
-            src = caller_shadow.get(instr.recv)
-            if src is not None:
-                callee_shadow["this"] = src
-        callee_frame.shadow = callee_shadow
-
-    def trace_return(self, instr, frame):
-        if instr.src is not None:
-            self._ret_node = self._shadow(frame).get(instr.src)
-        else:
-            self._ret_node = None
-
-    def trace_call_complete(self, instr, caller_frame):
-        if instr.dest is not None and self._ret_node is not None:
-            self._shadow(caller_frame)[instr.dest] = self._ret_node
-        self._ret_node = None
 
     def trace_native(self, instr, frame):
         node = self.graph.node(instr.iid, CONTEXTLESS, F_NATIVE)

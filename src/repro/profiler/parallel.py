@@ -162,8 +162,12 @@ class ProfileJob:
         raise ValueError(f"unknown job kind {self.kind!r}")
 
 
-#: ``((source, use_stdlib), program)`` of this process's last compile.
-_last_compile = None
+#: Programs this process compiled, by ``(source, use_stdlib)``, oldest
+#: first: at most :data:`MAX_CACHED_PROGRAMS`.
+_compiled = {}
+
+#: Compiled programs :func:`compile_program` keeps per process.
+MAX_CACHED_PROGRAMS = 8
 
 
 def compile_program(source: str, use_stdlib: bool, origin: str = None):
@@ -173,15 +177,16 @@ def compile_program(source: str, use_stdlib: bool, origin: str = None):
     The CLI compiles a program once in the parent; shard workers
     forked from it inherit the memo and skip lex, parse, typecheck and
     codegen.  Under ``spawn`` the memo starts empty and the worker
-    compiles from its recipe.  The returned program is shared between
-    runs (the VM only caches its compiled tiers on it).  The
-    ``compile`` span, tagged ``file=origin``, is emitted only when the
-    compile actually runs.
+    compiles from its recipe.  The daemon's queries compile through
+    the same memo.  The returned program is shared between runs (the
+    VM only caches its compiled tiers on it).  The ``compile`` span,
+    tagged ``file=origin``, is emitted only when the compile actually
+    runs; the memo drops its oldest program to take a ninth.
     """
-    global _last_compile
     key = (source, use_stdlib)
-    if _last_compile is not None and _last_compile[0] == key:
-        return _last_compile[1]
+    program = _compiled.get(key)
+    if program is not None:
+        return program
     from ..observability.telemetry import current
     with current().span("compile", file=origin):
         if use_stdlib:
@@ -190,7 +195,9 @@ def compile_program(source: str, use_stdlib: bool, origin: str = None):
         else:
             from ..lang import compile_source
             program = compile_source(source)
-    _last_compile = (key, program)
+    if len(_compiled) >= MAX_CACHED_PROGRAMS:
+        del _compiled[next(iter(_compiled))]
+    _compiled[key] = program
     return program
 
 

@@ -17,8 +17,10 @@ instruction it
 * adds reference edges between field stores and the context-matching
   allocation node (pruning spurious edges exactly as rule ALLOC's
   context-annotated tags do),
-* passes dependences across calls via per-frame shadow maps (the
-  tracking stack ``T`` of rules METHOD ENTRY / RETURN).
+* passes dependences across calls through
+  :class:`~repro.profiler.base.TracerBase`'s shadow handoff (the
+  tracking stack ``T`` of rules METHOD ENTRY / RETURN), adding the
+  receiver context on entry and the returned nodes on return.
 
 Tracking can be restricted to named execution phases (``Sys.phase``),
 reproducing §4.1's reduced-overhead mode.
@@ -95,7 +97,6 @@ class CostTracker(TracerBase):
         #: method -> its rows and cells, as the tracked template binds
         #: them once per activation (see :meth:`_method_rows`).
         self._bound_rows = {}
-        self._ret_node = None      # shadow of the value being returned
         #: branch iid -> [times taken, times not taken]; consumed by the
         #: always-true/always-false predicate client (§3.2).
         self.branch_outcomes = self._state.branch_outcomes
@@ -148,12 +149,6 @@ class CostTracker(TracerBase):
                             edges=self.graph.num_edges)
 
     # -- helpers --------------------------------------------------------------
-
-    def _shadow(self, frame):
-        shadow = frame.shadow
-        if shadow is None:
-            shadow = frame.shadow = {}
-        return shadow
 
     def _node(self, iid: int, dctx: int, g: int, flag: int = 0) -> int:
         """Context-annotated node, with CR bookkeeping.
@@ -428,18 +423,7 @@ class CostTracker(TracerBase):
     # -- calls ------------------------------------------------------------------------
 
     def trace_call(self, instr, caller_frame, callee_frame, recv_obj):
-        caller_shadow = self._shadow(caller_frame)
-        callee_shadow = {}
-        target = callee_frame.method
-        for (name, _), arg_reg in zip(target.params, instr.args):
-            src = caller_shadow.get(arg_reg)
-            if src is not None:
-                callee_shadow[name] = src
-        if recv_obj is not None and instr.recv is not None:
-            src = caller_shadow.get(instr.recv)
-            if src is not None:
-                callee_shadow["this"] = src
-        callee_frame.shadow = callee_shadow
+        super().trace_call(instr, caller_frame, callee_frame, recv_obj)
         # Rule METHOD ENTRY: extend the receiver chain for instance
         # methods; static methods inherit the caller's chain unchanged.
         if recv_obj is not None:
@@ -451,24 +435,15 @@ class CostTracker(TracerBase):
         if self.track_control:
             callee_frame.last_pred = caller_frame.last_pred
 
-    def trace_return(self, instr, frame):
-        self._return(instr.iid, None if instr.src is None
-                     else self._shadow(frame).get(instr.src))
-
     def _return(self, iid, node):
-        """Rule RETURN: ``node`` (the returned value's shadow) waits
-        for the caller's :meth:`trace_call_complete`."""
+        """Rule RETURN, plus the returned node for the return-cost
+        client."""
         self._ret_node = node
         if node is not None:
             nodes = self.return_nodes.get(iid)
             if nodes is None:
                 nodes = self.return_nodes[iid] = set()
             nodes.add(node)
-
-    def trace_call_complete(self, instr, caller_frame):
-        if instr.dest is not None and self._ret_node is not None:
-            self._shadow(caller_frame)[instr.dest] = self._ret_node
-        self._ret_node = None
 
     # -- natives ------------------------------------------------------------------------
 

@@ -20,8 +20,8 @@ code paths batch mode uses (:func:`bloat_report_data`, the batched
 slicing engine) — the engine cache on a tenant's graph is invalidated
 by the folds themselves (frequency/edge counts change), so a query
 after new pushes transparently re-batches.  Compiled programs for
-``report``/``rac``/``rab`` queries are cached daemon-wide by source
-hash.
+``report``/``rac``/``rab`` queries come from the process's compile memo
+(:func:`repro.profiler.parallel.compile_program`).
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from .protocol import (DEFAULT_MAX_FRAME, E_BAD_MESSAGE, E_NO_PROGRAM,
                        QUERY_KINDS, ServiceError, encode_frame,
                        error_response, ok_response, read_frame)
 from .registry import TenantRegistry
-
-#: Compiled programs kept in the daemon-wide query cache.
-MAX_CACHED_PROGRAMS = 8
 
 
 class AnalysisDaemon:
@@ -63,7 +60,6 @@ class AnalysisDaemon:
         self.started = time.monotonic()
         self.connections = 0
         self.frame_errors = 0
-        self._programs = {}
         #: Each open connection's handler task and its writer.
         self._open = {}
         self._loop = None
@@ -386,23 +382,10 @@ class AnalysisDaemon:
         if not isinstance(source, str):
             raise ServiceError(E_NO_PROGRAM,
                                "program source must be a string")
-        import hashlib
-        key = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
-               use_stdlib)
-        program = self._programs.get(key)
-        if program is None:
-            try:
-                if use_stdlib:
-                    from ..stdlib import compile_with_stdlib
-                    program = compile_with_stdlib(source)
-                else:
-                    from ..lang import compile_source
-                    program = compile_source(source)
-            except Exception as error:
-                raise ServiceError(
-                    E_QUERY_FAILED,
-                    f"program does not compile: {error}") from error
-            if len(self._programs) >= MAX_CACHED_PROGRAMS:
-                self._programs.pop(next(iter(self._programs)))
-            self._programs[key] = program
-        return program
+        from ..profiler.parallel import compile_program
+        try:
+            return compile_program(source, use_stdlib)
+        except Exception as error:
+            raise ServiceError(
+                E_QUERY_FAILED,
+                f"program does not compile: {error}") from error

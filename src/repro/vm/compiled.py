@@ -21,9 +21,12 @@ exist; the tracer's type selects one per run:
   frequency, tests its def-use edges against the source nodes'
   successor sets and stores its shadow, with no call on the hot path;
   heap stores, array accesses, allocations, natives and returns call
-  tracker helpers that take node ids and values.  A call hands the
-  argument shadows to the callee on its frame; a return leaves its
-  node with the tracker for the caller's resume.
+  tracker helpers that take node ids and values.  Calls and returns
+  follow :mod:`repro.profiler.base`'s shadow handoff: a call leaves
+  the callee's entry tuple on its frame, which the callee's prologue
+  unpacks in ``MethodDef.entry_registers`` order; a return leaves its
+  node with the tracker for the caller's resume.  So either side of a
+  call may be an interpreted activation.
 
 Every other tracer (the client analyses, ``CostTracker`` subclasses)
 has no template: :func:`template_tiers` declines the run and the VM
@@ -67,9 +70,11 @@ and compiled on its first call.
 from __future__ import annotations
 
 from ..ir import instructions as ins
+from ..observability.telemetry import bound_shadows
 from .errors import (VMArithmeticError, VMBoundsError, VMError, VMNullError)
 from .frames import Frame
-from .interpreter import _as_str, _is_ref, _java_div, _java_rem, _string_hash
+from .interpreter import (_as_str, _is_ref, _java_div, _java_rem,
+                          _string_hash, interpret)
 from .natives import lookup_native
 
 VARIANT_PLAIN = "plain"
@@ -103,21 +108,25 @@ def _bind_tracked(rt, gens):
               graph.add_edge, tracker._control_dep, tracker._tag,
               tracker._alloc, tracker._new_array, tracker._store,
               tracker._array_load, tracker._native, tracker._return)
-    rt.live_shadow = lambda: _live_shadow(gens)
+    rt.live_shadow = lambda: _live_shadow(gens, rt.stack)
 
 
-def _live_shadow(gens) -> int:
+def _live_shadow(gens, stack) -> int:
     """Shadow locations held by the tracked activations on the stack.
 
-    Their shadows are Python locals named ``s<n>``; this cold path (one
-    telemetry growth sample) counts the bound ones, which is what the
-    interpreter's per-frame shadow maps hold.
+    A template's shadows are Python locals named ``s<n>``; this cold
+    path (one telemetry growth sample) counts the bound ones, which is
+    what the interpreter's per-frame shadows hold.  An activation of
+    the reference loop (in a mixed tier) keeps them on its frame.
     """
     total = 0
-    for gen, tracked in gens:
-        frame = gen.gi_frame
-        if tracked and frame is not None:
-            total += sum(1 for name, node in frame.f_locals.items()
+    for (gen, tracked), frame in zip(gens, stack):
+        if not tracked:
+            continue
+        if gen.gi_code is interpret.__code__:
+            total += bound_shadows(frame.shadow)
+        elif gen.gi_frame is not None:
+            total += sum(1 for name, node in gen.gi_frame.f_locals.items()
                          if node is not None and name[0] == "s"
                          and name[1:].isdigit())
     return total
@@ -305,10 +314,7 @@ class _MethodEmitter:
         if not self.tracked:
             self.emit(1, "_fire = rt.fire")
         # Entry registers (receiver + parameters) become locals.
-        entry_regs = []
-        if not self.method.is_static:
-            entry_regs.append("this")
-        entry_regs.extend(name for name, _ in self.method.params)
+        entry_regs = self.method.entry_registers
         bound = [name for name in entry_regs if name in self._mangled]
         if self.tracked:
             self._emit_tracked_prologue(entry_regs)
@@ -705,11 +711,10 @@ class _MethodEmitter:
                 self.emit(d, f"_cr[{pname!r}] = {R(arg_reg)}")
             target_expr = mname
         if self.tracked:
-            # Rule METHOD ENTRY: one shadow per entry register of the
-            # callee (receiver first), then the receiver chain.
-            entry = ([instr.recv] if instr.recv is not None else [])
-            shadows = "".join(f"{self.shadow(r)}, " for r in
-                              entry + list(instr.args))
+            # Rule METHOD ENTRY: the callee's entry tuple (see
+            # profiler/base.py), then the receiver chain.
+            shadows = "".join(f"{self.shadow(r)}, "
+                              for r in instr.entry_args())
             context = ("_cf.g = _g = _xc(g, _r.site); _cf.dctx = _g % slots"
                        if instr.recv is not None
                        else "_cf.g = g; _cf.dctx = g % slots")

@@ -4,7 +4,9 @@ A frame holds the register file for one activation.  The profiler
 attaches two pieces of state per frame:
 
 * ``shadow`` — the paper's environment ``S`` restricted to this frame's
-  registers (register name -> dependence-graph node id),
+  registers (register name -> dependence-graph node id), or the entry
+  tuple the caller left until the callee first uses it
+  (:mod:`repro.profiler.base`),
 * ``g`` — the encoded receiver-object context chain for this activation
   (the paper's ``objCon`` value before the mod-``s`` reduction), and
   ``dctx`` — its slot in the bounded domain.

@@ -48,15 +48,21 @@ v)``                             StoreField, after the write
 idx)``                           ArrayLoad, after the read
 ``trace_array_store(i, f, a,
 idx, v)``                        ArrayStore, after the write
-``trace_call(i, cf, nf, recv)``  Call, after the callee frame is built
-``trace_return(i, f)``           Return, before the frame pops
-``trace_call_complete(i, f)``    back in the caller, after dest assignment
+``trace_call(i, cf, nf, recv)``  Call, after the callee frame is built;
+                                 leaves the callee's entry tuple
+``trace_return(i, f)``           Return, before the frame pops; leaves the
+                                 returned shadow on the tracer
+``trace_call_complete(i, f)``    back in the caller, after dest assignment;
+                                 gives that shadow to dest
 ``trace_native(i, f)``           CallNative, after the native ran
 ``on_phase(name)``               Sys.phase — fired even when disabled
 ===============================  ============================================
 
 Tracers expose ``enabled``; when False only ``on_phase`` fires, which is
-how phase-restricted tracking (§4.1) is implemented.
+how phase-restricted tracking (§4.1) is implemented.  The three call
+hooks are :class:`repro.profiler.base.TracerBase`'s shadow handoff,
+the convention the compiled tier's tracked template follows too, so a
+tracked run may mix the tiers activation by activation.
 
 Observability
 -------------

@@ -98,6 +98,32 @@ Sys.printInt(got.v);
         origin = explain_null_failure(tracker, error, program)
         assert origin is not None
 
+    def test_null_argument_dereferenced_on_entry(self):
+        """The callee's first instruction dereferences a null argument,
+        before any hook has touched the callee's frame: the origin
+        still resolves through the shadow its caller handed over."""
+        extra = """
+class A {
+    int v;
+    static int get(A a) { return a.v; }
+}
+"""
+        body = """
+A a = null;
+Sys.printInt(A.get(a));
+"""
+        program, tracker, error = null_run(body, extra)
+        assert error is not None
+        assert program.method_of(error.instr.iid).name == "get"
+        assert error.instr is program.method_of(error.instr.iid).body[0]
+        origin = explain_null_failure(tracker, error, program)
+        assert origin is not None
+        # Born at the `null` literal in main, then moved into `a`.
+        assert [program.method_of(iid).name
+                for iid in origin.path_iids] == ["main", "main"]
+        assert origin.origin_iid == origin.path_iids[0]
+        assert program.instructions[origin.origin_iid].value is None
+
     def test_no_failure_no_report(self):
         body = "Sys.printInt(1);"
         program, tracker, error = null_run(body)

@@ -236,10 +236,10 @@ class Main {
 
 
 class TestMixedTiers:
-    """One activation driver runs any mix of activation functions: an
-    untracked run in which only ``Main.rec`` runs the reference loop
-    and every other method its plain template matches the all-compiled
-    and all-interpreted runs."""
+    """``VM._drive`` runs any mix of activation functions: a
+    run in which only ``Main.rec`` runs the reference loop and every
+    other method its template (or the inverse) matches the all-compiled
+    and all-interpreted runs, untracked and tracked."""
 
     def _runs(self, base):
         from repro.lang import compile_source
@@ -291,6 +291,68 @@ class TestMixedTiers:
         assert len({vm.instr_count for vm in runs.values()}) == 1
         assert len({tuple(sorted(vm.phase_counts.items()))
                     for vm in runs.values()}) == 1
+
+    @pytest.mark.parametrize("sampling", [None, "16:64:16"],
+                             ids=["exact", "sampled"])
+    @pytest.mark.parametrize("rec_interpreted", [True, False],
+                             ids=["rec-interpreted", "rec-compiled"])
+    def test_tracked_mix_equals_both_tiers(self, rec_interpreted, sampling):
+        """Shadows cross the tiers both ways: the template caller's entry
+        tuple reaches an interpreted callee's hooks, the hooks' tuple a
+        template, and each side's returned node the other's caller.
+        Under burst sampling the untracked bursts run the same mix of
+        reference loop and plain templates.  Growth samples count the
+        same live shadows on every tier."""
+        from repro.lang import compile_source
+        from repro.observability import Telemetry
+        from repro.vm.compiled import VARIANT_PLAIN, _bind_tracked
+        from repro.vm.interpreter import interpret
+        program = compile_source(MIXED_SOURCE.replace("BASE", "1"))
+        rec = program.classes["Main"].methods["rec"]
+        interpreted = set()
+
+        def spy(rt, frame, count, limit):
+            interpreted.add(frame.method)
+            return interpret(rt, frame, count, limit)
+
+        def mix(templates):
+            return {method: spy if (method is rec) == rec_interpreted
+                    else templates[method] for method in _methods(program)}
+
+        runs = {}
+        for name in (EXEC_INTERP, EXEC_COMPILED, "mixed"):
+            vm = VM(program, tracer=CostTracker(slots=16, track_control=True),
+                    exec_mode=name if name != "mixed" else None,
+                    sampling=parse_sample_spec(sampling),
+                    telemetry=Telemetry(sample_interval=16))
+            if name == "mixed":
+                vm._drive(mix(compiled_tier(program, VARIANT_TRACKED)),
+                          mix(compiled_tier(program, VARIANT_PLAIN)),
+                          _bind_tracked)
+            else:
+                vm.run()
+                assert vm.exec_tier == name
+            runs[name] = vm
+        assert (interpreted == {rec}) == rec_interpreted
+        assert interpreted and (rec in interpreted) == rec_interpreted
+        mixed = runs.pop("mixed")
+        assert mixed.finished
+        if sampling is not None:
+            assert mixed.sampling_stats()["toggles"] > 0
+        for vm in runs.values():
+            assert mixed.stdout() == vm.stdout()
+            assert mixed.instr_count == vm.instr_count
+            assert mixed.phase_counts == vm.phase_counts
+            assert mixed.sampling_stats() == vm.sampling_stats()
+            assert _profile(mixed) == _profile(vm)
+            assert _growth(mixed) == _growth(vm)
+        assert any(shadow for _, shadow in _growth(mixed))
+
+
+def _growth(vm):
+    """The run's telemetry growth samples: instructions and shadows."""
+    return [(event["i"], event["shadow"]) for event in vm.telemetry.sink.events
+            if event["ev"] == "sample"]
 
 
 class _EntryRecorder(CostTracker):

@@ -53,6 +53,8 @@ from repro.profiler import (CostTracker, DependenceGraph, TrackerState,
                             merge_graphs)
 from repro.service import AnalysisDaemon, TenantRegistry
 from repro.vm import VM
+from repro.vm.compiled import VARIANT_TRACKED, _bind_tracked, compiled_tier
+from repro.vm.interpreter import interpret
 
 N_VARS = 3
 
@@ -321,18 +323,39 @@ def _tracked(source, exec_mode, params):
     return vm
 
 
-@given(heap_program_source(), st.sampled_from(_TRACKER_PARAMS))
+def _tracked_mixed(source, params, data):
+    """A tracked run in which a drawn subset of the program's methods
+    runs the reference loop and every other method its tracked
+    template."""
+    program = compile_source(source)
+    methods = sorted((method for cls in program.classes.values()
+                      for method in cls.methods.values()),
+                     key=lambda method: method.qualified_name)
+    interpreted = data.draw(st.sets(st.sampled_from(methods)),
+                            label="interpreted")
+    templates = compiled_tier(program, VARIANT_TRACKED)
+    fns = {method: interpret if method in interpreted
+           else templates[method] for method in methods}
+    vm = VM(program, tracer=CostTracker(**params), max_steps=5_000_000)
+    vm._drive(fns, fns, _bind_tracked)
+    return vm
+
+
+@given(heap_program_source(), st.sampled_from(_TRACKER_PARAMS), st.data())
 @settings(max_examples=40, deadline=None)
-def test_compiled_tracked_equals_interpreted(source, params):
+def test_compiled_tracked_equals_interpreted(source, params, data):
     """The compiled tier's tracked template builds exactly the profile
-    the interpreter's tracker hooks build."""
+    the interpreter's tracker hooks build, and so does any mix of the
+    two, whose calls and returns hand shadows across the tiers."""
     interp = _tracked(source, "interp", params)
     compiled = _tracked(source, "compiled", params)
+    mixed = _tracked_mixed(source, params, data)
     assert compiled.exec_tier == "compiled"
-    assert compiled.stdout() == interp.stdout()
-    assert compiled.instr_count == interp.instr_count
-    assert canonical_form(compiled.tracer.graph, compiled.tracer.state()) \
-        == canonical_form(interp.tracer.graph, interp.tracer.state())
+    profile = canonical_form(interp.tracer.graph, interp.tracer.state())
+    for vm in (compiled, mixed):
+        assert vm.stdout() == interp.stdout()
+        assert vm.instr_count == interp.instr_count
+        assert canonical_form(vm.tracer.graph, vm.tracer.state()) == profile
 
 
 def _shard(source, params):
