@@ -62,8 +62,7 @@ def test_fig6_low_utility_list(benchmark, results_dir):
 
     program, tracker, vm = benchmark.pedantic(run, rounds=1,
                                               iterations=1)
-    reports = analyze_cost_benefit(tracker.graph, program,
-                                   heap=vm.heap)
+    reports = analyze_cost_benefit(tracker.graph, program)
     assert reports, "no cost-benefit data"
 
     by_what = {}

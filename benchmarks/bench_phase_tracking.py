@@ -80,8 +80,7 @@ def test_phase_restricted_tracking(benchmark, results_dir):
 
     # The findings survive: the transaction-path bloat still ranks.
     reports = analyze_cost_benefit(data["steady_tracker"].graph,
-                                   data["program"],
-                                   heap=data["steady_vm"].heap)
+                                   data["program"])
     top_methods = " | ".join(r.method + " " + r.what
                              for r in reports[:8])
     assert ("KeyBlock" in top_methods or "Soap" in top_methods

@@ -64,7 +64,7 @@ def main():
         print()
 
     print("== object cost-benefit ranking (Definition 7, n = 4) ==")
-    reports = analyze_cost_benefit(graph, program, heap=vm.heap)
+    reports = analyze_cost_benefit(graph, program)
     print(format_cost_benefit_report(reports, top=8))
     print()
 

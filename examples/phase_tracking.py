@@ -31,7 +31,7 @@ def main():
     full_tracker = CostTracker(slots=16)
     full_vm, full_s = timed_run(program, full_tracker)
     steady_tracker = CostTracker(slots=16, phases={"steady"})
-    steady_vm, steady_s = timed_run(program, steady_tracker)
+    _, steady_s = timed_run(program, steady_tracker)
 
     print(f"phases observed: {sorted(plain_vm.phase_counts)}")
     print(f"untracked:        {plain_s:.3f}s")
@@ -45,8 +45,7 @@ def main():
 
     # The findings survive: the steady-phase graph still ranks the
     # transaction-path bloat at the top.
-    reports = analyze_cost_benefit(steady_tracker.graph, program,
-                                   heap=steady_vm.heap)
+    reports = analyze_cost_benefit(steady_tracker.graph, program)
     print("top sites from steady-only tracking:")
     for report in reports[:5]:
         print(f"  {report.what:<24} ratio={report.ratio} "

@@ -125,8 +125,8 @@ def format_cache_report(reports, program=None, top: int = 10) -> str:
     """Tabular rendering; with ``program`` site locations are shown."""
     descriptions = {}
     if program is not None:
-        from .costbenefit import _site_descriptions
-        descriptions = _site_descriptions(program)
+        from ..profiler.names import site_descriptions
+        descriptions = site_descriptions(program)
     lines = [
         "site   effectiveness  reads  writes  cached-work  where",
         "-" * 72,

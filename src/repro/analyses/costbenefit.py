@@ -9,28 +9,35 @@ case studies diagnose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..ir import instructions as ins
 from ..profiler.graph import DependenceGraph
+from ..profiler.names import program_names, site_descriptions
 from .relative import (DEFAULT_TREE_DEPTH, INFINITE,
                        all_object_cost_benefits)
 
 
-@dataclass
 class SiteReport:
     """Cost-benefit summary for one allocation site (all contexts)."""
 
-    iid: int
-    what: str                  # "new Foo" or "new int[]"
-    method: str                # qualified name of the allocating method
-    line: int
-    n_rac: float
-    n_rab: float
-    contexts: int              # distinct context slots observed
-    tree_size: int             # largest reference tree seen
-    allocations: int = 0       # runtime objects created (if heap given)
-    fields: list = field(default_factory=list)
+    __slots__ = ("iid", "what", "method", "line", "n_rac", "n_rab",
+                 "contexts", "tree_size", "allocations", "fields")
+
+    def __init__(self, iid: int, what: str, method: str, line: int,
+                 n_rac: float, n_rab: float, contexts: int,
+                 tree_size: int, allocations: int = 0, fields=None):
+        self.iid = iid
+        self.what = what                # "new Foo" or "new int[]"
+        self.method = method            # the allocating method
+        self.line = line
+        self.n_rac = n_rac
+        self.n_rab = n_rab
+        self.contexts = contexts        # distinct context slots observed
+        self.tree_size = tree_size      # largest reference tree seen
+        self.allocations = allocations  # objects the profile saw
+        self.fields = [] if fields is None else fields
+
+    def __repr__(self):
+        return (f"<SiteReport {self.what} {self.method}:{self.line} "
+                f"n-RAC={self.n_rac} n-RAB={self.n_rab}>")
 
     @property
     def ratio(self) -> float:
@@ -41,53 +48,31 @@ class SiteReport:
         return self.n_rac / self.n_rab
 
 
-def _site_descriptions(program):
-    """iid -> ("new Foo", "Owner.method", line) for allocation sites.
-
-    Built on first use and kept on the program, like its compiled
-    tiers: a finalized program does not change.  The map is shared by
-    every report, query and table that names sites, so it is
-    read-only; callers only ``.get()`` from it.
-    """
-    descriptions = getattr(program, "_site_descriptions", None)
-    if descriptions is not None:
-        return descriptions
-    descriptions = {}
-    method_of = {}
-    for cls in program.classes.values():
-        for method in cls.methods.values():
-            name = method.qualified_name
-            for instr in method.body:
-                method_of[instr.iid] = name
-    for iid, instr in program.alloc_sites.items():
-        if instr.op == ins.OP_NEW_OBJECT:
-            what = f"new {instr.class_name}"
-        else:
-            what = f"new {instr.elem_type}[]"
-        descriptions[iid] = (what, method_of.get(iid, "?"), instr.line)
-    if program.finalized:
-        program._site_descriptions = descriptions
-    return descriptions
-
-
 def analyze_cost_benefit(graph: DependenceGraph, program,
                          depth: int = DEFAULT_TREE_DEPTH,
-                         heap=None,
                          native_benefit: str = "infinite",
                          include_zero: bool = False,
                          racs=None, rabs=None):
     """Produce ranked :class:`SiteReport` entries, worst offenders first.
 
-    ``heap`` (a :class:`repro.vm.heap.Heap`) adds per-site allocation
-    counts to the report.  Sites with no field activity at all are
-    omitted unless ``include_zero``.  ``racs``/``rabs`` are passed on
-    to :func:`~repro.analyses.relative.all_object_cost_benefits`, so a
+    ``program`` is the compiled program or the profile's
+    :class:`~repro.profiler.names.ProgramNames`; it names the sites.
+    A site's ``allocations`` are the allocations the profile saw: the
+    summed frequency of the site's allocation nodes.  On an exact run
+    that is the number of objects the site created; under ``--phases``
+    it counts only those allocated inside a tracked phase, and on a
+    sampled profile it is the estimate its frequencies are (raw
+    sampled counts, or scaled ones once the caller scaled the graph).
+    Sites with no field activity at all are omitted unless
+    ``include_zero``.  ``racs``/``rabs`` are passed on to
+    :func:`~repro.analyses.relative.all_object_cost_benefits`, so a
     caller that already holds the field maps computes them once.
     """
     summaries = all_object_cost_benefits(graph, depth,
                                          native_benefit=native_benefit,
                                          racs=racs, rabs=rabs)
-    descriptions = _site_descriptions(program)
+    descriptions = site_descriptions(program)
+    freq = graph.freq
 
     by_site = {}
     for summary in summaries:
@@ -107,11 +92,12 @@ def analyze_cost_benefit(graph: DependenceGraph, program,
         entry.contexts += 1
         entry.tree_size = max(entry.tree_size, summary.tree_size)
         entry.fields.extend(summary.fields)
+        # An allocation key is its allocation node's key.
+        node = graph.find(*summary.alloc_key)
+        if node is not None and iid in descriptions:
+            entry.allocations += freq[node]
 
     reports = list(by_site.values())
-    if heap is not None:
-        for report in reports:
-            report.allocations = heap.site_counts.get(report.iid, 0)
     if not include_zero:
         reports = [r for r in reports if r.n_rac > 0 or r.n_rab > 0]
     reports.sort(key=lambda r: (r.ratio, r.n_rac), reverse=True)
@@ -137,8 +123,8 @@ def explain_site(graph: DependenceGraph, program, iid: int,
     from .relative import (field_racs, field_rabs, object_cost_benefit,
                            reference_tree)
 
-    descriptions = _site_descriptions(program)
-    what, method, line = descriptions.get(iid, ("?", "?", 0))
+    what, method, line = site_descriptions(program).get(iid,
+                                                        ("?", "?", 0))
     lines = [f"{what} allocated in {method} (line {line})"]
 
     engine = engine_for(graph)
@@ -149,13 +135,9 @@ def explain_site(graph: DependenceGraph, program, iid: int,
         lines.append("  (no tracked activity for this site)")
         return "\n".join(lines)
 
-    line_of = {instr.iid: instr.line for instr in program.instructions}
-    method_of = {}
-    for cls in program.classes.values():
-        for m in cls.methods.values():
-            for instr in m.body:
-                method_of[instr.iid] = m.qualified_name
-
+    names = program_names(program)
+    line_of = names.line_of
+    method_of = names.method_of
     stores_by_key = graph.field_stores()
     total_rac = 0.0
     total_rab = 0.0

@@ -15,14 +15,14 @@ of executed instruction instances; NLD = |D*| / |V|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..profiler.graph import DependenceGraph
+from ..profiler.names import program_names
 from .batch import engine_for
 
 
-@dataclass
-class BloatMetrics:
+class BloatMetrics(NamedTuple):
     total_instructions: int      # I
     dead_frequency: int          # Σ freq over D*
     predicate_frequency: int     # Σ freq over P*
@@ -57,8 +57,7 @@ def dead_star(graph: DependenceGraph):
     return list(engine_for(graph).dead_value_classes()[0])
 
 
-@dataclass
-class DeadLine:
+class DeadLine(NamedTuple):
     """Source attribution of ultimately-dead work."""
 
     line: int
@@ -78,13 +77,9 @@ def dead_lines(graph: DependenceGraph, program, top=None):
     is dead": which lines spend the most instructions producing values
     nothing ever consumes.
     """
-    method_of = {}
-    line_of = {}
-    for cls in program.classes.values():
-        for method in cls.methods.values():
-            for instr in method.body:
-                method_of[instr.iid] = method.qualified_name
-                line_of[instr.iid] = instr.line
+    names = program_names(program)
+    method_of = names.method_of
+    line_of = names.line_of
     by_line = {}
     for node in dead_star(graph):
         iid = graph.node_keys[node][0]

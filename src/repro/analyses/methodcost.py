@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..profiler.graph import (F_ALLOC, F_HEAP_READ, F_HEAP_WRITE,
                               DependenceGraph)
+from ..profiler.names import program_names
 
 
 @dataclass
@@ -26,16 +27,6 @@ class MethodCost:
     def __repr__(self):
         return (f"<MethodCost {self.method} freq={self.frequency} "
                 f"alloc={self.allocations}>")
-
-
-def _iid_to_method(program):
-    mapping = {}
-    for cls in program.classes.values():
-        for method in cls.methods.values():
-            name = method.qualified_name
-            for instr in method.body:
-                mapping[instr.iid] = name
-    return mapping
 
 
 @dataclass
@@ -105,7 +96,7 @@ def return_costs(graph: DependenceGraph, return_nodes, program,
     """
     from .batch import MethodLocalCostIndex
 
-    mapping = _iid_to_method(program)
+    mapping = program_names(program).method_of
     index = MethodLocalCostIndex(graph, mapping)
     by_method = {}
     for iid, nodes in return_nodes.items():
@@ -125,7 +116,7 @@ def return_costs(graph: DependenceGraph, return_nodes, program,
 
 def method_costs(graph: DependenceGraph, program, top=None):
     """Per-method cost summary, sorted by attributed frequency."""
-    mapping = _iid_to_method(program)
+    mapping = program_names(program).method_of
     by_method = {}
     for node_id, (iid, _) in enumerate(graph.node_keys):
         name = mapping.get(iid, "?")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..profiler.graph import CONTEXTLESS, DependenceGraph
+from ..profiler.names import program_names
 from .relative import hrac
 
 
@@ -37,6 +38,7 @@ def constant_predicates(graph: DependenceGraph, branch_outcomes,
     condition cost is the summed HRAC of the predicate node's producers
     (the stack work spent deciding something that never changes).
     """
+    line_of = program_names(program).line_of
     results = []
     for iid, (taken, not_taken) in branch_outcomes.items():
         executions = taken + not_taken
@@ -50,7 +52,7 @@ def constant_predicates(graph: DependenceGraph, branch_outcomes,
             cost = sum(hrac(graph, p) for p in graph.preds[node])
         results.append(PredicateReport(
             iid=iid,
-            line=program.instructions[iid].line,
+            line=line_of.get(iid, 0),
             executions=executions,
             always="true" if taken else "false",
             condition_cost=cost))

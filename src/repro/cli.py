@@ -12,9 +12,11 @@
         --resume ckpt.json --shard-timeout 30 --max-retries 3
     python -m repro profile program.mj --telemetry run.jsonl
     python -m repro profile program.mj --self-profile
-    python -m repro analyze gcost.json program.mj   # offline analysis
-    python -m repro report gcost.json program.mj    # Markdown bloat report
-    python -m repro report gcost.json program.mj --format json
+    python -m repro analyze gcost.json              # offline analysis
+    python -m repro report gcost.json               # Markdown bloat report
+    python -m repro report gcost.json --format json
+    python -m repro report old.gcost.json program.mj  # a profile without
+                                                      # names of its own
     python -m repro trace run.jsonl                 # critical-path report
     python -m repro serve --socket /tmp/repro.sock  # resident daemon
     python -m repro profile program.mj --jobs 2 --runs 4 \\
@@ -44,7 +46,6 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from .lang.errors import CompileError
 from .vm.errors import VMError
 
 REPORT_CHOICES = ("cost-benefit", "bloat", "dead", "methods",
@@ -57,12 +58,27 @@ EXIT_BAD_INPUT = 2
 EXIT_DEGRADED = 3
 
 
+class _NotRaised(Exception):
+    """Stands in for an error class whose module was never loaded."""
+
+
+def _compile_error():
+    """The frontend's ``CompileError``, or :class:`_NotRaised` while
+    the frontend is not loaded: a command that compiled nothing raised
+    none, and naming the class would load the frontend (``report`` and
+    ``analyze`` of a profile that carries its own names do not)."""
+    errors = sys.modules.get(f"{__package__}.lang.errors")
+    return _NotRaised if errors is None else errors.CompileError
+
+
 def _bad_input_error(error) -> bool:
     """Errors that mean the *input* was bad (exit code 2), not that
     execution faulted — they trigger no flight-recorder dump."""
-    from .profiler.errors import CheckpointError, ProfileFormatError
-    return isinstance(error, (CompileError, FileNotFoundError,
-                              ProfileFormatError, CheckpointError))
+    from .profiler.errors import (CheckpointError, ProfileFormatError,
+                                  ProfileInputError)
+    return isinstance(error, (_compile_error(), FileNotFoundError,
+                              ProfileFormatError, ProfileInputError,
+                              CheckpointError))
 
 
 def _flight_path(args):
@@ -134,18 +150,17 @@ def _load_program(path: str, use_stdlib: bool):
 
 
 def _print_reports(program, graph, which: str, top: int, *,
-                   heap=None, instr_count: int = 0,
-                   branch_outcomes=None, return_nodes=None):
+                   instr_count: int = 0, branch_outcomes=None,
+                   return_nodes=None):
     from .observability import current
     with current().span("analyze", report=which):
         _print_reports_body(
-            program, graph, which, top, heap=heap,
-            instr_count=instr_count, branch_outcomes=branch_outcomes,
-            return_nodes=return_nodes)
+            program, graph, which, top, instr_count=instr_count,
+            branch_outcomes=branch_outcomes, return_nodes=return_nodes)
 
 
-def _print_reports_body(program, graph, which, top, *, heap,
-                        instr_count, branch_outcomes, return_nodes):
+def _print_reports_body(program, graph, which, top, *, instr_count,
+                        branch_outcomes, return_nodes):
     from .analyses import (analyze_caches, analyze_cost_benefit,
                            constant_predicates, dead_lines,
                            format_bloat_metrics, format_cache_report,
@@ -157,7 +172,7 @@ def _print_reports_body(program, graph, which, top, *, heap,
 
     if which in ("cost-benefit", "all"):
         print("== object cost-benefit (n-RAC / n-RAB) ==")
-        reports = analyze_cost_benefit(graph, program, heap=heap)
+        reports = analyze_cost_benefit(graph, program)
         print(format_cost_benefit_report(reports, top=top))
         print()
     if which in ("bloat", "all"):
@@ -303,7 +318,7 @@ def _cmd_profile(args):
         print(explain_site(tracker.graph, program, args.explain))
         print()
     _print_reports(program, tracker.graph, args.report, args.top,
-                   heap=vm.heap, instr_count=vm.instr_count,
+                   instr_count=vm.instr_count,
                    branch_outcomes=tracker.branch_outcomes,
                    return_nodes=tracker.return_nodes)
     if raw_freq is not None and (args.save_graph or args.push):
@@ -330,7 +345,7 @@ def _cmd_profile(args):
         if overhead is not None:
             meta["overhead"] = overhead.as_dict()
         save_graph(tracker.graph, args.save_graph, meta=meta,
-                   tracker=tracker)
+                   tracker=tracker, names=program)
         print(f"graph written to {args.save_graph}")
     return 0
 
@@ -479,7 +494,7 @@ def _profile_parallel(args, runs: int):
         if report.degraded:
             meta["degraded"] = report.as_dict()
         save_graph(graph, args.save_graph, meta=meta,
-                   tracker=result.state)
+                   tracker=result.state, names=program)
         print(f"merged graph written to {args.save_graph}")
     return EXIT_DEGRADED if report.degraded else EXIT_OK
 
@@ -493,8 +508,7 @@ def _cmd_analyze(args):
     """Offline analysis of a previously saved Gcost."""
     from .analyses import (analyze_cost_benefit, format_bloat_metrics,
                            format_cost_benefit_report, measure_bloat)
-    graph, meta, state = _load_profile_maybe_salvaging(args)
-    program = _load_program(args.file, not args.no_stdlib)
+    graph, meta, state, program = _load_named_profile(args)
     line = (f"loaded graph: {graph.num_nodes} nodes / "
             f"{graph.num_edges} edges")
     if state is not None:
@@ -527,22 +541,35 @@ def _cmd_analyze(args):
     return 0
 
 
-def _load_profile_maybe_salvaging(args):
-    """``load_profile``, or the best-effort salvage path under
-    ``--salvage`` (truncated/corrupt files recover a subset)."""
-    from .profiler import load_profile, salvage_profile
-    if getattr(args, "salvage", False):
-        graph, meta, state, report = salvage_profile(args.graph)
+def _load_named_profile(args):
+    """``(graph, meta, state, names)`` of ``args.graph``, through the
+    best-effort salvage path under ``--salvage`` (truncated/corrupt
+    files recover a subset).  ``names`` are the profile's own when it
+    carries them -- ``args.file`` is then not compiled -- and else the
+    program ``args.file`` compiles to; a profile without names needs
+    ``args.file``."""
+    from .profiler.serialize import (load_named_profile,
+                                     salvage_named_profile)
+    if args.salvage:
+        graph, meta, state, names, report = salvage_named_profile(
+            args.graph)
         print(f"salvage: {report.format()}", file=sys.stderr)
-        return graph, meta, state
-    return load_profile(args.graph)
+    else:
+        graph, meta, state, names = load_named_profile(args.graph)
+    if names is None:
+        if args.file is None:
+            from .profiler.errors import ProfileInputError
+            raise ProfileInputError(
+                f"profile {args.graph!r} carries no names; pass the "
+                f"program it was profiled from")
+        names = _load_program(args.file, not args.no_stdlib)
+    return graph, meta, state, names
 
 
 def cmd_report(args):
     """Render the bloat report (Markdown or JSON) from a saved v2
     profile."""
-    graph, meta, state = _load_profile_maybe_salvaging(args)
-    program = _load_program(args.file, not args.no_stdlib)
+    graph, meta, state, program = _load_named_profile(args)
     if args.format == "json":
         import json
 
@@ -939,7 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="offline analysis of a saved Gcost")
     p.add_argument("graph", help="JSON file from profile --save-graph")
-    p.add_argument("file", help="the MiniJ source (for site names)")
+    p.add_argument("file", nargs="?",
+                   help="the MiniJ source, for site names; needed only "
+                        "by a profile that carries no names of its own")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--no-stdlib", action="store_true")
     p.add_argument("--telemetry", metavar="PATH",
@@ -953,7 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render a Markdown bloat report from a "
                             "saved profile")
     p.add_argument("graph", help="JSON file from profile --save-graph")
-    p.add_argument("file", help="the MiniJ source (for site names)")
+    p.add_argument("file", nargs="?",
+                   help="the MiniJ source, for site names; needed only "
+                        "by a profile that carries no names of its own")
     p.add_argument("--top", type=int, default=10,
                    help="rows per report section (default 10)")
     p.add_argument("--format", choices=("md", "json"), default="md",
@@ -1109,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from .profiler.errors import (CheckpointError, ProfileFormatError,
-                                  ShardFailedError)
+                                  ProfileInputError, ShardFailedError)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -1121,10 +1152,11 @@ def main(argv=None) -> int:
         print(f"repro: cannot open {error.filename!r}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    except CompileError as error:
+    except _compile_error() as error:
         print(f"repro: {error}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ProfileFormatError, CheckpointError) as error:
+    except (ProfileFormatError, ProfileInputError,
+            CheckpointError) as error:
         # Unreadable profile/checkpoint files are bad input, not a
         # crash; `analyze --salvage` may still recover a subset.
         print(f"repro: {error}", file=sys.stderr)

@@ -78,10 +78,8 @@ def run_case_study(spec, scale=None, top: int = 10,
     opt_seconds = time.perf_counter() - start
 
     tracker = CostTracker(slots=profile_slots)
-    traced_vm = VM(unopt, tracer=tracker)
-    traced_vm.run()
-    reports = analyze_cost_benefit(tracker.graph, unopt,
-                                   heap=traced_vm.heap)[:top]
+    VM(unopt, tracer=tracker).run()
+    reports = analyze_cost_benefit(tracker.graph, unopt)[:top]
 
     return CaseStudyResult(
         name=spec.name,

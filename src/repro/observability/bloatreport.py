@@ -8,7 +8,7 @@ document a developer acts on — without touching the Python API:
 .. code-block:: text
 
     python -m repro profile prog.mj --save-graph g.json --self-profile
-    python -m repro report g.json prog.mj -o bloat.md
+    python -m repro report g.json --out bloat.md
 
 Sections: run summary (graph size, CR), the top cost-benefit
 offenders (§3.1's ranking), the HRAC / HRAB field tables
@@ -42,11 +42,6 @@ def _table(headers, rows) -> str:
     for row in rows:
         lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
     return "\n".join(lines)
-
-
-def _site_names(program):
-    from ..analyses.costbenefit import _site_descriptions
-    return _site_descriptions(program)
 
 
 def _field_rows(field_map, descriptions, top, reverse=True):
@@ -112,10 +107,14 @@ def bloat_report_data(graph, meta, state, program, top: int = 10) -> dict:
     summary, cost-benefit ranking, HRAC/HRAB field tables, dead-value
     metrics, tracker overhead — with raw numbers instead of Markdown
     cells (``inf`` is serialized as the string ``"inf"`` since JSON
-    has no infinity literal).
+    has no infinity literal).  ``program`` names the sites: the
+    compiled program, or the profile's own
+    :class:`~repro.profiler.names.ProgramNames`
+    (:func:`~repro.profiler.serialize.load_named_profile`).
     """
     from ..analyses import analyze_cost_benefit, measure_bloat
     from ..analyses.batch import engine_for
+    from ..profiler.names import site_descriptions
 
     def _num(value, digits=4):
         if value is None:
@@ -126,7 +125,7 @@ def bloat_report_data(graph, meta, state, program, top: int = 10) -> dict:
             return round(value, digits)
         return value
 
-    descriptions = _site_names(program)
+    descriptions = site_descriptions(program)
     engine = engine_for(graph)
     racs = engine.field_racs()
     rabs = engine.field_rabs()
@@ -176,13 +175,14 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     ``graph``/``meta``/``state`` are exactly what
     :func:`repro.profiler.load_profile` returns; ``state`` may be
     ``None`` for v1 (graph-only) profiles — the CR line then says so
-    instead of failing.
+    instead of failing.  ``program`` is as for
+    :func:`bloat_report_data`.
     """
     from ..analyses import (analyze_cost_benefit, measure_bloat)
     from ..analyses.batch import engine_for
-    from .overhead import overhead_from_dict
+    from ..profiler.names import site_descriptions
 
-    descriptions = _site_names(program)
+    descriptions = site_descriptions(program)
     engine = engine_for(graph)
     racs = engine.field_racs()
     rabs = engine.field_rabs()
@@ -283,6 +283,7 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     out.append("")
     overhead = meta.get("overhead")
     if overhead:
+        from .overhead import overhead_from_dict
         report = overhead_from_dict(overhead)
         out.append(_table(
             ("metric", "value"),

@@ -53,7 +53,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .metrics import Histogram
 
@@ -286,15 +286,14 @@ def new_trace_id() -> str:
 _hub_ordinal = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """What a parent hub ships into a worker process.
 
     ``trace_id`` names the whole run; ``parent_span`` is the span the
     child's root span hangs under (the supervisor's map span);
     ``sample_interval`` keeps child VM sampling at the parent's
     cadence.  ``shard``/``attempt``/``label`` are stamped per attempt
-    by the launcher (:func:`for_shard`).  Plain frozen dataclass —
+    by the launcher (:func:`for_shard`).  A plain named tuple —
     picklable across any start method.
     """
 
@@ -307,7 +306,7 @@ class TraceContext:
 
     def for_shard(self, shard: int, attempt: int = 0,
                   label: str = "") -> "TraceContext":
-        return replace(self, shard=shard, attempt=attempt, label=label)
+        return self._replace(shard=shard, attempt=attempt, label=label)
 
 
 class SpanHandle:

@@ -18,6 +18,7 @@ __getattr__, __dir__, __all__ = _lazy_surface(__name__, {
               "EFFECT_STORE", "F_ALLOC", "F_CONSUMER", "F_HEAP_READ",
               "F_HEAP_WRITE", "F_NATIVE", "F_PREDICATE", "CSRGraph",
               "DependenceGraph"),
+    "names": ("ProgramNames", "program_names", "site_descriptions"),
     "parallel": ("AggregateProfile", "ProfileJob", "canonical_form",
                  "fold_graph", "merge_graphs", "normalize_sampling",
                  "profile_jobs_sequential"),
@@ -26,7 +27,8 @@ __getattr__, __dir__, __all__ = _lazy_surface(__name__, {
                  "parse_sample_spec"),
     "serialize": ("SalvageReport", "content_checksum", "fold_document",
                   "graph_from_dict", "graph_to_dict", "load_graph",
-                  "load_graph_with_meta", "load_profile", "read_document",
+                  "load_graph_with_meta", "load_named_profile",
+                  "load_profile", "read_document", "salvage_named_profile",
                   "salvage_profile", "save_graph",
                   "tracker_state_from_dict", "validate_shard",
                   "write_document"),

@@ -65,8 +65,8 @@ import re
 import sys
 from array import array
 from binascii import a2b_base64, b2a_base64
-from itertools import chain, zip_longest
-from operator import itemgetter
+from itertools import chain, repeat, zip_longest
+from operator import itemgetter, sub
 
 from .errors import (ProfileChecksumError, ProfileFormatError,
                      ProfileInputError, ProfileTruncatedError)
@@ -102,7 +102,7 @@ _SWAP = sys.byteorder == "big"
 
 
 def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
-                  trace=None) -> dict:
+                  trace=None, names=None) -> dict:
     """A JSON-serializable snapshot of the graph.
 
     ``meta`` carries run facts the graph itself doesn't hold (e.g.
@@ -114,6 +114,10 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
     "span_id": ..., "pid": ..., "shard": ..., "attempt": ...}`` — is
     stored under ``meta["trace"]`` so a saved profile can be joined
     back to the telemetry stream that watched it being built.
+    ``names`` (the compiled program, or its
+    :class:`~repro.profiler.names.ProgramNames`) adds the ``names``
+    section for every iid the graph and tracker state reference, so
+    the document can be read without the program.
     """
     data = {
         "version": FORMAT_VERSION,
@@ -122,7 +126,7 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
         "nodes": pack_column(list(chain.from_iterable(graph.node_keys))),
         "freq": pack_column(graph.freq),
         "flags": pack_column(graph.flags),
-        "edges": pack_column(_edge_column(graph.succs)),
+        "edges": pack_column(_edge_column(graph)),
         "effects": [[node, kind, list(alloc_key) if alloc_key else None,
                      field]
                     for node, (kind, alloc_key, field)
@@ -139,6 +143,7 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
     }
     if trace is not None:
         data["meta"]["trace"] = dict(trace)
+    state = None
     if tracker is not None:
         state = tracker.state() if hasattr(tracker, "state") else tracker
         node_gs = state.node_gs
@@ -155,15 +160,30 @@ def graph_to_dict(graph: DependenceGraph, meta=None, tracker=None,
                              for iid, nodes
                              in sorted(state.return_nodes.items())],
         }
+    if names is not None:
+        from .names import names_to_dict, program_names, referenced_iids
+        data["names"] = names_to_dict(program_names(names),
+                                      referenced_iids(graph, state))
     return data
 
 
-def _edge_column(succs) -> list:
-    """The flat ``[src, dst, ...]`` column of ``succs``, sources in
-    order and each source's targets sorted."""
+def _edge_column(graph: DependenceGraph) -> list:
+    """The flat ``[src, dst, ...]`` column of ``graph``'s edges, sources
+    in order and each source's targets sorted: read off the CSR
+    snapshot when it is current, which holds them so already, and
+    sorted from the successor sets otherwise."""
+    if graph.frozen:
+        csr = graph._csr
+        offsets = csr.fwd_offsets
+        column = [0] * (2 * csr.num_edges)
+        column[0::2] = chain.from_iterable(map(
+            repeat, range(csr.num_nodes),
+            map(sub, offsets[1:], offsets[:-1])))
+        column[1::2] = csr.fwd_targets
+        return column
     column = []
     extend = column.extend
-    for src, dsts in enumerate(succs):
+    for src, dsts in enumerate(graph.succs):
         if dsts:
             pairs = [src] * (2 * len(dsts))
             pairs[1::2] = sorted(dsts)
@@ -820,10 +840,12 @@ def validate_shard(shard) -> str:
 
 
 def save_graph(graph: DependenceGraph, path, meta=None,
-               tracker=None) -> None:
-    """Write the graph (plus optional metadata / tracker state) with
+               tracker=None, names=None) -> None:
+    """Write the graph (plus optional metadata, tracker state and
+    ``names`` section; see :func:`graph_to_dict`) with
     :func:`write_document`: atomic and checksummed."""
-    write_document(path, graph_to_dict(graph, meta, tracker))
+    write_document(path, graph_to_dict(graph, meta, tracker,
+                                       names=names))
 
 
 def load_profile(path):
@@ -831,14 +853,32 @@ def load_profile(path):
 
     ``state`` is ``None`` for graph-only documents (v1, or v2 saved
     without a tracker).  Raises the errors of :func:`read_document`,
-    and :class:`ProfileFormatError` for unsupported versions and for
-    every document :func:`fold_document` rejects.
+    and :class:`ProfileFormatError` for unsupported versions, for
+    every document :func:`fold_document` rejects, and for a malformed
+    ``names`` section.
     """
+    return load_named_profile(path)[:3]
+
+
+def load_named_profile(path):
+    """:func:`load_profile`'s ``(graph, meta, state)`` and the
+    profile's :class:`~repro.profiler.names.ProgramNames`: ``None``
+    when it carries no ``names`` section (files written before it, or
+    without the program)."""
     data = read_document(path)
     try:
-        return _profile_from_dict(data)
+        return _profile_from_dict(data) + (_names_of(data),)
     except ProfileFormatError as error:
         raise ProfileFormatError(f"profile {path!r}: {error}") from error
+
+
+def _names_of(data: dict):
+    """The decoded ``names`` section of ``data``, or ``None``."""
+    section = data.get("names")
+    if section is None:
+        return None
+    from .names import names_from_dict
+    return names_from_dict(section)
 
 
 def _profile_from_dict(data: dict):
@@ -920,7 +960,8 @@ def _repair_json(text: str, damage: int) -> dict:
     tried newest-first by cutting the text and appending the closers.
     Each section that starts after the damage is then found by its key
     and decoded on its own, so damage costs only the section it lands
-    in, from the damage on.  A packed column the damage cuts (its
+    in, from the damage on (the ``names`` section after the tracker
+    included).  A packed column the damage cuts (its
     string never closes, or holds a byte JSON refuses) keeps the text
     it has, for :func:`_salvage_column` to read the whole values of.
     """
@@ -957,7 +998,7 @@ def _repair_json(text: str, damage: int) -> dict:
             continue
     data = data if isinstance(data, dict) else {}
     decoder = json.JSONDecoder()
-    for key in ("slots",) + _SECTIONS:
+    for key in ("slots",) + _SECTIONS + ("names",):
         marker = f'"{key}": '
         start = text.find(marker, damage)
         if key in data or start < 0:
@@ -1187,12 +1228,21 @@ def salvage_profile(path):
     :class:`~repro.profiler.errors.ProfileTruncatedError` only when
     no node section survives.
     """
+    graph, meta, state, _, report = salvage_named_profile(path)
+    return graph, meta, state, report
+
+
+def salvage_named_profile(path):
+    """:func:`salvage_profile` with the profile's names:
+    ``(graph, meta, state, names, report)``.  A ``names`` section that
+    does not decode is dropped (``names`` is then ``None``) and counted
+    in ``report.dropped``; one lost to truncation is simply absent."""
     report = SalvageReport()
     try:
-        graph, meta, state = load_profile(path)
+        graph, meta, state, names = load_named_profile(path)
         report.nodes = graph.num_nodes
         report.checksum_verified = True
-        return graph, meta, state, report
+        return graph, meta, state, names, report
     except ProfileFormatError:
         # Bytes that do not parse, but also a parseable-yet-damaged
         # document (dangling node references, malformed rows).
@@ -1212,4 +1262,9 @@ def salvage_profile(path):
             f"profile {path!r} is beyond salvage "
             f"(no decodable node section)")
     clean = _sanitize_partial(data, report)
-    return _profile_from_dict(clean) + (report,)
+    try:
+        names = _names_of(data)
+    except ProfileFormatError:
+        names = None
+        report.drop("names")
+    return _profile_from_dict(clean) + (names, report)

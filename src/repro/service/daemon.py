@@ -333,7 +333,7 @@ class AnalysisDaemon:
         return ok_response(tenant=tenant.name, kind=kind, result=result)
 
     def _answer(self, tenant, kind: str, top: int, program_spec):
-        from ..observability.bloatreport import (_field_data, _site_names,
+        from ..observability.bloatreport import (_field_data,
                                                  bloat_report_data)
         if kind == "report":
             program = self._program(kind, program_spec)
@@ -343,7 +343,8 @@ class AnalysisDaemon:
             from ..analyses.batch import engine_for
             program = self._program(kind, program_spec)
             engine = engine_for(tenant.graph)
-            descriptions = _site_names(program)
+            from ..profiler.names import site_descriptions
+            descriptions = site_descriptions(program)
             if kind == "rac":
                 return _field_data(engine.field_racs(), descriptions,
                                    top)

@@ -229,8 +229,7 @@ class TestReports:
         vm, tracker = traced(
             "C c = new C(); c.v = 1 + 2; Sys.printInt(c.v);",
             extra=extra)
-        reports = analyze_cost_benefit(tracker.graph, vm.program,
-                                       heap=vm.heap)
+        reports = analyze_cost_benefit(tracker.graph, vm.program)
         text = format_cost_benefit_report(reports)
         assert "rank" in text
         assert "new C" in text

@@ -20,10 +20,11 @@ from repro.analyses import (INFINITE, abstract_cost, analyze_caches,
                             object_cost_benefit)
 from repro.analyses.batch import (BatchSliceEngine, MethodLocalCostIndex,
                                   engine_for)
-from repro.analyses.methodcost import _iid_to_method, _method_local_cost
+from repro.analyses.methodcost import _method_local_cost
 from repro.profiler import (CostTracker, F_HEAP_READ, F_HEAP_WRITE,
                             F_NATIVE, F_PREDICATE)
 from repro.profiler.graph import DependenceGraph
+from repro.profiler.names import program_names
 from repro.profiler.parallel import fold_graph, merge_graphs
 from repro.vm import VM
 from repro.workloads import all_workloads, get_workload
@@ -127,7 +128,7 @@ def test_consumer_reachability_matches_oracle(name):
 def test_method_local_costs_match_reference(name):
     spec = next(s for s in all_workloads() if s.name == name)
     program, graph = _profiled(spec, 8)
-    mapping = _iid_to_method(program)
+    mapping = program_names(program).method_of
     index = MethodLocalCostIndex(graph, mapping)
     methods = sorted(set(mapping.values()))
     keys = graph.node_keys

@@ -33,7 +33,7 @@ def chart_reports():
     from repro.vm import VM
     vm = VM(program, tracer=tracker)
     vm.run()
-    return analyze_cost_benefit(tracker.graph, program, heap=vm.heap)
+    return analyze_cost_benefit(tracker.graph, program)
 
 
 class TestRanking:
@@ -58,13 +58,19 @@ class TestRanking:
         assert entry.allocations == 30
         assert entry.contexts >= 1
 
-    def test_heap_optional(self):
+    def test_allocations_come_from_the_graph(self):
+        """A site's allocation count is the summed frequency of its
+        allocation nodes: on an exact run, the objects it created."""
         program = compile_source(CHART_SOURCE)
         tracker = CostTracker(slots=16)
         from repro.vm import VM
-        VM(program, tracer=tracker).run()
-        reports = analyze_cost_benefit(tracker.graph, program)
-        assert all(r.allocations == 0 for r in reports)
+        vm = VM(program, tracer=tracker)
+        vm.run()
+        reports = analyze_cost_benefit(tracker.graph, program,
+                                       include_zero=True)
+        assert reports
+        for report in reports:
+            assert report.allocations == vm.heap.site_counts[report.iid]
 
     def test_include_zero_keeps_inactive_sites(self):
         extra = "class Idle {}"

@@ -8,6 +8,11 @@ checkpoint of the same campaign, and a daemon spill file of tenant
 fresh v4 run of the program builds, and serve the same report; an
 unknown version gets a typed error that names it, and a packed column
 that does not decode is refused before anything is folded.
+
+It also holds a v4 profile written before profiles carried a ``names``
+section, with the reports and ``analyze`` output of its writer: read
+with the program it renders them unchanged, and without the program it
+gets a typed error.
 """
 
 import json
@@ -17,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import as_v3_columns, as_v4
-from repro.cli import main
+from repro.cli import EXIT_BAD_INPUT, main
 from repro.profiler import (DependenceGraph, ProfileFormatError,
                             TrackerState, canonical_form, fold_document,
                             graph_to_dict, load_checkpoint, load_profile,
@@ -35,6 +40,7 @@ SPILL = COMPAT / "compat.v2.tenant.json"
 V3_PROFILE = COMPAT / "demo.v3.gcost.json"
 V3_CHECKPOINT = COMPAT / "demo.v3.ckpt.json"
 V3_SPILL = COMPAT / "compat.v3.tenant.json"
+V4_PROFILE = COMPAT / "demo.v4.gcost.json"
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +178,59 @@ def test_v3_spill_file_reloads_and_serves_the_batch_report(tmp_path,
                                                            capsys):
     check_spill_serves_the_batch_report(V3_SPILL, V3_PROFILE, tmp_path,
                                         capsys)
+
+
+def test_v4_fixture_carries_no_names():
+    doc = read_document(str(V4_PROFILE))
+    assert doc["version"] == 4 and "names" not in doc
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_report_on_v4_with_the_program_is_unchanged(fmt, tmp_path,
+                                                    capsys):
+    out = tmp_path / f"report.{fmt}"
+    assert main(["report", str(V4_PROFILE), str(SOURCE), "--no-stdlib",
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == \
+        (COMPAT / f"demo.v4.report.{fmt}").read_bytes()
+
+
+#: Where ``format_cost_benefit_report`` prints a row's allocation count.
+ALLOCS = slice(73, 81)
+
+
+def test_analyze_on_v4_with_the_program_changes_only_allocations(
+        fresh, capsys):
+    """``analyze`` prints what its writer printed, except the
+    allocation counts, which it read as 0 and now reads from the
+    graph; and prints what a profile with names prints without the
+    program."""
+    assert main(["analyze", str(V4_PROFILE), str(SOURCE),
+                 "--no-stdlib"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    before = (COMPAT / "demo.v4.analyze.txt").read_text().splitlines()
+    assert len(printed) == len(before)
+    rows = 0
+    for now, then in zip(printed, before):
+        if then[ALLOCS].strip() == "0" and then.lstrip()[:1].isdigit():
+            rows += 1
+            assert int(now[ALLOCS]) > 0, now
+            now = now[:ALLOCS.start] + then[ALLOCS] + now[ALLOCS.stop:]
+        assert now == then
+    assert rows == 3
+    assert main(["analyze", str(fresh[0])]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
+@pytest.mark.parametrize("command", ["report", "analyze"])
+@pytest.mark.parametrize("profile", [PROFILE, V3_PROFILE, V4_PROFILE],
+                         ids=["v2", "v3", "v4"])
+def test_profile_without_names_needs_the_program(profile, command,
+                                                 capsys):
+    assert main([command, str(profile)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("repro: ") and err.count("\n") == 1, err
+    assert "carries no names" in err
 
 
 def test_unknown_version_names_it(tmp_path):

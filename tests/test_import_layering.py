@@ -87,6 +87,34 @@ def test_report_command_loads_only_what_it_runs(tmp_path):
     assert loaded.isdisjoint(unwanted), sorted(loaded & unwanted)
 
 
+@pytest.mark.parametrize("command", [
+    ["report", "--format", "json"], ["analyze"]],
+    ids=["report", "analyze"])
+def test_reading_a_named_profile_loads_no_frontend(command, tmp_path):
+    """A profile that carries its own names is read without compiling:
+    ``report`` and ``analyze`` load no frontend, stdlib or
+    sharded-profiling module, with or without the program argument."""
+    source = tmp_path / "demo.mj"
+    source.write_text(PROGRAM)
+    graph = tmp_path / "demo.gcost.json"
+    assert main(["profile", str(source), "--no-stdlib", "--report",
+                 "bloat", "--save-graph", str(graph)]) == 0
+    for program in ([], [str(source)]):
+        loaded = loaded_by("""
+            import runpy
+            sys.argv = ["repro"] + sys.argv[1:]
+            try:
+                runpy.run_module("repro", run_name="__main__",
+                                 alter_sys=True)
+            except SystemExit as exit_:
+                assert not exit_.code, exit_.code
+        """, command[0], str(graph), *program, *command[1:])
+        assert "repro.analyses.costbenefit" in loaded
+        frontend = sorted(name for name in loaded if name.startswith(
+            ("repro.lang", "repro.stdlib", "repro.profiler.parallel")))
+        assert not frontend, frontend
+
+
 def test_importing_a_package_runs_no_submodule():
     loaded = loaded_by(f"import {', '.join(LAZY_PACKAGES)}")
     assert {name for name in loaded
