@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from itertools import islice
 
 from ..observability.telemetry import current as _current_telemetry
 from ..profiler.graph import (F_CONSUMER, F_HEAP_READ, F_HEAP_WRITE,
@@ -87,13 +86,19 @@ class ReachabilityIndex:
         self.comp_bits = []
         #: SCC id -> does the closure contain a marked node?
         self.comp_mark = []
-        #: SCC id -> its widest child SCC (-1 for a sink), whose closure
-        #: sum the weighing reuses wholesale.
-        self.plan_base = array("q")
-        #: ``plan_ids[plan_offsets[c]:plan_offsets[c + 1]]`` are the
-        #: SCCs in the children's union that the base closure misses.
-        self.plan_offsets = array("q", [0])
-        self.plan_ids = array("q")
+        #: SCC id -> one member node (the Tarjan root), whose frequency
+        #: is a singleton SCC's weight.
+        self.comp_node = []
+        #: ``(SCC id, member nodes)`` of every SCC of two or more nodes.
+        self.multi = []
+        #: The weighing plan.  ``plan_comp[i]``'s widest child SCC is
+        #: ``plan_base[i]``, whose closure sum the weighing reuses
+        #: wholesale; SCCs without a child (sinks) are not listed.
+        self.plan_comp = []
+        self.plan_base = []
+        #: ``(SCC id, SCC ids)``: the SCCs in its children's union that
+        #: the base closure misses, for every SCC that has any.
+        self.plan_extra = []
         #: The frequency vector the sums below were weighed with.
         self.freq = freq
         #: SCC id -> summed frequency of its own member nodes.
@@ -161,9 +166,11 @@ class ReachabilityIndex:
         comp = self.comp
         comp_bits = self.comp_bits
         comp_mark = self.comp_mark
+        comp_node = self.comp_node
+        multi = self.multi
+        plan_comp = self.plan_comp
         plan_base = self.plan_base
-        plan_offsets = self.plan_offsets
-        plan_ids = self.plan_ids
+        plan_extra = self.plan_extra
 
         index = [-1] * n
         low = [0] * n
@@ -229,7 +236,6 @@ class ReachabilityIndex:
                         if c2 >= 0 and c2 != cid:
                             children.add(c2)
                 if not children:
-                    base = -1
                     bits = 0
                 elif len(children) == 1:
                     base, = children
@@ -243,9 +249,15 @@ class ReachabilityIndex:
                         bits |= comp_bits[c]
                         if comp_mark[c]:
                             mark = True
-                    plan_ids.extend(_set_bits(bits ^ comp_bits[base]))
-                plan_base.append(base)
-                plan_offsets.append(len(plan_ids))
+                    extra = _set_bits(bits ^ comp_bits[base])
+                    if extra:
+                        plan_extra.append((cid, extra))
+                if children:
+                    plan_comp.append(cid)
+                    plan_base.append(base)
+                comp_node.append(v)
+                if len(members) > 1:
+                    multi.append((cid, members))
                 comp_bits.append(bits | 1 << cid)
                 comp_mark.append(mark)
                 if clock:
@@ -256,28 +268,26 @@ class ReachabilityIndex:
         """Per-SCC weights and closure sums under ``freq``.
 
         The one propagation path, shared by the first build and every
-        re-weigh: SCC ids are in pop order, which is reverse
-        topological, so each SCC's base closure sum is final before
-        the SCC itself is summed.
+        re-weigh.  A singleton SCC weighs its node's frequency, read
+        for every SCC in one C-level ``map``; only the members of the
+        larger SCCs are summed.  An SCC's closure sum is its weight,
+        plus the weights of the SCCs its other children add, plus its
+        widest child's closure sum.  SCC ids are in pop order, which
+        is reverse topological, so that child's sum is final before
+        the SCC's own is taken.  Frequencies are ints, so the order of
+        the additions does not change a sum.
         """
         self.freq = freq
-        # One spare slot absorbs the masked nodes (SCC id -1).
-        weight = [0] * (len(self.comp_bits) + 1)
-        for f, cid in zip(freq, self.comp):
-            weight[cid] += f
-        weight.pop()
-        plan_offsets = self.plan_offsets
-        plan_ids = self.plan_ids
-        cost = []
-        append = cost.append
-        for total, base, lo, hi in zip(weight, self.plan_base, plan_offsets,
-                                       islice(plan_offsets, 1, None)):
-            if base >= 0:
-                total += cost[base]
-            if lo != hi:
-                for i in plan_ids[lo:hi]:
-                    total += weight[i]
-            append(total)
+        node_freq = freq.__getitem__
+        weight = list(map(node_freq, self.comp_node))
+        for cid, members in self.multi:
+            weight[cid] = sum(map(node_freq, members))
+        cost = weight.copy()
+        comp_weight = weight.__getitem__
+        for cid, extra in self.plan_extra:
+            cost[cid] += sum(map(comp_weight, extra))
+        for cid, base in zip(self.plan_comp, self.plan_base):
+            cost[cid] += cost[base]
         self.comp_weight = weight
         self.comp_cost = cost
 
@@ -426,6 +436,7 @@ class BatchSliceEngine:
         self._hrab_index = None
         self._reachability = None
         self._dead_classes = None
+        self._groups = None
         # Validity checksums managed by engine_for().
         self._freq_sum = None
         self._flag_sum = None
@@ -498,11 +509,31 @@ class BatchSliceEngine:
 
     # -- batched field aggregates --------------------------------------------
 
+    def field_groups(self):
+        """The graph's ``(field_stores, field_loads, alloc_nodes)``.
+
+        Read once per engine, as the condensations are
+        (:meth:`~repro.profiler.graph.DependenceGraph.field_groups`),
+        and held with a copy of the heap effects they were read from.
+        They depend on the effects only, and a fold or a resumed run
+        can overwrite a node's effect (the last store wins) without
+        adding a node or an edge, so the CSR snapshot does not cover
+        them: a graph whose effects differ from the copy (one C-level
+        dict comparison) is read again.  Every caller gets the same
+        dicts; treat them as read-only.
+        """
+        effects = self.graph.effects
+        held = self._groups
+        if held is None or held[0] != effects:
+            held = self._groups = (dict(effects),
+                                   *self.graph.field_groups())
+        return held[1:]
+
     def field_racs(self):
         """(alloc_key, field) -> RAC; equals ``relative.field_racs``."""
         index = self.hrac_index()
         racs = {}
-        for field_key, stores in self.graph.field_stores().items():
+        for field_key, stores in self.field_groups()[0].items():
             total = sum(index.query(node)[0] for node in stores)
             racs[field_key] = total / len(stores)
         return racs
@@ -512,7 +543,7 @@ class BatchSliceEngine:
         index = self.hrab_index()
         infinite = native_benefit == "infinite"
         rabs = {}
-        for field_key, loads in self.graph.field_loads().items():
+        for field_key, loads in self.field_groups()[1].items():
             total = 0
             saw_native = False
             for node in loads:
@@ -691,7 +722,17 @@ def engine_for(graph: DependenceGraph) -> BatchSliceEngine:
     without adding nodes or edges (frequency bumps, flag accumulation).
     A new CSR or a flag change rebuilds the engine; a frequency-only
     change — the fold of a repeated shard — re-weighs the indexes
-    already built and keeps their condensations.
+    already built and keeps their condensations.  Frequencies, flags
+    and context sets only grow under a fold, so a sum that did not
+    move is an input that did not change.
+
+    The same rule keeps the other whole-graph results a served read
+    needs: the engine's field groupings
+    (:meth:`BatchSliceEngine.field_groups`, also checked against the
+    heap effects) and the conflict ratio
+    (:meth:`~repro.profiler.state.TrackerState.conflict_ratio`, held
+    with the snapshot and the total context count).  Nothing is
+    invalidated by hand.
     """
     engine = getattr(graph, "_batch_engine", None)
     freq_sum = sum(graph.freq)

@@ -66,9 +66,7 @@ def analyze_caches(graph: DependenceGraph, min_reads: int = 1):
     a lookup in one batched engine.
     """
     engine = engine_for(graph)
-    loads_by_key = graph.field_loads()
-    stores_by_key = graph.field_stores()
-    alloc_nodes = graph.alloc_nodes()
+    stores_by_key, loads_by_key, alloc_nodes = engine.field_groups()
     freq = graph.freq
 
     per_site = {}

@@ -52,7 +52,7 @@ def analyze_cost_benefit(graph: DependenceGraph, program,
                          depth: int = DEFAULT_TREE_DEPTH,
                          native_benefit: str = "infinite",
                          include_zero: bool = False,
-                         racs=None, rabs=None):
+                         racs=None, rabs=None, engine=None):
     """Produce ranked :class:`SiteReport` entries, worst offenders first.
 
     ``program`` is the compiled program or the profile's
@@ -64,13 +64,14 @@ def analyze_cost_benefit(graph: DependenceGraph, program,
     sampled profile it is the estimate its frequencies are (raw
     sampled counts, or scaled ones once the caller scaled the graph).
     Sites with no field activity at all are omitted unless
-    ``include_zero``.  ``racs``/``rabs`` are passed on to
-    :func:`~repro.analyses.relative.all_object_cost_benefits`, so a
+    ``include_zero``.  ``racs``/``rabs`` and ``engine`` are passed on
+    to :func:`~repro.analyses.relative.all_object_cost_benefits`, so a
     caller that already holds the field maps computes them once.
     """
     summaries = all_object_cost_benefits(graph, depth,
                                          native_benefit=native_benefit,
-                                         racs=racs, rabs=rabs)
+                                         racs=racs, rabs=rabs,
+                                         engine=engine)
     descriptions = site_descriptions(program)
     freq = graph.freq
 
@@ -130,7 +131,8 @@ def explain_site(graph: DependenceGraph, program, iid: int,
     engine = engine_for(graph)
     racs = field_racs(graph, engine=engine)
     rabs = field_rabs(graph, native_benefit, engine=engine)
-    alloc_keys = [key for key in graph.alloc_nodes() if key[0] == iid]
+    stores_by_key, _, alloc_nodes = engine.field_groups()
+    alloc_keys = [key for key in alloc_nodes if key[0] == iid]
     if not alloc_keys:
         lines.append("  (no tracked activity for this site)")
         return "\n".join(lines)
@@ -138,7 +140,6 @@ def explain_site(graph: DependenceGraph, program, iid: int,
     names = program_names(program)
     line_of = names.line_of
     method_of = names.method_of
-    stores_by_key = graph.field_stores()
     total_rac = 0.0
     total_rab = 0.0
     for alloc_key in alloc_keys:

@@ -8,29 +8,40 @@ before drilling into object-level cost-benefit reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..profiler.graph import (F_ALLOC, F_HEAP_READ, F_HEAP_WRITE,
                               DependenceGraph)
 from ..profiler.names import program_names
 
 
-@dataclass
 class MethodCost:
-    method: str
-    nodes: int
-    frequency: int         # instruction instances attributed
-    allocations: int       # frequency of allocation nodes
-    heap_reads: int
-    heap_writes: int
+    """Cost summary of one method; :func:`method_costs` adds to it."""
+
+    __slots__ = ("method", "nodes", "frequency", "allocations",
+                 "heap_reads", "heap_writes")
+
+    def __init__(self, method: str, nodes: int, frequency: int,
+                 allocations: int, heap_reads: int, heap_writes: int):
+        self.method = method
+        self.nodes = nodes
+        self.frequency = frequency      # instruction instances attributed
+        self.allocations = allocations  # frequency of allocation nodes
+        self.heap_reads = heap_reads
+        self.heap_writes = heap_writes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def __repr__(self):
         return (f"<MethodCost {self.method} freq={self.frequency} "
                 f"alloc={self.allocations}>")
 
 
-@dataclass
-class ReturnCost:
+class ReturnCost(NamedTuple):
     """Relative cost of producing one method's return values.
 
     ``relative_cost`` is the HRAC-style cost: stack work between the

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..profiler.graph import DependenceGraph
+from .batch import engine_for
 
 
 @dataclass
@@ -36,14 +37,15 @@ def write_read_imbalances(graph: DependenceGraph, min_writes: int = 2):
     Aggregated per allocation *site* (contexts merged) so the report
     matches how a developer sees the code.
     """
+    stores_by_key, loads_by_key, _ = engine_for(graph).field_groups()
     writes = {}
     reads = {}
-    for field_key, nodes in graph.field_stores().items():
+    for field_key, nodes in stores_by_key.items():
         (site, _), field = field_key[0], field_key[1]
         key = (site, field)
         writes[key] = writes.get(key, 0) + sum(graph.freq[n]
                                                for n in nodes)
-    for field_key, nodes in graph.field_loads().items():
+    for field_key, nodes in loads_by_key.items():
         (site, _), field = field_key[0], field_key[1]
         key = (site, field)
         reads[key] = reads.get(key, 0) + sum(graph.freq[n]

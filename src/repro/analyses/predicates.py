@@ -9,15 +9,14 @@ or debug-only code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..profiler.graph import CONTEXTLESS, DependenceGraph
 from ..profiler.names import program_names
 from .relative import hrac
 
 
-@dataclass
-class PredicateReport:
+class PredicateReport(NamedTuple):
     iid: int
     line: int
     executions: int

@@ -275,7 +275,7 @@ def object_cost_benefit(graph: DependenceGraph, root_key,
 def all_object_cost_benefits(graph: DependenceGraph,
                              depth: int = DEFAULT_TREE_DEPTH,
                              native_benefit: str = "infinite",
-                             racs=None, rabs=None):
+                             racs=None, rabs=None, engine=None):
     """ObjectCostBenefit for every context-annotated allocation.
 
     One shared batched engine serves every field's RAC and RAB, so the
@@ -283,7 +283,9 @@ def all_object_cost_benefits(graph: DependenceGraph,
     of how many allocation sites are reported.  ``racs``/``rabs`` are
     the field maps when the caller already holds them (they must be
     ``field_racs``/``field_rabs`` of this graph under
-    ``native_benefit``).
+    ``native_benefit``), and ``engine`` is ``engine_for(graph)`` when
+    the caller holds it; the allocations come from its field
+    groupings.
 
     The fields are grouped by owner allocation once, so each root
     visits only the fields of its own reference tree: the cost is the
@@ -292,19 +294,19 @@ def all_object_cost_benefits(graph: DependenceGraph,
     positions in ``set(racs) | set(rabs)``), so every n-RAC/n-RAB is
     bit-identical to the per-root reference's.
     """
-    if racs is None or rabs is None:
+    if engine is None:
         engine = engine_for(graph)
-        if racs is None:
-            racs = field_racs(graph, engine=engine)
-        if rabs is None:
-            rabs = field_rabs(graph, native_benefit, engine=engine)
+    if racs is None:
+        racs = field_racs(graph, engine=engine)
+    if rabs is None:
+        rabs = field_rabs(graph, native_benefit, engine=engine)
     fields_of = {}
     for position, field_key in enumerate(set(racs) | set(rabs)):
         fields_of.setdefault(field_key[0], []).append(
             (position, field_key))
     points_to = graph.points_to
     results = []
-    for root_key in graph.alloc_nodes():
+    for root_key in engine.field_groups()[2]:
         tree = reference_tree(graph, root_key, depth)
         visits = []
         for owner_key in tree:

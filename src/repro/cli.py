@@ -862,54 +862,51 @@ def cmd_client(args):
     return exit_code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Low-utility data structure finder "
-                    "(PLDI 2010 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p):
+    p.add_argument("--no-stdlib", action="store_true",
+                   help="compile without the MiniJ stdlib")
+    p.add_argument("--max-steps", type=int, default=2_000_000_000)
 
-    def add_common(p):
-        p.add_argument("--no-stdlib", action="store_true",
-                       help="compile without the MiniJ stdlib")
-        p.add_argument("--max-steps", type=int, default=2_000_000_000)
 
-    def add_exec_mode(p):
-        from .vm import EXEC_MODES
-        p.add_argument("--exec-mode", choices=sorted(EXEC_MODES),
-                       default=None,
-                       help="execution tier: 'compiled' (template-"
-                            "compiled dispatch, the default) or "
-                            "'interp' (reference interpreter loop)")
+def _add_exec_mode(p):
+    from .vm import EXEC_MODES
+    p.add_argument("--exec-mode", choices=sorted(EXEC_MODES),
+                   default=None,
+                   help="execution tier: 'compiled' (template-"
+                        "compiled dispatch, the default) or "
+                        "'interp' (reference interpreter loop)")
 
-    def add_flight_record(p, disable_help="disable the always-on "
-                                          "flight recorder"):
-        p.add_argument("--flight-record", metavar="PATH",
-                       help="flight-recorder dump file (default "
-                            "repro-flight-PID.jsonl in the system temp "
-                            "directory); the in-memory ring of recent "
-                            "telemetry events is written there only on "
-                            "a fault, SIGUSR1, or daemon shutdown, and "
-                            "the path is printed to stderr")
-        p.add_argument("--no-flight-record", action="store_true",
-                       help=disable_help)
 
-    p = sub.add_parser("run", help="execute a MiniJ program")
+def _add_flight_record(p, disable_help="disable the always-on "
+                                       "flight recorder"):
+    p.add_argument("--flight-record", metavar="PATH",
+                   help="flight-recorder dump file (default "
+                        "repro-flight-PID.jsonl in the system temp "
+                        "directory); the in-memory ring of recent "
+                        "telemetry events is written there only on "
+                        "a fault, SIGUSR1, or daemon shutdown, and "
+                        "the path is printed to stderr")
+    p.add_argument("--no-flight-record", action="store_true",
+                   help=disable_help)
+
+
+def _run_arguments(p):
     p.add_argument("file")
-    add_common(p)
-    add_exec_mode(p)
+    _add_common(p)
+    _add_exec_mode(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("disasm", help="print the compiled TAC")
+
+def _disasm_arguments(p):
     p.add_argument("file")
-    add_common(p)
+    _add_common(p)
     p.set_defaults(func=cmd_disasm)
 
-    p = sub.add_parser("profile",
-                       help="run under the cost tracker and report")
+
+def _profile_arguments(p):
     p.add_argument("file")
-    add_common(p)
-    add_exec_mode(p)
+    _add_common(p)
+    _add_exec_mode(p)
     p.add_argument("--sample", metavar="SPEC", default=None,
                    help="burst-sampled tracking: 'on' (default "
                         "schedule), 'off', or "
@@ -935,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: one per job)")
     p.add_argument("--telemetry", metavar="PATH",
                    help="write run telemetry (JSONL events) to PATH")
-    add_flight_record(p)
+    _add_flight_record(p)
     p.add_argument("--self-profile", action="store_true",
                    help="also time an untracked run and report the "
                         "tracker overhead ratio")
@@ -963,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 'default')")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("analyze",
-                       help="offline analysis of a saved Gcost")
+
+def _analyze_arguments(p):
     p.add_argument("graph", help="JSON file from profile --save-graph")
     p.add_argument("file", nargs="?",
                    help="the MiniJ source, for site names; needed only "
@@ -978,9 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "corrupt profile (loads the decodable subset)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("report",
-                       help="render a Markdown bloat report from a "
-                            "saved profile")
+
+def _report_arguments(p):
     p.add_argument("graph", help="JSON file from profile --save-graph")
     p.add_argument("file", nargs="?",
                    help="the MiniJ source, for site names; needed only "
@@ -998,9 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "corrupt profile (loads the decodable subset)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("trace",
-                       help="timeline / critical-path report from a "
-                            "telemetry JSONL stream")
+
+def _trace_arguments(p):
     p.add_argument("events",
                    help="JSONL file from profile --telemetry")
     p.add_argument("--top", type=int, default=10,
@@ -1012,9 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the report to PATH instead of stdout")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("serve",
-                       help="run the resident analysis daemon "
-                            "(profiling-as-a-service)")
+
+def _serve_arguments(p):
     p.add_argument("--socket", metavar="PATH",
                    help="unix socket to listen on")
     p.add_argument("--tcp", metavar="HOST:PORT",
@@ -1033,31 +1027,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", metavar="PATH",
                    help="write service telemetry (JSONL events) to "
                         "PATH")
-    add_flight_record(p, "disable the always-on flight recorder; "
-                         "without --telemetry this also turns the "
-                         "daemon's stats metrics off (no telemetry "
-                         "hub, zero per-request overhead)")
+    _add_flight_record(p, "disable the always-on flight recorder; "
+                          "without --telemetry this also turns the "
+                          "daemon's stats metrics off (no telemetry "
+                          "hub, zero per-request overhead)")
     p.set_defaults(func=cmd_serve)
 
+
+def _add_addr(cp):
+    cp.add_argument("--addr", required=True, metavar="ADDR",
+                    help="daemon address: unix:PATH, "
+                         "tcp:HOST:PORT, or a bare socket path")
+    cp.add_argument("--timeout", type=float, default=30.0,
+                    metavar="SECONDS",
+                    help="socket timeout for the request "
+                         "(default 30)")
+
+
+def _client_arguments(p):
     from .service.protocol import QUERY_KINDS
 
-    p = sub.add_parser("client",
-                       help="talk to a running analysis daemon")
     csub = p.add_subparsers(dest="action", required=True)
-
-    def add_addr(cp):
-        cp.add_argument("--addr", required=True, metavar="ADDR",
-                        help="daemon address: unix:PATH, "
-                             "tcp:HOST:PORT, or a bare socket path")
-        cp.add_argument("--timeout", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="socket timeout for the request "
-                             "(default 30)")
-
     cp = csub.add_parser("push",
                          help="push a saved profile as one shard")
     cp.add_argument("graph", help="JSON file from profile --save-graph")
-    add_addr(cp)
+    _add_addr(cp)
     cp.add_argument("--tenant", default="default",
                     help="tenant to fold the shard into "
                          "(default 'default')")
@@ -1070,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("file", nargs="?",
                     help="MiniJ source, required by report/rac/rab "
                          "(site names)")
-    add_addr(cp)
+    _add_addr(cp)
     cp.add_argument("--tenant", default="default",
                     help="tenant to query (default 'default')")
     cp.add_argument("--top", type=int, default=10,
@@ -1084,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.set_defaults(func=cmd_client)
 
     cp = csub.add_parser("status", help="daemon or tenant status")
-    add_addr(cp)
+    _add_addr(cp)
     cp.add_argument("--tenant", default=None,
                     help="show one tenant instead of the whole "
                          "daemon")
@@ -1093,7 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = csub.add_parser("stats",
                          help="live daemon metrics: busiest tenants, "
                               "request/query latency histograms")
-    add_addr(cp)
+    _add_addr(cp)
     cp.add_argument("--format", choices=("text", "json"),
                     default="text",
                     help="text (top-style tables, the default) or "
@@ -1105,44 +1099,90 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser("health",
                          help="one-line daemon health summary")
-    add_addr(cp)
+    _add_addr(cp)
     cp.add_argument("--format", choices=("text", "json"),
                     default="text",
                     help="one-line summary (default) or JSON")
     cp.set_defaults(func=cmd_client)
 
     cp = csub.add_parser("ping", help="liveness check")
-    add_addr(cp)
+    _add_addr(cp)
     cp.set_defaults(func=cmd_client)
 
     cp = csub.add_parser("shutdown",
                          help="stop the daemon (spills all tenants)")
-    add_addr(cp)
+    _add_addr(cp)
     cp.set_defaults(func=cmd_client)
 
-    p = sub.add_parser("workloads", help="list or run suite workloads")
+
+def _workloads_arguments(p):
     p.add_argument("name", nargs="?")
     p.add_argument("--small", action="store_true")
     p.set_defaults(func=cmd_workloads)
 
-    p = sub.add_parser("table1", help="regenerate Table 1")
+
+def _table1_arguments(p):
     p.add_argument("--small", action="store_true")
     p.add_argument("--slots", type=int, nargs="+", default=[8, 16])
     p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("casestudies",
-                       help="regenerate the case-study table")
+
+def _casestudies_arguments(p):
     p.add_argument("--small", action="store_true")
     p.set_defaults(func=cmd_casestudies)
 
+
+#: Every subcommand, in help order: its name, its one-line help and the
+#: function that adds its arguments to its parser.
+COMMANDS = (
+    ("run", "execute a MiniJ program", _run_arguments),
+    ("disasm", "print the compiled TAC", _disasm_arguments),
+    ("profile", "run under the cost tracker and report",
+     _profile_arguments),
+    ("analyze", "offline analysis of a saved Gcost", _analyze_arguments),
+    ("report", "render a Markdown bloat report from a saved profile",
+     _report_arguments),
+    ("trace", "timeline / critical-path report from a telemetry JSONL "
+              "stream", _trace_arguments),
+    ("serve", "run the resident analysis daemon "
+              "(profiling-as-a-service)", _serve_arguments),
+    ("client", "talk to a running analysis daemon", _client_arguments),
+    ("workloads", "list or run suite workloads", _workloads_arguments),
+    ("table1", "regenerate Table 1", _table1_arguments),
+    ("casestudies", "regenerate the case-study table",
+     _casestudies_arguments),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    Every subcommand is registered, so the top-level usage, help and
+    "invalid choice" message list them all.  Given ``argv``, only the
+    subcommand it names (its first token that is not an option) gets
+    its arguments; the others stay bare, as ``argv`` cannot reach
+    them.  Without ``argv`` every subcommand is built.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Low-utility data structure finder "
+                    "(PLDI 2010 reproduction)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next(
+        (token for token in argv if not token.startswith("-")), "")
+    for name, help_text, add_arguments in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if named is None or named == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
     from .profiler.errors import (CheckpointError, ProfileFormatError,
                                   ProfileInputError, ShardFailedError)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

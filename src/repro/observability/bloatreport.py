@@ -151,7 +151,8 @@ def bloat_report_data(graph, meta, state, program, top: int = 10) -> dict:
              "contexts": report.contexts}
             for rank, report in enumerate(
                 analyze_cost_benefit(graph, program, racs=racs,
-                                     rabs=rabs)[:top], start=1)],
+                                     rabs=rabs, engine=engine)[:top],
+                start=1)],
         "hrac": _field_data(racs, descriptions, top),
         "hrab": _field_data(rabs, descriptions, top, reverse=False),
     }
@@ -218,7 +219,8 @@ def render_bloat_report(graph, meta, state, program, top: int = 10) -> str:
     # -- cost-benefit ranking ------------------------------------------------
     out.append("## Top cost-benefit offenders")
     out.append("")
-    reports = analyze_cost_benefit(graph, program, racs=racs, rabs=rabs)
+    reports = analyze_cost_benefit(graph, program, racs=racs, rabs=rabs,
+                                   engine=engine)
     if reports:
         rows = []
         for rank, report in enumerate(reports[:top], start=1):

@@ -188,27 +188,33 @@ class DependenceGraph:
 
     def field_stores(self):
         """(alloc_key, field) -> [store node ids]."""
-        groups = {}
-        for node_id, (kind, alloc_key, field) in self.effects.items():
-            if kind == EFFECT_STORE and alloc_key is not None:
-                groups.setdefault((alloc_key, field), []).append(node_id)
-        return groups
+        return self.field_groups()[0]
 
     def field_loads(self):
         """(alloc_key, field) -> [load node ids]."""
-        groups = {}
-        for node_id, (kind, alloc_key, field) in self.effects.items():
-            if kind == EFFECT_LOAD and alloc_key is not None:
-                groups.setdefault((alloc_key, field), []).append(node_id)
-        return groups
+        return self.field_groups()[1]
 
     def alloc_nodes(self):
         """alloc_key -> allocation node id."""
+        return self.field_groups()[2]
+
+    def field_groups(self):
+        """``(field_stores(), field_loads(), alloc_nodes())``, read in
+        one pass over the heap effects.  A batched engine holds them
+        (:meth:`~repro.analyses.batch.BatchSliceEngine.field_groups`)."""
+        stores = {}
+        loads = {}
         allocs = {}
-        for node_id, (kind, alloc_key, _) in self.effects.items():
+        for node_id, (kind, alloc_key, field) in self.effects.items():
             if kind == EFFECT_ALLOC:
                 allocs[alloc_key] = node_id
-        return allocs
+            elif alloc_key is None:
+                continue
+            elif kind == EFFECT_STORE:
+                stores.setdefault((alloc_key, field), []).append(node_id)
+            elif kind == EFFECT_LOAD:
+                loads.setdefault((alloc_key, field), []).append(node_id)
+        return stores, loads, allocs
 
     # -- traversals (building blocks for the analyses) ---------------------------
 

@@ -33,7 +33,7 @@ class TrackerState:
     values were returned.
     """
 
-    __slots__ = ("node_gs", "branch_outcomes", "return_nodes")
+    __slots__ = ("node_gs", "branch_outcomes", "return_nodes", "_cr")
 
     def __init__(self, node_gs=None, branch_outcomes=None,
                  return_nodes=None):
@@ -42,9 +42,40 @@ class TrackerState:
                                 if branch_outcomes is not None else {})
         self.return_nodes = (return_nodes
                              if return_nodes is not None else {})
+        #: ``(CSR snapshot, total context count, CR)`` of the last
+        #: ratio taken on a frozen graph (see :meth:`conflict_ratio`).
+        self._cr = None
 
     def conflict_ratio(self, graph) -> float:
-        """Average CR over context-annotated instructions (Table 1).
+        """Average CR over context-annotated instructions (Table 1),
+        computed once per context state.
+
+        The ratio reads ``graph``'s node keys and this state's context
+        sets.  On a frozen graph it is held under the staleness rule of
+        :func:`~repro.analyses.batch.engine_for`, CSR snapshot
+        identity, extended with the total context count: the same
+        snapshot means the same node keys (a graph only grows, and a
+        new node stales its snapshot), and the same count means the
+        same sets, since a set only grows (the tracker adds contexts,
+        :meth:`fold` unions them).  The snapshot is held, not its
+        ``id``, so a reused id cannot match.  A graph with no current
+        snapshot is answered by :meth:`one_pass_conflict_ratio` and
+        holds nothing.
+        """
+        if not graph.frozen:
+            self._cr = None
+            return self.one_pass_conflict_ratio(graph)
+        csr = graph.freeze()
+        contexts = sum(map(len, filter(None, self.node_gs)))
+        held = self._cr
+        if held is not None and held[0] is csr and held[1] == contexts:
+            return held[2]
+        ratio = self.one_pass_conflict_ratio(graph)
+        self._cr = (csr, contexts, ratio)
+        return ratio
+
+    def one_pass_conflict_ratio(self, graph) -> float:
+        """:meth:`conflict_ratio` computed afresh, holding nothing.
 
         Equal, bit for bit, to
         :func:`~repro.profiler.context.average_conflict_ratio` over the

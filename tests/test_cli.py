@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (EXIT_BAD_INPUT, EXIT_DEGRADED, EXIT_RUNTIME,
-                       main)
+                       build_parser, main)
 
 DEMO = """
 class Entry {
@@ -455,3 +460,43 @@ class TestResilienceFlags:
         captured = capsys.readouterr()
         assert "salvage:" in captured.err
         assert "loaded graph" in captured.out
+
+
+class TestHelp:
+    """``build_parser(argv)`` builds only the subcommand ``argv``
+    names, and no help text changes: ``repro --help`` and every
+    ``repro CMD --help`` (``client ACTION`` included) print exactly
+    what the parser that built every subcommand printed, recorded in
+    ``tests/compat/cli_help.json`` at 80 columns."""
+
+    HELP = json.loads((Path(__file__).parent / "compat"
+                       / "cli_help.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(HELP),
+                             ids=lambda command: command or "repro")
+    def test_help_is_unchanged(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main([*command.split(), "--help"])
+        assert exit_.value.code == 0
+        printed = capsys.readouterr().out
+        parser = build_parser()
+        for name in command.split():
+            parser = _subparsers(parser).choices[name]
+        assert printed == parser.format_help()
+        if sys.version_info[:2] in ((3, 10), (3, 11), (3, 12)):
+            # argparse's layout is stable from 3.10 to 3.12 (3.13
+            # reflows options that take a value).
+            assert printed == self.HELP[command]
+
+    def test_only_the_named_subcommand_is_built(self):
+        choices = _subparsers(build_parser(["report", "g.json"])).choices
+        built = {name for name, parser in choices.items()
+                 if len(parser._actions) > 1}
+        assert built == {"report"}
+        assert set(choices) == set(_subparsers(build_parser()).choices)
+
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))

@@ -36,7 +36,7 @@ one program in a few thousand runs for minutes.
 import copy
 import json
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (as_v2_rows, as_v3_columns, reference_analyze_caches,
@@ -310,6 +310,14 @@ class Main {{
 """
 
 
+#: The settings of every heap property.  An example runs up to three
+#: tracked runs of up to 5 M instructions, so shrinking a failure
+#: could take many minutes; without the shrink (and explain) phases a
+#: failure reports the first failing example as it was drawn.  Each
+#: property keeps its own example count.
+HEAVY = settings(deadline=None, phases=(Phase.explicit, Phase.reuse,
+                                        Phase.generate, Phase.target))
+
 #: Tracker configurations the heap property draws from.
 _TRACKER_PARAMS = [{"slots": 8}, {"slots": 16},
                    {"slots": 8, "track_cr": False},
@@ -342,7 +350,7 @@ def _tracked_mixed(source, params, data):
 
 
 @given(heap_program_source(), st.sampled_from(_TRACKER_PARAMS), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(HEAVY, max_examples=40)
 def test_compiled_tracked_equals_interpreted(source, params, data):
     """The compiled tier's tracked template builds exactly the profile
     the interpreter's tracker hooks build, and so does any mix of the
@@ -375,7 +383,7 @@ def _fold_all(docs, slots):
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from(_TRACKER_PARAMS), st.data())
-@settings(max_examples=15, deadline=None)
+@settings(HEAVY, max_examples=15)
 def test_document_fold_equals_merge_over_any_grouping(sources, params,
                                                       data):
     """Folding shard documents in job order, over any contiguous
@@ -415,7 +423,7 @@ def _fold_grouped(docs, bounds, slots, render):
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from(_TRACKER_PARAMS), st.data())
-@settings(max_examples=15, deadline=None)
+@settings(HEAVY, max_examples=15)
 def test_v2_rows_fold_equals_v3_over_any_grouping(sources, params, data):
     """Columns and v2 rows reach one fold: folding any contiguous
     grouping of shard documents as written (v4) and as their v2-rows
@@ -436,7 +444,7 @@ def test_v2_rows_fold_equals_v3_over_any_grouping(sources, params, data):
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from(_TRACKER_PARAMS), st.data())
-@settings(max_examples=15, deadline=None)
+@settings(HEAVY, max_examples=15)
 def test_v4_fold_equals_v3_over_any_grouping(sources, params, data):
     """v4 packed columns and v3 JSON columns reach one fold: folding any
     contiguous grouping of shard documents as written (v4) and as their
@@ -471,7 +479,7 @@ _MEMO_STEPS = [(0, "v4"), (0, "v4"), (0, "v3"), (1, "v3"), (0, "v4"),
 @given(st.lists(heap_program_source(), min_size=2, max_size=2,
                 unique=True),
        st.sampled_from(_TRACKER_PARAMS))
-@settings(max_examples=10, deadline=None)
+@settings(HEAVY, max_examples=10)
 def test_shape_memo_fold_equals_merge(sources, params):
     """A fold that reuses the graph's shape memo is exact: after every
     step of :data:`_MEMO_STEPS` the folded graph and state equal
@@ -508,7 +516,7 @@ def test_shape_memo_fold_equals_merge(sources, params):
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from(_TRACKER_PARAMS), st.data())
-@settings(max_examples=10, deadline=None)
+@settings(HEAVY, max_examples=10)
 def test_memory_bytes_equal_over_any_grouping(sources, params, data):
     """``memory_bytes`` is a function of the graph, not of how it grew:
     folding the documents one by one, with an analysis freezing the
@@ -552,7 +560,7 @@ def _client_answers(graph, depth, instructions):
 
 @given(heap_program_source(), st.sampled_from(_TRACKER_PARAMS),
        st.sampled_from((0, 1, DEFAULT_TREE_DEPTH)))
-@settings(max_examples=15, deadline=None)
+@settings(HEAVY, max_examples=15)
 def test_batched_clients_equal_references(source, params, depth):
     """Batch = per-node reference for the clients a report runs:
     ``all_object_cost_benefits`` (fields grouped by owner) equals the
@@ -580,12 +588,43 @@ def test_batched_clients_equal_references(source, params, depth):
 
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
+       st.sampled_from((2, 16)), st.data())
+@settings(HEAVY, max_examples=10)
+def test_engine_field_groups_equal_fresh_scans(sources, slots, data):
+    """The field groupings an engine holds equal a fresh scan of the
+    graph's effects after every fold: a repeated document (the shape
+    memo's fold, which keeps the engine), another run's (a new shape,
+    a new engine), and one that keeps the CSR snapshot and the flags
+    but overwrites a heap effect, so the same engine must read them
+    again."""
+    docs = [_shard(source, {"slots": slots})[2] for source in sources]
+    graph, state = DependenceGraph(slots=slots), TrackerState()
+    for doc in [docs[0], docs[0], *docs[1:], docs[-1]]:
+        fold_document(graph, state, doc)
+        assert engine_for(graph).field_groups() == graph.field_groups()
+    engine = engine_for(graph)
+    moved = as_v2_rows(docs[0])
+    row = data.draw(st.sampled_from(moved["effects"]))
+    row[2] = [-1, row[0]]
+    fold_document(graph, state, moved)
+    assert engine_for(graph) is engine
+    groups = engine.field_groups()
+    assert groups == graph.field_groups()
+    stores, loads, allocs = groups
+    assert (-1, row[0]) in {*allocs, *(key for key, _ in stores),
+                            *(key for key, _ in loads)}
+
+
+@given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from((1, 2, 16)), st.data())
-@settings(max_examples=15, deadline=None)
+@settings(HEAVY, max_examples=15)
 def test_conflict_ratio_equals_reference(sources, slots, data):
     """The one-pass CR is exactly the reference regrouping's: on every
     single run, on the fold of any contiguous grouping of the runs'
-    documents, and on v2-rows documents with an empty context row."""
+    documents, and on v2-rows documents with an empty context row.
+    The ratio held for a frozen graph stays the reference's across a
+    fold that keeps the CSR snapshot: one that repeats a document, and
+    one that adds a context to a node."""
     shards = [_shard(source, {"slots": slots}) for source in sources]
     shards.append(shards[0])
     for graph, state, _ in shards:
@@ -597,6 +636,22 @@ def test_conflict_ratio_equals_reference(sources, slots, data):
     graph, state = _fold_grouped(docs, bounds, slots, lambda doc: doc)
     assert state.conflict_ratio(graph) == \
         reference_conflict_ratio(graph, state)
+    csr = graph.freeze()
+    grown = as_v2_rows(docs[0])
+    node_gs = grown["tracker"]["node_gs"]
+    annotated = [node for node, gs in enumerate(node_gs) if gs]
+    if annotated:
+        gs = node_gs[data.draw(st.sampled_from(annotated))]
+        gs.append(max(gs) + 1)
+    for doc in (docs[0], grown):
+        before = state.conflict_ratio(graph)
+        assert before == reference_conflict_ratio(graph, state)
+        fold_document(graph, state, doc)
+        assert graph.freeze() is csr
+        assert state.conflict_ratio(graph) == \
+            reference_conflict_ratio(graph, state)
+    assert state.one_pass_conflict_ratio(graph) == \
+        state.conflict_ratio(graph)
     rows = [as_v2_rows(doc) for doc in docs]
     for doc in rows:
         node_gs = doc["tracker"]["node_gs"]
@@ -608,7 +663,7 @@ def test_conflict_ratio_equals_reference(sources, slots, data):
 
 @given(st.lists(heap_program_source(), min_size=1, max_size=3),
        st.sampled_from((2, 16)))
-@settings(max_examples=10, deadline=None)
+@settings(HEAVY, max_examples=10)
 def test_daemon_serves_the_batch_report(sources, slots):
     """An in-process daemon pushed the runs' shards one by one serves,
     after every push, a ``report`` byte-identical to

@@ -93,7 +93,8 @@ def test_report_command_loads_only_what_it_runs(tmp_path):
 def test_reading_a_named_profile_loads_no_frontend(command, tmp_path):
     """A profile that carries its own names is read without compiling:
     ``report`` and ``analyze`` load no frontend, stdlib or
-    sharded-profiling module, with or without the program argument."""
+    sharded-profiling module, with or without the program argument,
+    and no ``dataclasses`` (which brings ``inspect`` and ``ast``)."""
     source = tmp_path / "demo.mj"
     source.write_text(PROGRAM)
     graph = tmp_path / "demo.gcost.json"
@@ -113,6 +114,7 @@ def test_reading_a_named_profile_loads_no_frontend(command, tmp_path):
         frontend = sorted(name for name in loaded if name.startswith(
             ("repro.lang", "repro.stdlib", "repro.profiler.parallel")))
         assert not frontend, frontend
+        assert "dataclasses" not in loaded
 
 
 def test_importing_a_package_runs_no_submodule():
